@@ -5,6 +5,7 @@ executable verification of the induced deletion-contraction class identities.
 from .counting import (
     BudgetExceededError,
     ConsistencyError,
+    CountOptions,
     CountRecord,
     DEFAULT_BUDGET,
     NoProjectiveHypersurfaceError,
@@ -51,7 +52,7 @@ from .motive import (
     interpolate_class,
     predicted_sb_constant,
 )
-from .primes import NotPrimeError, first_primes, is_prime
+from .primes import NotPrimeError, first_primes, is_prime, require_primes
 from .symanzik import (
     MultilinearPoly,
     NonMultilinearError,
@@ -62,6 +63,5 @@ from .symanzik import (
     psi_by_trees,
     split_last_var,
 )
-from .cli import VerifyConfig, run_verify
 
 __version__ = "0.1.0"

@@ -13,23 +13,19 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import Sequence
 
 from .counting import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    DEFAULT_OPTIONS,
+    CountOptions,
     count_graph,
 )
 from .families import FamilySpec, generate_family, standard_catalog
-from .graphs import (
-    GraphError,
-    GraphParseError,
-    Multigraph,
-    edge_census,
-    graph_id,
-)
+from .graphs import Multigraph, edge_census, graph_id
 from .motive import (
-    InsufficientPrimesError,
     NotPolynomiallyConsistent,
     check_modL_congruence,
     check_projective_congruence,
@@ -39,7 +35,7 @@ from .motive import (
     interpolate_class,
     predicted_sb_constant,
 )
-from .primes import NotPrimeError, require_prime
+from .primes import require_primes
 from .symanzik import psi_by_trees
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
@@ -51,33 +47,12 @@ _LIMITATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    primes: tuple[int, ...] = DEFAULT_PRIMES
-    budget: int = DEFAULT_BUDGET
-    method: str = "fibered"
-    out: str | None = None
-    fmt: str = "json"
-    workers: int = 1
-
-    def __post_init__(self):
-        if len(set(self.primes)) != len(self.primes):
-            raise ValueError("primes must be distinct")
-        for q in self.primes:
-            require_prime(q)
-        if self.method not in ("brute", "fibered", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-
-
 # -- verification report -------------------------------------------------
 
 
-def _verify_graph(name: str, g: Multigraph, config: VerifyConfig) -> tuple[dict, bool]:
-    kw = dict(method=config.method, budget=config.budget, workers=1)
+def _verify_graph(
+    name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
+) -> tuple[dict, bool]:
     entry: dict = {
         "name": name,
         "id": graph_id(g),
@@ -86,9 +61,9 @@ def _verify_graph(name: str, g: Multigraph, config: VerifyConfig) -> tuple[dict,
         "predicted_constant": predicted_sb_constant(g),
     }
     try:
-        modl = check_modL_congruence(g, config.primes, graph_name=name, **kw)
-        lrat = check_projective_congruence(g, config.primes, graph_name=name, **kw)
-        dc = dc_identity_matrix(g, config.primes, graph_name=name, **kw)
+        modl = check_modL_congruence(g, primes, graph_name=name, opts=opts)
+        lrat = check_projective_congruence(g, primes, graph_name=name, opts=opts)
+        dc = dc_identity_matrix(g, primes, graph_name=name, opts=opts)
     except BudgetExceededError as exc:
         return {"name": name, "id": graph_id(g), "skipped": str(exc)}, True
     entry["verdicts"] = {
@@ -98,7 +73,7 @@ def _verify_graph(name: str, g: Multigraph, config: VerifyConfig) -> tuple[dict,
     }
     ok = modl.passed and lrat.passed and all(v.passed for v in dc)
     try:
-        result = interpolate_class(g, None, graph_name=name, **kw)
+        result = interpolate_class(g, None, graph_name=name, opts=opts)
     except BudgetExceededError as exc:
         entry["class"] = {"skipped_budget": str(exc)}
     else:
@@ -119,30 +94,36 @@ def _verify_graph(name: str, g: Multigraph, config: VerifyConfig) -> tuple[dict,
 
 
 def run_verify(
-    named_graphs: list[tuple[str, Multigraph]], config: VerifyConfig
+    named_graphs: list[tuple[str, Multigraph]],
+    primes: Sequence[int],
+    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> tuple[dict, bool]:
     """Full report over the given graphs; deterministic, input order kept.
 
-    Per-graph work items go to a thread pool when workers > 1; the report
-    itself is assembled single-threaded in input order, so worker count
-    never changes a byte of output. Budget-exceeded graphs are marked
-    skipped, which is not a failure.
+    Per-graph work items go to a pool of opts.workers threads, and each
+    graph counts with one sweep thread; the report itself is assembled
+    single-threaded in input order, so worker count never changes a byte
+    of output. Budget-exceeded graphs are marked skipped, which is not a
+    failure.
     """
-    if config.workers > 1 and len(named_graphs) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    primes = require_primes(primes)
+    per_graph = replace(opts, workers=1)
+    if opts.workers > 1 and len(named_graphs) > 1:
+        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
             futures = [
-                pool.submit(_verify_graph, name, g, config) for name, g in named_graphs
+                pool.submit(_verify_graph, name, g, primes, per_graph)
+                for name, g in named_graphs
             ]
             results = [f.result() for f in futures]
     else:
-        results = [_verify_graph(name, g, config) for name, g in named_graphs]
+        results = [_verify_graph(name, g, primes, per_graph) for name, g in named_graphs]
     entries = [entry for entry, _ in results]
     all_ok = all(ok for _, ok in results)
     report = {
         "schema": 1,
-        "primes": list(config.primes),
-        "method": config.method,
-        "budget": config.budget,
+        "primes": list(primes),
+        "method": opts.method,
+        "budget": opts.budget,
         "limitations": _LIMITATIONS,
         "graph_count": len(entries),
         "graphs": entries,
@@ -154,18 +135,21 @@ def run_verify(
 # -- plumbing -----------------------------------------------------------------
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _parse_primes(
+    text: str | None, default: tuple[int, ...] | None
+) -> tuple[int, ...] | None:
+    """--primes as a validated tuple in the given order, or default if absent."""
+    if text is None:
+        return default
     try:
         primes = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise ValueError(f"--primes {text!r} is not a comma-separated integer list")
-    if not primes:
-        raise ValueError("--primes list is empty")
-    if len(set(primes)) != len(primes):
-        raise ValueError("--primes entries must be distinct")
-    for q in primes:
-        require_prime(q)
-    return primes
+    return require_primes(primes)
+
+
+def _count_options(args: argparse.Namespace) -> CountOptions:
+    return CountOptions(method=args.method, budget=args.budget, workers=args.workers)
 
 
 def _load_graph(args: argparse.Namespace) -> tuple[str, Multigraph]:
@@ -215,15 +199,14 @@ def cmd_psi(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    opts = _count_options(args)
+    primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     name, g = _load_graph(args)
-    primes = _parse_primes(args.primes) if args.primes else DEFAULT_PRIMES
     lines = []
     rows = []
     for q in primes:
         try:
-            rec = count_graph(
-                g, q, args.method, budget=args.budget, workers=args.workers
-            )
+            rec = count_graph(g, q, opts=opts)
         except BudgetExceededError as exc:
             lines.append(json.dumps({"graph": name, "q": q, "skipped": str(exc)}, sort_keys=True))
             rows.append((q, "skipped", "", ""))
@@ -243,17 +226,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_class(args: argparse.Namespace) -> int:
+    opts = _count_options(args)
+    primes = _parse_primes(args.primes, None)
     name, g = _load_graph(args)
-    primes = _parse_primes(args.primes) if args.primes else None
     try:
-        result = interpolate_class(
-            g,
-            primes,
-            graph_name=name,
-            method=args.method,
-            budget=args.budget,
-            workers=args.workers,
-        )
+        result = interpolate_class(g, primes, graph_name=name, opts=opts)
     except BudgetExceededError as exc:
         _emit(args, _dumps({"schema": 1, "graph": name, "skipped_budget": str(exc)}))
         return 0
@@ -285,16 +262,17 @@ def cmd_class(args: argparse.Namespace) -> int:
 
 
 def cmd_dc_check(args: argparse.Namespace) -> int:
+    opts = _count_options(args)
+    primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     name, g = _load_graph(args)
-    primes = _parse_primes(args.primes) if args.primes else DEFAULT_PRIMES
-    kw = dict(
-        graph_name=name, method=args.method, budget=args.budget, workers=args.workers
-    )
     try:
         if args.edge is not None:
-            verdicts = [dc_identity_check(g, args.edge, q, **kw) for q in primes]
+            verdicts = [
+                dc_identity_check(g, args.edge, q, graph_name=name, opts=opts)
+                for q in primes
+            ]
         else:
-            verdicts = dc_identity_matrix(g, primes, **kw)
+            verdicts = dc_identity_matrix(g, primes, graph_name=name, opts=opts)
     except BudgetExceededError as exc:
         _emit(args, _dumps({"schema": 1, "graph": name, "skipped": str(exc)}))
         return 0
@@ -329,14 +307,8 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = VerifyConfig(
-        primes=_parse_primes(args.primes) if args.primes else DEFAULT_PRIMES,
-        budget=args.budget,
-        method=args.method,
-        out=args.out,
-        fmt=args.format,
-        workers=args.workers,
-    )
+    opts = _count_options(args)
+    primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     named: list[tuple[str, Multigraph]] = []
     for path in args.graphs or []:
         with open(path, "r", encoding="utf-8") as fh:
@@ -346,8 +318,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         named.append((family, generate_family(FamilySpec.parse(family))))
     if not named:
         named = standard_catalog()
-    report, ok = run_verify(named, config)
-    if config.fmt == "table":
+    report, ok = run_verify(named, primes, opts)
+    if args.format == "table":
         lines = []
         for entry in report["graphs"]:
             if "skipped" in entry:
@@ -379,36 +351,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--primes", default=None, help="comma-separated primes, e.g. 3,5,7,11,13")
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max point evaluations per count")
-    common.add_argument("--method", choices=("brute", "fibered", "both"), default="fibered")
-    common.add_argument("--out", default=None, help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("json", "table"), default="json")
-    common.add_argument("--workers", type=int, default=1, help="thread count (results are identical for any value)")
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    io.add_argument("--format", choices=("json", "table"), default="json")
+
+    counting = argparse.ArgumentParser(add_help=False, parents=[io])
+    counting.add_argument("--primes", default=None, help="comma-separated primes, e.g. 3,5,7,11,13")
+    counting.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max point evaluations per count")
+    counting.add_argument("--method", choices=("brute", "fibered", "both"), default="fibered")
+    counting.add_argument("--workers", type=int, default=1, help="thread count (results are identical for any value)")
 
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("graph", nargs="?", help="graph file (edge-list or JSON), '-' for stdin")
     graph_in.add_argument("--family", default=None, help="generate input graph, e.g. cycle:4")
 
-    p = sub.add_parser("psi", parents=[common, graph_in], help="print the graph polynomial")
+    p = sub.add_parser("psi", parents=[io, graph_in], help="print the graph polynomial")
     p.set_defaults(func=cmd_psi)
 
-    p = sub.add_parser("count", parents=[common, graph_in], help="point counts per prime (JSON lines)")
+    p = sub.add_parser("count", parents=[counting, graph_in], help="point counts per prime (JSON lines)")
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("class", parents=[common, graph_in], help="interpolated class candidate in Z[L]")
+    p = sub.add_parser("class", parents=[counting, graph_in], help="interpolated class candidate in Z[L]")
     p.set_defaults(func=cmd_class)
 
-    p = sub.add_parser("dc-check", parents=[common, graph_in], help="deletion-contraction identities per edge")
+    p = sub.add_parser("dc-check", parents=[counting, graph_in], help="deletion-contraction identities per edge")
     p.add_argument("--edge", type=int, default=None, help="check only this edge label")
     p.set_defaults(func=cmd_dc_check)
 
-    p = sub.add_parser("family", parents=[common], help="emit a standard family graph")
+    p = sub.add_parser("family", parents=[io], help="emit a standard family graph")
     p.add_argument("spec", help="family spec name:m, e.g. banana:3")
     p.set_defaults(func=cmd_family)
 
-    p = sub.add_parser("verify", parents=[common], help="full verification report over graphs or the catalog")
+    p = sub.add_parser("verify", parents=[counting], help="full verification report over graphs or the catalog")
     p.add_argument("graphs", nargs="*", help="graph files; empty means the built-in catalog")
     p.add_argument("--family", action="append", default=None, help="add a family graph (repeatable)")
     p.set_defaults(func=cmd_verify)
@@ -421,14 +395,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        GraphError,
-        GraphParseError,
-        NotPrimeError,
-        InsufficientPrimesError,
-        ValueError,
-        FileNotFoundError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

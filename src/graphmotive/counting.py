@@ -48,6 +48,32 @@ class NoProjectiveHypersurfaceError(ValueError):
 
 
 @dataclass(frozen=True)
+class CountOptions:
+    """How every count is taken; validated once, at construction.
+
+    method: "brute", "fibered" (split at the last edge variable), or
+    "both" (run both, insist on exact agreement). budget caps the
+    single-polynomial point evaluations of one count. workers is the sweep
+    thread count; counts are identical for any value.
+    """
+
+    method: str = "fibered"
+    budget: int = DEFAULT_BUDGET
+    workers: int = 1
+
+    def __post_init__(self):
+        if self.method not in ("brute", "fibered", "both"):
+            raise ValueError(f"unknown method {self.method!r}")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
+
+
+DEFAULT_OPTIONS = CountOptions()
+
+
+@dataclass(frozen=True)
 class CountRecord:
     """Exact counts for one (polynomial, prime) pair.
 
@@ -74,6 +100,26 @@ class CountRecord:
                 )
             if self.projective_count != diff // (self.q - 1):
                 raise ConsistencyError("projective count inconsistent with cone fibration")
+
+    @classmethod
+    def from_zeros(cls, p: MultilinearPoly, q: int, zeros: int) -> "CountRecord":
+        """Record for p with `zeros` affine zeros in F_q^n.
+
+        Non-constant homogeneous p also gets its projective count: the
+        affine zero set is then a cone, scaling acts freely off the origin,
+        and construction checks that q-1 divides zeros-1.
+        """
+        n = p.var_count
+        projective = None
+        if p.degree() > 0 and p.is_homogeneous():
+            projective = (zeros - 1) // (q - 1)
+        return cls(
+            q=q,
+            n=n,
+            affine_zero_count=zeros,
+            complement_count=q**n - zeros,
+            projective_count=projective,
+        )
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -189,47 +235,22 @@ def sweep_zero_patterns(
 # -- public counters ---------------------------------------------------------
 
 
-def _check_budget(cost: int, budget: int, what: str) -> None:
-    if cost > budget:
+def _check_budget(cost: int, opts: CountOptions, what: str) -> None:
+    if cost > opts.budget:
         raise BudgetExceededError(
-            f"{what} needs {cost} point evaluations, budget is {budget}"
+            f"{what} needs {cost} point evaluations, budget is {opts.budget}"
         )
 
 
-def _maybe_projective(p: MultilinearPoly, q: int, zeros: int) -> int | None:
-    """Projective count for non-constant homogeneous p, else None.
-
-    The affine zero set of a positive-degree homogeneous polynomial is a
-    cone: scaling acts freely off the origin, so q-1 divides zeros-1.
-    """
-    if p.degree() == 0 or not p.is_homogeneous():
-        return None
-    diff = zeros - 1
-    if diff < 0 or diff % (q - 1) != 0:
-        raise ConsistencyError(f"cone fibration violated: {zeros} zeros at q={q}")
-    return diff // (q - 1)
-
-
 def count_brute(
-    p: MultilinearPoly,
-    q: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    p: MultilinearPoly, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
     require_prime(q)
     n = p.var_count
-    _check_budget(q**n, budget, f"brute count over F_{q}^{n}")
-    zeros = sweep_zero_patterns([p], q, chunk_points=chunk_points, workers=workers)[1]
-    return CountRecord(
-        q=q,
-        n=n,
-        affine_zero_count=zeros,
-        complement_count=q**n - zeros,
-        projective_count=_maybe_projective(p, q, zeros),
-    )
+    _check_budget(q**n, opts, f"brute count over F_{q}^{n}")
+    zeros = sweep_zero_patterns([p], q, workers=opts.workers)[1]
+    return CountRecord.from_zeros(p, q, zeros)
 
 
 def count_projective(rec: CountRecord) -> int:
@@ -259,13 +280,7 @@ def _drop_var(p: MultilinearPoly, e: int) -> MultilinearPoly:
 
 
 def count_fibered(
-    p: MultilinearPoly,
-    e: int,
-    q: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
     """Count by sweeping the base F_q^{n-1} of the t_e-coordinate fibration.
 
@@ -276,37 +291,20 @@ def count_fibered(
     require_prime(q)
     n = p.var_count
     if n == 0:
-        value = p.terms.get(0, 0) % q
-        complement = 1 if value else 0
-        return CountRecord(
-            q=q, n=0, affine_zero_count=1 - complement, complement_count=complement
-        )
+        return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else 1)
     if not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
-    _check_budget(2 * q ** (n - 1), budget, f"fibered count over F_{q}^{n - 1}")
+    _check_budget(2 * q ** (n - 1), opts, f"fibered count over F_{q}^{n - 1}")
     a, b = split_last_var(p, e)
     if a.var_count == n:
         a, b = _drop_var(a, e), _drop_var(b, e)
-    c = sweep_zero_patterns([a, b], q, chunk_points=chunk_points, workers=workers)
+    c = sweep_zero_patterns([a, b], q, workers=opts.workers)
     complement = (q - 1) * (c[0] + c[2]) + q * c[1]
-    zeros = q**n - complement
-    return CountRecord(
-        q=q,
-        n=n,
-        affine_zero_count=zeros,
-        complement_count=complement,
-        projective_count=_maybe_projective(p, q, zeros),
-    )
+    return CountRecord.from_zeros(p, q, q**n - complement)
 
 
 def count_Z(
-    g: Multigraph,
-    label: int,
-    q: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    g: Multigraph, label: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> int:
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
@@ -318,37 +316,23 @@ def count_Z(
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
     n = g.edge_count
-    _check_budget(2 * q ** (n - 1), budget, f"Z-locus sweep over F_{q}^{n - 1}")
+    _check_budget(2 * q ** (n - 1), opts, f"Z-locus sweep over F_{q}^{n - 1}")
     p_del = psi_by_deletion_contraction(relabel_dense(delete_edge(g, label)))
     p_con = psi_by_deletion_contraction(relabel_dense(contract_edge(g, label)))
-    c = sweep_zero_patterns([p_del, p_con], q, chunk_points=chunk_points, workers=workers)
-    return c[3]
+    return sweep_zero_patterns([p_del, p_con], q, workers=opts.workers)[3]
 
 
 def count_graph(
-    g: Multigraph,
-    q: int,
-    method: str = "fibered",
-    *,
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    g: Multigraph, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
-    """Counts for a graph's polynomial, over A^n with n = edge count.
-
-    method: "brute", "fibered" (split at the last edge variable), or
-    "both" (run both, insist on exact agreement).
-    """
-    if method not in ("brute", "fibered", "both"):
-        raise ValueError(f"unknown method {method!r}")
+    """Counts for a graph's polynomial over A^n, n = edge count, by opts.method."""
     p = psi_by_deletion_contraction(relabel_dense(g))
-    kw = dict(budget=budget, chunk_points=chunk_points, workers=workers)
-    if method == "brute":
-        return count_brute(p, q, **kw)
-    if method == "fibered":
-        return count_fibered(p, max(p.var_count - 1, 0), q, **kw)
-    rec_b = count_brute(p, q, **kw)
-    rec_f = count_fibered(p, max(p.var_count - 1, 0), q, **kw)
+    if opts.method == "brute":
+        return count_brute(p, q, opts=opts)
+    if opts.method == "fibered":
+        return count_fibered(p, max(p.var_count - 1, 0), q, opts=opts)
+    rec_b = count_brute(p, q, opts=opts)
+    rec_f = count_fibered(p, max(p.var_count - 1, 0), q, opts=opts)
     if rec_b != rec_f:
         raise ConsistencyError(f"brute {rec_b} != fibered {rec_f}")
     return rec_b

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import DEFAULT_BUDGET, DEFAULT_CHUNK, count_Z, count_graph
+from .counting import DEFAULT_OPTIONS, CountOptions, count_Z, count_graph
 from .graphs import (
     EdgeKind,
     Multigraph,
@@ -22,7 +22,7 @@ from .graphs import (
     has_non_loop_edge,
     is_forest,
 )
-from .primes import first_primes, require_prime
+from .primes import first_primes, require_primes
 
 
 class InsufficientPrimesError(ValueError):
@@ -161,15 +161,6 @@ class CongruenceVerdict:
         return obj
 
 
-def _validated_primes(primes: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(primes))
-    if len(set(out)) != len(out):
-        raise ValueError("primes must be distinct")
-    for q in out:
-        require_prime(q)
-    return out
-
-
 def predicted_sb_constant(g: Multigraph) -> int:
     """Constant the complement count must hit mod q: 0 once any non-looping
     edge exists, else (-1)^n for a pure bouquet of n loops (n=0 gives 1)."""
@@ -183,19 +174,14 @@ def check_modL_congruence(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    method: str = "fibered",
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """|Y_G(F_q)| mod q against the predicted constant, at every prime."""
     name = graph_name if graph_name is not None else graph_id(g)
     constant = predicted_sb_constant(g)
     observed = []
-    for q in _validated_primes(primes):
-        rec = count_graph(
-            g, q, method, budget=budget, chunk_points=chunk_points, workers=workers
-        )
+    for q in sorted(require_primes(primes)):
+        rec = count_graph(g, q, opts=opts)
         observed.append((q, rec.complement_count % q, constant % q))
     passed = all(obs == exp for _, obs, exp in observed)
     return CongruenceVerdict(
@@ -212,10 +198,7 @@ def check_projective_congruence(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    method: str = "fibered",
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """|X_G(F_q)| = 1 mod q for non-forests with a non-looping edge.
 
@@ -234,10 +217,8 @@ def check_projective_congruence(
             applicable=False,
         )
     observed = []
-    for q in _validated_primes(primes):
-        rec = count_graph(
-            g, q, method, budget=budget, chunk_points=chunk_points, workers=workers
-        )
+    for q in sorted(require_primes(primes)):
+        rec = count_graph(g, q, opts=opts)
         observed.append((q, rec.projective_count % q, 1))
     passed = all(obs == exp for _, obs, exp in observed)
     return CongruenceVerdict(
@@ -268,10 +249,7 @@ def dc_identity_check(
     q: int,
     *,
     graph_name: str | None = None,
-    method: str = "fibered",
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    opts: CountOptions = DEFAULT_OPTIONS,
     y_full: int | None = None,
 ) -> CongruenceVerdict:
     """Exact integer deletion-contraction identity for one edge, one prime.
@@ -283,16 +261,15 @@ def dc_identity_check(
     """
     name = graph_name if graph_name is not None else graph_id(g)
     kind = classify_edge(g, edge_label)
-    kw = dict(budget=budget, chunk_points=chunk_points, workers=workers)
     n = g.edge_count
-    lhs = count_graph(g, q, method, **kw).complement_count if y_full is None else y_full
-    y_del = count_graph(delete_edge(g, edge_label), q, method, **kw).complement_count
+    lhs = count_graph(g, q, opts=opts).complement_count if y_full is None else y_full
+    y_del = count_graph(delete_edge(g, edge_label), q, opts=opts).complement_count
     if kind is EdgeKind.BRIDGE:
         rhs = q * y_del
     elif kind is EdgeKind.LOOP:
         rhs = (q - 1) * y_del
     else:
-        z = count_Z(g, edge_label, q, **kw)
+        z = count_Z(g, edge_label, q, opts=opts)
         rhs = q * (q ** (n - 1) - z) - y_del
     return CongruenceVerdict(
         graph=name,
@@ -309,22 +286,16 @@ def dc_identity_matrix(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    method: str = "fibered",
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
     name = graph_name if graph_name is not None else graph_id(g)
-    qs = _validated_primes(primes)
-    kw = dict(budget=budget, chunk_points=chunk_points, workers=workers)
-    full_counts = {q: count_graph(g, q, method, **kw).complement_count for q in qs}
+    qs = sorted(require_primes(primes))
+    full_counts = {q: count_graph(g, q, opts=opts).complement_count for q in qs}
     out = []
     for e in g.labels:
         rows = [
-            dc_identity_check(
-                g, e, q, graph_name=name, method=method, y_full=full_counts[q], **kw
-            )
+            dc_identity_check(g, e, q, graph_name=name, opts=opts, y_full=full_counts[q])
             for q in qs
         ]
         out.append(
@@ -368,10 +339,7 @@ def interpolate_class(
     primes: Sequence[int] | None = None,
     *,
     graph_name: str | None = None,
-    method: str = "fibered",
-    budget: int = DEFAULT_BUDGET,
-    chunk_points: int = DEFAULT_CHUNK,
-    workers: int = 1,
+    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> ClassPoly | NotPolynomiallyConsistent:
     """Candidate class in Z[L] from complement counts at several primes.
 
@@ -386,16 +354,14 @@ def interpolate_class(
     n = g.edge_count
     if primes is None:
         primes = first_primes(n + 3)
-    qs = _validated_primes(primes)
+    qs = sorted(require_primes(primes))
     if len(qs) < n + 3:
         raise InsufficientPrimesError(
             f"need at least {n + 3} primes for {n} edges, got {len(qs)}"
         )
     counts = []
     for q in qs:
-        rec = count_graph(
-            g, q, method, budget=budget, chunk_points=chunk_points, workers=workers
-        )
+        rec = count_graph(g, q, opts=opts)
         counts.append((q, rec.complement_count))
     fitted = _lagrange_coefficients(counts[: n + 1])
     if any(c.denominator != 1 for c in fitted):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 # Miller-Rabin with this witness set is exact below 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -14,6 +16,18 @@ def require_prime(q: int) -> int:
     if not is_prime(q):
         raise NotPrimeError(f"modulus {q} is not prime")
     return q
+
+
+def require_primes(primes: Sequence[int]) -> tuple[int, ...]:
+    """The primes as a tuple in the given order; non-empty and distinct."""
+    out = tuple(primes)
+    if not out:
+        raise ValueError("prime list is empty")
+    if len(set(out)) != len(out):
+        raise ValueError("primes must be distinct")
+    for q in out:
+        require_prime(q)
+    return out
 
 
 def is_prime(n: int) -> bool:

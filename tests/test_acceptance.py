@@ -16,6 +16,7 @@ import time
 import _oracles
 from graphmotive import (
     ClassPoly,
+    CountOptions,
     CountRecord,
     betti_1,
     catalog_by_name,
@@ -208,9 +209,9 @@ def test_08_class_multiplicativity(capsys):
 def test_09_large_sweep_performance(capsys):
     g = CAT["wheel_4"]
     t0 = time.perf_counter()
-    single = count_graph(g, 11, "fibered", workers=1)
+    single = count_graph(g, 11, opts=CountOptions("fibered", workers=1))
     elapsed = time.perf_counter() - t0
-    parallel = count_graph(g, 11, "fibered", workers=4)
+    parallel = count_graph(g, 11, opts=CountOptions("fibered", workers=4))
     expected = CountRecord(11, 8, 19887681, 194471200, projective_count=1988768)
     ok = elapsed < 60.0 and single == parallel == expected
     announce(capsys, 9, "8-edge fibered count at q=11, parallel identical", ok, elapsed)

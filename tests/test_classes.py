@@ -20,6 +20,7 @@ from graphmotive import (
     hodge_form,
     interpolate_class,
     predicted_sb_constant,
+    require_primes,
 )
 
 CAT = catalog_by_name()
@@ -113,8 +114,10 @@ def test_modL_examples():
 
 
 def test_modL_rejects_duplicate_primes():
-    with pytest.raises(ValueError):
-        check_modL_congruence(CAT["cycle_3"], (3, 3))
+    for primes in ((3, 3), (), (3, 9)):
+        with pytest.raises(ValueError):
+            check_modL_congruence(CAT["cycle_3"], primes)
+    assert require_primes((5, 3)) == (5, 3)
 
 
 def test_projective_congruence_applicability():

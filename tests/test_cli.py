@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -75,12 +77,13 @@ def test_psi_accepts_json_graph(capsys, tmp_path):
     assert code == 0 and out.strip() == "t0 + t1"
 
 
-def test_graph_input_errors(capsys, triangle_file):
+def test_graph_input_errors(capsys, triangle_file, tmp_path):
     code, _, err = run(capsys, "psi", triangle_file, "--family", "cycle:3")
     assert code == 2 and "not both" in err
     code, _, err = run(capsys, "psi")
     assert code == 2 and "no graph given" in err
     assert run(capsys, "psi", "/nonexistent/g.txt")[0] == 2
+    assert run(capsys, "psi", str(tmp_path))[0] == 2  # a directory
 
 
 def test_parse_error_reports_line(capsys, tmp_path):
@@ -124,6 +127,8 @@ def test_count_rejects_bad_primes(capsys):
     assert run(capsys, "count", "--family", "cycle:3", "--primes", "3,4")[0] == 2
     assert run(capsys, "count", "--family", "cycle:3", "--primes", "3,3")[0] == 2
     assert run(capsys, "count", "--family", "cycle:3", "--primes", "x")[0] == 2
+    assert run(capsys, "count", "--family", "cycle:3", "--primes", "")[0] == 2
+    assert run(capsys, "count", "--family", "cycle:3", "--primes", ",")[0] == 2
 
 
 # -- class -------------------------------------------------------------------
@@ -240,8 +245,10 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     assert report["pass"] is False and report["graphs"][0]["pass"] is False
 
 
-def test_verify_rejects_bad_workers(capsys):
-    assert run(capsys, "verify", "--family", "cycle:3", "--workers", "0")[0] == 2
+@pytest.mark.parametrize("command", ["count", "class", "dc-check", "verify"])
+@pytest.mark.parametrize("flag", ["--workers", "--budget"])
+def test_verify_rejects_bad_workers(capsys, command, flag):
+    assert run(capsys, command, "--family", "cycle:3", flag, "0")[0] == 2
 
 
 # -- argparse level ----------------------------------------------------------------
@@ -259,3 +266,27 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--primes", "3"), ("--budget", "10"), ("--method", "brute"), ("--workers", "1")]
+)
+@pytest.mark.parametrize(
+    "argv", [["psi", "--family", "cycle:3"], ["family", "cycle:3"]], ids=["psi", "family"]
+)
+def test_non_counting_commands_reject_counting_flags(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_package_import_leaves_cli_out():
+    code = "import sys, graphmotive; sys.exit('graphmotive.cli' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "graphmotive.cli", "family", "cycle:3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,8 @@ are pinned here as literals.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +16,7 @@ import _oracles
 from graphmotive import (
     BudgetExceededError,
     ConsistencyError,
+    CountOptions,
     CountRecord,
     Multigraph,
     MultilinearPoly,
@@ -29,6 +32,7 @@ from graphmotive import (
     psi_by_trees,
     sweep_zero_patterns,
 )
+from graphmotive import counting
 
 CAT = catalog_by_name()
 
@@ -163,13 +167,13 @@ def test_record_json_shape():
 
 def test_brute_counts_match_frozen_q3_grid():
     for name, (zeros, complement) in Q3_GRID.items():
-        rec = count_graph(CAT[name], 3, "brute")
+        rec = count_graph(CAT[name], 3, opts=CountOptions("brute"))
         assert (rec.affine_zero_count, rec.complement_count) == (zeros, complement), name
 
 
 def test_both_methods_match_frozen_q5_grid():
     for name, (zeros, complement) in Q5_GRID.items():
-        rec = count_graph(CAT[name], 5, "both")
+        rec = count_graph(CAT[name], 5, opts=CountOptions("both"))
         assert (rec.affine_zero_count, rec.complement_count) == (zeros, complement), name
 
 
@@ -181,7 +185,7 @@ def test_projective_counts_match_frozen():
 
 
 def test_worked_examples():
-    rec = count_graph(CAT["cycle_3"], 3, "both")
+    rec = count_graph(CAT["cycle_3"], 3, opts=CountOptions("both"))
     assert rec == CountRecord(3, 3, 9, 18, projective_count=4)
     # trees never vanish: psi is the constant 1
     assert count_graph(CAT["path_5"], 3).complement_count == 3**5
@@ -267,14 +271,14 @@ def test_budget_guards():
     k4 = CAT["complete_4"]
     p = psi_by_trees(k4)
     with pytest.raises(BudgetExceededError):
-        count_brute(p, 3, budget=728)  # needs 3^6
-    count_brute(p, 3, budget=729)
+        count_brute(p, 3, opts=CountOptions(budget=728))  # needs 3^6
+    count_brute(p, 3, opts=CountOptions(budget=729))
     with pytest.raises(BudgetExceededError):
-        count_fibered(p, 5, 3, budget=485)  # needs 2*3^5
+        count_fibered(p, 5, 3, opts=CountOptions(budget=485))  # needs 2*3^5
     with pytest.raises(BudgetExceededError):
-        count_Z(k4, 5, 3, budget=485)
+        count_Z(k4, 5, 3, opts=CountOptions(budget=485))
     with pytest.raises(BudgetExceededError):
-        count_graph(k4, 3, "both", budget=700)
+        count_graph(k4, 3, opts=CountOptions("both", budget=700))
 
 
 # -- determinism ---------------------------------------------------------------
@@ -291,9 +295,11 @@ def test_sweep_bit_identical_across_chunks_and_workers():
         assert sweep_zero_patterns(polys, 5, chunk_points=251, workers=workers) == base
 
 
-def test_counts_identical_with_workers():
-    rec1 = count_graph(CAT["wheel_4"], 3, "fibered", workers=1)
-    rec4 = count_graph(CAT["wheel_4"], 3, "fibered", workers=4, chunk_points=100)
+def test_counts_identical_with_workers(monkeypatch):
+    rec1 = count_graph(CAT["wheel_4"], 3, opts=CountOptions("fibered", workers=1))
+    small_chunks = functools.partial(counting.sweep_zero_patterns, chunk_points=100)
+    monkeypatch.setattr(counting, "sweep_zero_patterns", small_chunks)
+    rec4 = count_graph(CAT["wheel_4"], 3, opts=CountOptions("fibered", workers=4))
     assert rec1 == rec4 == CountRecord(3, 8, 2529, 4032, projective_count=1264)
 
 
@@ -319,7 +325,8 @@ def test_prime_and_size_limits():
 
 
 def test_count_graph_method_validation():
-    with pytest.raises(ValueError):
-        count_graph(CAT["cycle_3"], 3, "magic")
+    for bad in ({"method": "magic"}, {"budget": 0}, {"workers": 0}):
+        with pytest.raises(ValueError):
+            count_graph(CAT["cycle_3"], 3, opts=CountOptions(**bad))
     rec = count_graph(Multigraph(2, ()), 7)
     assert rec == CountRecord(7, 0, 0, 1)
