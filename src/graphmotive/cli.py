@@ -22,6 +22,7 @@ from .counting import (
     DEFAULT_OPTIONS,
     CountOptions,
     count_graph,
+    shared_counts,
 )
 from .families import FamilySpec, generate_family, standard_catalog
 from .graphs import Multigraph, edge_census, graph_id
@@ -50,6 +51,9 @@ _LIMITATIONS = (
 # -- verification report -------------------------------------------------
 
 
+# The verdicts and the class fit ask for the same (graph, q) counts, so each
+# call counts each once; a fresh memo opens per call, in the calling thread.
+@shared_counts()
 def _verify_graph(
     name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
 ) -> tuple[dict, bool]:

@@ -9,7 +9,10 @@ accumulation makes results independent of chunking and thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +26,13 @@ from .graphs import (
     relabel_dense,
 )
 from .primes import require_prime
-from .symanzik import MultilinearPoly, psi_by_deletion_contraction, split_last_var
+from .symanzik import (
+    MAX_VARS,
+    MultilinearPoly,
+    NonMultilinearError,
+    psi_by_deletion_contraction,
+    split_last_var,
+)
 
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19
@@ -242,13 +251,36 @@ def _check_budget(cost: int, opts: CountOptions, what: str) -> None:
         )
 
 
+def _check_brute_budget(q: int, n: int, opts: CountOptions) -> None:
+    _check_budget(q**n, opts, f"brute count over F_{q}^{n}")
+
+
+def _check_fibered_budget(q: int, n: int, opts: CountOptions) -> None:
+    _check_budget(2 * q ** (n - 1), opts, f"fibered count over F_{q}^{n - 1}")
+
+
+def check_count_budget(g: Multigraph, q: int, opts: CountOptions = DEFAULT_OPTIONS) -> None:
+    """Raise what count_graph(g, q, opts=opts) would raise before its first
+    sweep, without building psi: too many edges for one polynomial, then
+    the budget, brute first for "both" and no fibered check for an
+    edgeless graph (its count needs no sweep)."""
+    require_prime(q)
+    n = g.edge_count
+    if n > MAX_VARS:
+        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
+    if opts.method != "fibered":
+        _check_brute_budget(q, n, opts)
+    if opts.method != "brute" and n > 0:
+        _check_fibered_budget(q, n, opts)
+
+
 def count_brute(
     p: MultilinearPoly, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
     require_prime(q)
     n = p.var_count
-    _check_budget(q**n, opts, f"brute count over F_{q}^{n}")
+    _check_brute_budget(q, n, opts)
     zeros = sweep_zero_patterns([p], q, workers=opts.workers)[1]
     return CountRecord.from_zeros(p, q, zeros)
 
@@ -294,7 +326,7 @@ def count_fibered(
         return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else 1)
     if not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
-    _check_budget(2 * q ** (n - 1), opts, f"fibered count over F_{q}^{n - 1}")
+    _check_fibered_budget(q, n, opts)
     a, b = split_last_var(p, e)
     if a.var_count == n:
         a, b = _drop_var(a, e), _drop_var(b, e)
@@ -322,17 +354,49 @@ def count_Z(
     return sweep_zero_patterns([p_del, p_con], q, workers=opts.workers)[3]
 
 
+_shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)
+
+
+@contextmanager
+def shared_counts() -> Iterator[None]:
+    """Within this block, count_graph counts each (graph, q, opts) once.
+
+    Records are keyed by the Multigraph itself, labels included, and live
+    only until the block exits; outside any block nothing is memoized.
+    Each thread has its own context, so enter the block in the thread
+    that counts.
+    """
+    token = _shared.set({})
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def count_graph(
     g: Multigraph, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
-    """Counts for a graph's polynomial over A^n, n = edge count, by opts.method."""
+    """Counts for a graph's polynomial over A^n, n = edge count, by opts.method.
+
+    The budget is checked before psi is built; inside shared_counts() a
+    repeated request returns the stored record.
+    """
+    memo = _shared.get()
+    key = (g, q, opts)
+    if memo is not None and key in memo:
+        return memo[key]
+    check_count_budget(g, q, opts)
     p = psi_by_deletion_contraction(relabel_dense(g))
+    e = max(p.var_count - 1, 0)
     if opts.method == "brute":
-        return count_brute(p, q, opts=opts)
-    if opts.method == "fibered":
-        return count_fibered(p, max(p.var_count - 1, 0), q, opts=opts)
-    rec_b = count_brute(p, q, opts=opts)
-    rec_f = count_fibered(p, max(p.var_count - 1, 0), q, opts=opts)
-    if rec_b != rec_f:
-        raise ConsistencyError(f"brute {rec_b} != fibered {rec_f}")
-    return rec_b
+        rec = count_brute(p, q, opts=opts)
+    elif opts.method == "fibered":
+        rec = count_fibered(p, e, q, opts=opts)
+    else:
+        rec = count_brute(p, q, opts=opts)
+        rec_f = count_fibered(p, e, q, opts=opts)
+        if rec != rec_f:
+            raise ConsistencyError(f"brute {rec} != fibered {rec_f}")
+    if memo is not None:
+        memo[key] = rec
+    return rec

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Edge, Multigraph, disjoint_union
+from .symanzik import MAX_VARS
 
 FAMILY_NAMES = ("cycle", "banana", "tree_path", "bouquet", "complete", "wheel", "dumbbell")
 
@@ -27,6 +28,22 @@ class FamilySpec:
         minimum = 3 if self.name in ("cycle", "complete", "wheel", "dumbbell") else 1
         if self.m < minimum:
             raise ValueError(f"family {self.name} needs m >= {minimum}, got {self.m}")
+        edges = self.edge_count()
+        if edges > MAX_VARS:
+            raise ValueError(
+                f"family {self.name}:{self.m} would have {edges} edges, more than {MAX_VARS}"
+            )
+
+    def edge_count(self) -> int:
+        """Edges of the generated graph, known before it is built."""
+        m = self.m
+        if self.name == "complete":
+            return m * (m - 1) // 2
+        if self.name == "wheel":
+            return 2 * m
+        if self.name == "dumbbell":
+            return m + 1
+        return m
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 
+MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
+
+
 class GraphError(ValueError):
     pass
 
@@ -28,6 +31,12 @@ class LoopContractionError(GraphError):
 
 class GraphParseError(GraphError):
     pass
+
+
+def _check_vertex_count(vc: int) -> None:
+    """Refuse oversized input at parse; __post_init__ stays cheap for minors."""
+    if vc > MAX_VERTICES:
+        raise GraphParseError(f"vertex_count {vc} exceeds the limit {MAX_VERTICES}")
 
 
 class Edge(NamedTuple):
@@ -112,6 +121,7 @@ class Multigraph:
             pairs = [(int(u), int(v)) for u, v in obj["edges"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphParseError(f"malformed graph JSON: {exc}") from exc
+        _check_vertex_count(vc)
         labels = obj.get("edge_labels")
         if labels is None:
             labels = list(range(len(pairs)))
@@ -150,6 +160,7 @@ class Multigraph:
             vc, n = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"line {num}: header entries must be integers")
+        _check_vertex_count(vc)
         if len(rows) - 1 != n:
             raise GraphParseError(
                 f"expected {n} edge lines, found {len(rows) - 1}"

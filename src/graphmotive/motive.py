@@ -12,7 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import DEFAULT_OPTIONS, CountOptions, count_Z, count_graph
+from .counting import (
+    DEFAULT_OPTIONS,
+    CountOptions,
+    CountRecord,
+    check_count_budget,
+    count_Z,
+    count_graph,
+)
 from .graphs import (
     EdgeKind,
     Multigraph,
@@ -161,6 +168,15 @@ class CongruenceVerdict:
         return obj
 
 
+def _counts(g: Multigraph, primes: Sequence[int], opts: CountOptions) -> dict[int, CountRecord]:
+    """count_graph at each prime, ascending, after checking every prime's
+    budget: a count the budget refuses fails before any sweep runs."""
+    qs = sorted(require_primes(primes))
+    for q in qs:
+        check_count_budget(g, q, opts)
+    return {q: count_graph(g, q, opts=opts) for q in qs}
+
+
 def predicted_sb_constant(g: Multigraph) -> int:
     """Constant the complement count must hit mod q: 0 once any non-looping
     edge exists, else (-1)^n for a pure bouquet of n loops (n=0 gives 1)."""
@@ -179,10 +195,9 @@ def check_modL_congruence(
     """|Y_G(F_q)| mod q against the predicted constant, at every prime."""
     name = graph_name if graph_name is not None else graph_id(g)
     constant = predicted_sb_constant(g)
-    observed = []
-    for q in sorted(require_primes(primes)):
-        rec = count_graph(g, q, opts=opts)
-        observed.append((q, rec.complement_count % q, constant % q))
+    observed = [
+        (q, rec.complement_count % q, constant % q) for q, rec in _counts(g, primes, opts).items()
+    ]
     passed = all(obs == exp for _, obs, exp in observed)
     return CongruenceVerdict(
         graph=name,
@@ -216,10 +231,7 @@ def check_projective_congruence(
             passed=True,
             applicable=False,
         )
-    observed = []
-    for q in sorted(require_primes(primes)):
-        rec = count_graph(g, q, opts=opts)
-        observed.append((q, rec.projective_count % q, 1))
+    observed = [(q, rec.projective_count % q, 1) for q, rec in _counts(g, primes, opts).items()]
     passed = all(obs == exp for _, obs, exp in observed)
     return CongruenceVerdict(
         graph=name,
@@ -290,13 +302,12 @@ def dc_identity_matrix(
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
     name = graph_name if graph_name is not None else graph_id(g)
-    qs = sorted(require_primes(primes))
-    full_counts = {q: count_graph(g, q, opts=opts).complement_count for q in qs}
+    full_counts = {q: rec.complement_count for q, rec in _counts(g, primes, opts).items()}
     out = []
     for e in g.labels:
         rows = [
-            dc_identity_check(g, e, q, graph_name=name, opts=opts, y_full=full_counts[q])
-            for q in qs
+            dc_identity_check(g, e, q, graph_name=name, opts=opts, y_full=y)
+            for q, y in full_counts.items()
         ]
         out.append(
             CongruenceVerdict(
@@ -359,10 +370,7 @@ def interpolate_class(
         raise InsufficientPrimesError(
             f"need at least {n + 3} primes for {n} edges, got {len(qs)}"
         )
-    counts = []
-    for q in qs:
-        rec = count_graph(g, q, opts=opts)
-        counts.append((q, rec.complement_count))
+    counts = [(q, rec.complement_count) for q, rec in _counts(g, qs, opts).items()]
     fitted = _lagrange_coefficients(counts[: n + 1])
     if any(c.denominator != 1 for c in fitted):
         return NotPolynomiallyConsistent(

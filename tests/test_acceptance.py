@@ -220,7 +220,7 @@ def test_09_large_sweep_performance(capsys):
     assert elapsed < 60.0
 
 
-def test_10_verify_byte_identical(capsys, tmp_path):
+def test_10_verify_byte_identical(capsys, tmp_path, src_env):
     t0 = time.perf_counter()
     blobs = []
     for i, workers in ((1, "1"), (2, "3")):
@@ -233,6 +233,7 @@ def test_10_verify_byte_identical(capsys, tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=src_env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())

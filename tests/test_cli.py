@@ -9,8 +9,9 @@ import sys
 
 import pytest
 
-from graphmotive import CongruenceVerdict, catalog_by_name
-from graphmotive.cli import main
+from graphmotive import CongruenceVerdict, CountOptions, Multigraph, catalog_by_name, counting
+from graphmotive.cli import main, run_verify
+from graphmotive.graphs import MAX_VERTICES, GraphParseError
 
 TRIANGLE_TEXT = "# a triangle\n3 3\n0 1\n1 2\n2 0\n"
 
@@ -86,6 +87,44 @@ def test_graph_input_errors(capsys, triangle_file, tmp_path):
     assert run(capsys, "psi", str(tmp_path))[0] == 2  # a directory
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1000000000000 1\n0 1\n", '{"vertex_count": 1000000000000, "edges": [[0, 1]]}'],
+    ids=["edge-list", "json"],
+)
+def test_vertex_count_bounded_at_parse(capsys, tmp_path, text):
+    with pytest.raises(GraphParseError, match="exceeds the limit"):
+        Multigraph.parse(text)
+    path = tmp_path / "huge.graph"
+    path.write_text(text)
+    code, _, err = run(capsys, "psi", str(path))
+    assert code == 2 and "exceeds the limit" in err
+    ok = f"{MAX_VERTICES} 1\n0 1\n"
+    assert Multigraph.parse(ok).vertex_count == MAX_VERTICES
+
+
+def test_counting_too_many_edges_is_input_error(capsys, tmp_path):
+    # Refused as input (exit 2), not skipped on budget: the budget check
+    # comes before psi is built, so it must not mask psi's variable cap.
+    path = tmp_path / "banana64.graph"
+    path.write_text("2 64\n" + "0 1\n" * 64)
+    for command in ("count", "verify"):
+        code, _, err = run(capsys, command, str(path), "--primes", "3")
+        assert code == 2 and "edge labels exceed 62" in err
+
+
+def test_family_size_bounded_by_edge_count(capsys):
+    # banana builds its edge list in one allocation, so a missing check
+    # fails fast with MemoryError instead of growing a list slowly.
+    code, _, err = run(capsys, "family", "banana:1000000000000")
+    assert code == 2 and "more than 63" in err
+    for spec, expected in [
+        ("complete:11", 0), ("complete:12", 2), ("wheel:31", 0), ("wheel:32", 2),
+        ("dumbbell:62", 0), ("dumbbell:63", 2), ("bouquet:63", 0), ("bouquet:64", 2),
+    ]:
+        assert run(capsys, "family", spec)[0] == expected, spec
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("2 1\n0 nope\n")
@@ -150,6 +189,14 @@ def test_class_table(capsys):
 def test_class_skips_over_budget(capsys):
     code, out, _ = run(capsys, "class", "--family", "banana:4", "--budget", "100")
     assert code == 0 and "skipped_budget" in json.loads(out)
+
+
+def test_class_refuses_budget_before_any_sweep(capsys, sweeps):
+    code, out, _ = run(capsys, "class", "--family", "banana:4", "--budget", "10000")
+    assert code == 0 and sweeps == []
+    assert json.loads(out)["skipped_budget"] == (
+        "fibered count over F_19^3 needs 13718 point evaluations, budget is 10000"
+    )
 
 
 def test_class_mismatch_exits_nonzero(capsys, monkeypatch):
@@ -228,6 +275,17 @@ def test_verify_skips_over_budget(capsys):
     assert "skipped" in report["graphs"][0] and report["pass"] is True
 
 
+def test_verify_counts_each_graph_prime_once(sweeps):
+    g = catalog_by_name()["cycle_4"]
+    opts = CountOptions(budget=10**7)
+    _, ok = run_verify([("cycle_4", g)], (3, 5, 7), opts)
+    assert ok and len(sweeps) == 31  # 40 without the per-graph memo
+    # The memo ends with the verified graph: a later count sweeps again.
+    sweeps.clear()
+    counting.count_graph(g, 3, opts=opts)
+    assert sweeps == [3]
+
+
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):
     def failing(g, primes, graph_name=None, **kw):
         return CongruenceVerdict(
@@ -281,12 +339,13 @@ def test_non_counting_commands_reject_counting_flags(capsys, argv, flag, value):
     capsys.readouterr()
 
 
-def test_package_import_leaves_cli_out():
+def test_package_import_leaves_cli_out(src_env):
     code = "import sys, graphmotive; sys.exit('graphmotive.cli' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=src_env).returncode == 0
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "graphmotive.cli", "family", "cycle:3"],
         capture_output=True,
         text=True,
+        env=src_env,
     )
     assert proc.returncode == 0, proc.stderr

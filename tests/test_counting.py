@@ -281,6 +281,43 @@ def test_budget_guards():
         count_graph(k4, 3, opts=CountOptions("both", budget=700))
 
 
+@pytest.mark.parametrize(
+    "method,budget,graph,message",
+    [
+        ("brute", 728, "complete_4", "brute count over F_3^6 needs 729"),
+        ("fibered", 485, "complete_4", "fibered count over F_3^5 needs 486"),
+        ("both", 700, "complete_4", "brute count over F_3^6 needs 729"),  # brute first
+        ("both", 2, "single_edge", "brute count over F_3^1 needs 3"),
+    ],
+)
+def test_check_count_budget_matches_count_graph(sweeps, method, budget, graph, message):
+    g, opts = CAT[graph], CountOptions(method, budget=budget)
+    with pytest.raises(BudgetExceededError) as counted:
+        count_graph(g, 3, opts=opts)
+    with pytest.raises(BudgetExceededError) as planned:
+        counting.check_count_budget(g, 3, opts)
+    expected = f"{message} point evaluations, budget is {budget}"
+    assert str(planned.value) == str(counted.value) == expected
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("method", ["brute", "fibered", "both"])
+def test_check_count_budget_passes_edgeless(method):
+    opts = CountOptions(method, budget=1)
+    counting.check_count_budget(CAT["edgeless"], 3, opts)
+    assert count_graph(CAT["edgeless"], 3, opts=opts) == CountRecord(3, 0, 0, 1)
+
+
+def test_shared_counts_memoizes_only_inside_the_block(sweeps):
+    g = CAT["cycle_4"]
+    with counting.shared_counts():
+        rec = count_graph(g, 5)
+        assert count_graph(g, 5) is rec and sweeps == [5]
+        count_graph(g, 5, opts=CountOptions("brute"))  # other options, own entry
+        assert sweeps == [5, 5]
+    assert count_graph(g, 5) == rec and sweeps == [5, 5, 5]
+
+
 # -- determinism ---------------------------------------------------------------
 
 
