@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Sequence
 
@@ -20,9 +19,11 @@ from .counting import (
     BudgetExceededError,
     DEFAULT_BUDGET,
     DEFAULT_OPTIONS,
+    METHODS,
     CountOptions,
     count_graph,
     shared_counts,
+    thread_map,
 )
 from .families import FamilySpec, generate_family, standard_catalog
 from .graphs import Multigraph, edge_census, graph_id
@@ -112,15 +113,9 @@ def run_verify(
     """
     primes = require_primes(primes)
     per_graph = replace(opts, workers=1)
-    if opts.workers > 1 and len(named_graphs) > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            futures = [
-                pool.submit(_verify_graph, name, g, primes, per_graph)
-                for name, g in named_graphs
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [_verify_graph(name, g, primes, per_graph) for name, g in named_graphs]
+    results = thread_map(
+        lambda item: _verify_graph(*item, primes, per_graph), named_graphs, opts.workers
+    )
     entries = [entry for entry, _ in results]
     all_ok = all(ok for _, ok in results)
     report = {
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     counting = argparse.ArgumentParser(add_help=False, parents=[io])
     counting.add_argument("--primes", default=None, help="comma-separated primes, e.g. 3,5,7,11,13")
     counting.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max point evaluations per count")
-    counting.add_argument("--method", choices=("brute", "fibered", "both"), default="fibered")
+    counting.add_argument("--method", choices=tuple(METHODS), default="fibered")
     counting.add_argument("--workers", type=int, default=1, help="thread count (results are identical for any value)")
 
     graph_in = argparse.ArgumentParser(add_help=False)

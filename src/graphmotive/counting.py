@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +38,12 @@ DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19
 _MAX_Q = 1 << 31  # keep products of two residues inside int64
 _SAFE_LIMIT = 1 << 62
+
+# The fibration levels each method runs, in order. A level-k count sweeps
+# the base F_q^{n-k} left after splitting off k edge variables: level 0 is
+# brute force over all of F_q^n, level 1 splits off the last edge variable.
+METHODS = {"brute": (0,), "fibered": (1,), "both": (0, 1)}
+_LEVEL_NAMES = ("brute count", "fibered count")
 
 
 class BudgetExceededError(RuntimeError):
@@ -71,7 +77,7 @@ class CountOptions:
     workers: int = 1
 
     def __post_init__(self):
-        if self.method not in ("brute", "fibered", "both"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
@@ -197,6 +203,15 @@ def _chunk_patterns(
     return np.bincount(pattern, minlength=1 << len(polys_terms))
 
 
+def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """[fn(x) for x in items], in input order; on a pool of `workers`
+    threads only when there are more than one of both."""
+    if workers <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def sweep_zero_patterns(
     polys: list[MultilinearPoly],
     q: int,
@@ -218,26 +233,15 @@ def sweep_zero_patterns(
         raise ValueError("sweep polynomials must share var_count")
     total_points = q**width
     prepared = [_prepared_terms(p, q) for p in polys]
-    starts = range(0, total_points, chunk_points)
     counts = [0] * (1 << len(polys))
-
-    def fold(hist: np.ndarray) -> None:
+    hists = thread_map(
+        lambda s: _chunk_patterns(prepared, width, q, s, min(s + chunk_points, total_points)),
+        range(0, total_points, chunk_points),
+        workers,
+    )
+    for hist in hists:
         for i, c in enumerate(hist):
             counts[i] += int(c)
-
-    if workers <= 1 or len(starts) <= 1:
-        for s in starts:
-            fold(_chunk_patterns(prepared, width, q, s, min(s + chunk_points, total_points)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _chunk_patterns, prepared, width, q, s, min(s + chunk_points, total_points)
-                )
-                for s in starts
-            ]
-            for fut in futures:
-                fold(fut.result())
     return counts
 
 
@@ -251,38 +255,30 @@ def _check_budget(cost: int, opts: CountOptions, what: str) -> None:
         )
 
 
-def _check_brute_budget(q: int, n: int, opts: CountOptions) -> None:
-    _check_budget(q**n, opts, f"brute count over F_{q}^{n}")
-
-
-def _check_fibered_budget(q: int, n: int, opts: CountOptions) -> None:
-    _check_budget(2 * q ** (n - 1), opts, f"fibered count over F_{q}^{n - 1}")
+def _check_sweep_budget(what: str, level: int, q: int, n: int, opts: CountOptions) -> None:
+    """Charge a level-`level` sweep of an n-variable count: 2^level
+    polynomials over F_q^{n-level}. A level above n sweeps nothing."""
+    if level <= n:
+        _check_budget(2**level * q ** (n - level), opts, f"{what} over F_{q}^{n - level}")
 
 
 def check_count_budget(g: Multigraph, q: int, opts: CountOptions = DEFAULT_OPTIONS) -> None:
     """Raise what count_graph(g, q, opts=opts) would raise before its first
     sweep, without building psi: too many edges for one polynomial, then
-    the budget, brute first for "both" and no fibered check for an
-    edgeless graph (its count needs no sweep)."""
+    the budget of each level of opts.method in turn."""
     require_prime(q)
     n = g.edge_count
     if n > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
-    if opts.method != "fibered":
-        _check_brute_budget(q, n, opts)
-    if opts.method != "brute" and n > 0:
-        _check_fibered_budget(q, n, opts)
+    for level in METHODS[opts.method]:
+        _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
 
 
 def count_brute(
     p: MultilinearPoly, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
-    require_prime(q)
-    n = p.var_count
-    _check_brute_budget(q, n, opts)
-    zeros = sweep_zero_patterns([p], q, workers=opts.workers)[1]
-    return CountRecord.from_zeros(p, q, zeros)
+    return _count_level(p, q, opts, 0)
 
 
 def count_projective(rec: CountRecord) -> int:
@@ -311,28 +307,41 @@ def _drop_var(p: MultilinearPoly, e: int) -> MultilinearPoly:
     return MultilinearPoly(p.var_count - 1, terms)
 
 
-def count_fibered(
-    p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
+def _count_level(
+    p: MultilinearPoly, q: int, opts: CountOptions, level: int, e: int = 0
 ) -> CountRecord:
-    """Count by sweeping the base F_q^{n-1} of the t_e-coordinate fibration.
+    """Count p by sweeping the base of its level-`level` fibration.
 
-    Writing p = t_e*A + B, a base point contributes q-1 complement points
-    when A is non-zero there (one bad fiber value), q when only B is
-    non-zero, and 0 when both vanish. One q-th of the brute-force work.
+    Level 0 sweeps p over all of F_q^n. Level 1 writes p = t_e*A + B and
+    sweeps A and B over F_q^{n-1}: the fiber over a base point holds one
+    zero when A is non-zero there, q when both vanish and none when only
+    A does. A level above n leaves p constant and sweeps nothing.
     """
     require_prime(q)
     n = p.var_count
-    if n == 0:
+    if level > n:
         return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else 1)
-    if not 0 <= e < n:
+    if level and not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
-    _check_fibered_budget(q, n, opts)
-    a, b = split_last_var(p, e)
-    if a.var_count == n:
-        a, b = _drop_var(a, e), _drop_var(b, e)
-    c = sweep_zero_patterns([a, b], q, workers=opts.workers)
-    complement = (q - 1) * (c[0] + c[2]) + q * c[1]
-    return CountRecord.from_zeros(p, q, q**n - complement)
+    _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
+    if level == 0:
+        polys, fiber_zeros = [p], (0, 1)
+    else:
+        a, b = split_last_var(p, e)
+        if a.var_count == n:
+            a, b = _drop_var(a, e), _drop_var(b, e)
+        polys, fiber_zeros = [a, b], (1, 0, 1, q)
+    counts = sweep_zero_patterns(polys, q, workers=opts.workers)
+    zeros = sum(z * c for z, c in zip(fiber_zeros, counts))
+    return CountRecord.from_zeros(p, q, zeros)
+
+
+def count_fibered(
+    p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
+) -> CountRecord:
+    """Count by sweeping the base F_q^{n-1} of the t_e-coordinate fibration;
+    one q-th of the brute-force work."""
+    return _count_level(p, q, opts, 1, e)
 
 
 def count_Z(
@@ -342,13 +351,12 @@ def count_Z(
 
     Both minors keep the surviving edge labels, so one dense relabeling
     (shared, since the label sets coincide) pins the n-1 coordinates and
-    the two polynomials are swept together.
+    the two polynomials are swept together, at the cost of a level-1 count.
     """
     require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
-    n = g.edge_count
-    _check_budget(2 * q ** (n - 1), opts, f"Z-locus sweep over F_{q}^{n - 1}")
+    _check_sweep_budget("Z-locus sweep", 1, q, g.edge_count, opts)
     p_del = psi_by_deletion_contraction(relabel_dense(delete_edge(g, label)))
     p_con = psi_by_deletion_contraction(relabel_dense(contract_edge(g, label)))
     return sweep_zero_patterns([p_del, p_con], q, workers=opts.workers)[3]
@@ -387,14 +395,10 @@ def count_graph(
         return memo[key]
     check_count_budget(g, q, opts)
     p = psi_by_deletion_contraction(relabel_dense(g))
-    e = max(p.var_count - 1, 0)
-    if opts.method == "brute":
-        rec = count_brute(p, q, opts=opts)
-    elif opts.method == "fibered":
-        rec = count_fibered(p, e, q, opts=opts)
-    else:
-        rec = count_brute(p, q, opts=opts)
-        rec_f = count_fibered(p, e, q, opts=opts)
+    rec, *others = [
+        _count_level(p, q, opts, level, p.var_count - 1) for level in METHODS[opts.method]
+    ]
+    for rec_f in others:
         if rec != rec_f:
             raise ConsistencyError(f"brute {rec} != fibered {rec_f}")
     if memo is not None:

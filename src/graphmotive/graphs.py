@@ -11,10 +11,13 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
+MAX_FOREST_SUBSETS = 10**7  # edge subsets spanning_forests may test, a few us each
 
 
 class GraphError(ValueError):
@@ -101,9 +104,6 @@ class Multigraph:
             if e.label == label:
                 return e
         raise UnknownLabelError(f"no edge with label {label}")
-
-    def has_label(self, label: int) -> bool:
-        return any(e.label == label for e in self.edges)
 
     # -- serialization ------------------------------------------------
 
@@ -273,12 +273,16 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
     """All maximal spanning forests as sorted label tuples, lexicographic.
 
     A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear.
+    size is vertex_count - #components; loops never appear. Refused, before
+    any is tested, when there are more than MAX_FOREST_SUBSETS candidates.
     """
-    from itertools import combinations
-
     target = g.vertex_count - component_count(g)
     non_loops = sorted(e.label for e in g.edges if not e.is_loop)
+    subsets = comb(len(non_loops), target)
+    if subsets > MAX_FOREST_SUBSETS:
+        raise GraphError(
+            f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
+        )
     by_label = {e.label: e for e in g.edges}
     out = []
     for combo in combinations(non_loops, target):

@@ -72,12 +72,6 @@ class MultilinearPoly:
     def constant(cls, c: int, var_count: int = 0) -> "MultilinearPoly":
         return cls(var_count, {0: c} if c else {})
 
-    @classmethod
-    def variable(cls, i: int, var_count: int | None = None) -> "MultilinearPoly":
-        if var_count is None:
-            var_count = i + 1
-        return cls(var_count, {1 << i: 1})
-
     def with_var_count(self, var_count: int) -> "MultilinearPoly":
         return MultilinearPoly(var_count, dict(self.terms))
 

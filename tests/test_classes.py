@@ -22,6 +22,7 @@ from graphmotive import (
     predicted_sb_constant,
     require_primes,
 )
+from graphmotive.counting import DEFAULT_OPTIONS
 
 CAT = catalog_by_name()
 
@@ -208,7 +209,7 @@ def test_class_multiplicative_over_disjoint_union():
 
 
 def _fake_counter(values):
-    def fake(g, q, method="fibered", **kw):
+    def fake(g, q, *, opts=DEFAULT_OPTIONS):
         return SimpleNamespace(complement_count=values[q])
 
     return fake

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,18 @@ def test_family_size_bounded_by_edge_count(capsys):
         ("dumbbell:62", 0), ("dumbbell:63", 2), ("bouquet:63", 0), ("bouquet:64", 2),
     ]:
         assert run(capsys, "family", spec)[0] == expected, spec
+
+
+def test_psi_refuses_too_many_forest_candidates(src_env):
+    # complete:11 passes the family edge cap, but its spanning forests are
+    # 10 of 55 edges: C(55, 10) subsets, refused before the first is tested.
+    # A subprocess with a timeout, so a missing check fails instead of hanging.
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphmotive.cli", "psi", "--family", "complete:11"],
+        capture_output=True, text=True, env=src_env, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "29248649430 edge subsets exceed the limit 10000000" in proc.stderr
 
 
 def test_parse_error_reports_line(capsys, tmp_path):
@@ -349,3 +362,14 @@ def test_package_import_leaves_cli_out(src_env):
         env=src_env,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_hooks_selftest(src_env):
+    # The benchmark wraps counting, motive and cli names by attribute; its
+    # self-test fails when one of them is renamed, inlined or bypassed.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        capture_output=True, text=True, env=src_env, cwd=root, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr

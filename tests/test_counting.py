@@ -267,18 +267,28 @@ def test_projective_requires_hypersurface():
 # -- budget --------------------------------------------------------------------
 
 
+def _refusal(count, *args, budget, method="fibered"):
+    with pytest.raises(BudgetExceededError) as refused:
+        count(*args, opts=CountOptions(method, budget=budget))
+    return str(refused.value)
+
+
 def test_budget_guards():
     k4 = CAT["complete_4"]
     p = psi_by_trees(k4)
-    with pytest.raises(BudgetExceededError):
-        count_brute(p, 3, opts=CountOptions(budget=728))  # needs 3^6
+    assert _refusal(count_brute, p, 3, budget=728) == (
+        "brute count over F_3^6 needs 729 point evaluations, budget is 728"
+    )
     count_brute(p, 3, opts=CountOptions(budget=729))
-    with pytest.raises(BudgetExceededError):
-        count_fibered(p, 5, 3, opts=CountOptions(budget=485))  # needs 2*3^5
-    with pytest.raises(BudgetExceededError):
-        count_Z(k4, 5, 3, opts=CountOptions(budget=485))
-    with pytest.raises(BudgetExceededError):
-        count_graph(k4, 3, opts=CountOptions("both", budget=700))
+    assert _refusal(count_fibered, p, 5, 3, budget=485) == (
+        "fibered count over F_3^5 needs 486 point evaluations, budget is 485"
+    )
+    assert _refusal(count_Z, k4, 5, 3, budget=485) == (
+        "Z-locus sweep over F_3^5 needs 486 point evaluations, budget is 485"
+    )
+    assert _refusal(count_graph, k4, 3, budget=700, method="both") == (
+        "brute count over F_3^6 needs 729 point evaluations, budget is 700"
+    )
 
 
 @pytest.mark.parametrize(
@@ -302,10 +312,15 @@ def test_check_count_budget_matches_count_graph(sweeps, method, budget, graph, m
 
 
 @pytest.mark.parametrize("method", ["brute", "fibered", "both"])
-def test_check_count_budget_passes_edgeless(method):
+def test_check_count_budget_passes_edgeless(sweeps, method):
+    # (edgeless, cycle_4) sweeps: one per level, and none for level 1 on 0 edges
+    edgeless_sweeps, cycle_sweeps = {"brute": (1, 1), "fibered": (0, 1), "both": (1, 2)}[method]
     opts = CountOptions(method, budget=1)
     counting.check_count_budget(CAT["edgeless"], 3, opts)
     assert count_graph(CAT["edgeless"], 3, opts=opts) == CountRecord(3, 0, 0, 1)
+    assert len(sweeps) == edgeless_sweeps
+    count_graph(CAT["cycle_4"], 3, opts=CountOptions(method))
+    assert len(sweeps) == edgeless_sweeps + cycle_sweeps
 
 
 def test_shared_counts_memoizes_only_inside_the_block(sweeps):
