@@ -28,6 +28,7 @@ from .counting import (
 from .families import FamilySpec, generate_family, standard_catalog
 from .graphs import Multigraph, edge_census, graph_id
 from .motive import (
+    ClassPoly,
     NotPolynomiallyConsistent,
     check_modL_congruence,
     check_projective_congruence,
@@ -38,7 +39,7 @@ from .motive import (
     predicted_sb_constant,
 )
 from .primes import require_primes
-from .symanzik import psi_by_trees
+from .symanzik import MAX_VARS, NonMultilinearError, psi_by_trees
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 
@@ -57,7 +58,7 @@ _LIMITATIONS = (
 @shared_counts()
 def _verify_graph(
     name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
-) -> tuple[dict, bool]:
+) -> dict:
     entry: dict = {
         "name": name,
         "id": graph_id(g),
@@ -70,7 +71,7 @@ def _verify_graph(
         lrat = check_projective_congruence(g, primes, graph_name=name, opts=opts)
         dc = dc_identity_matrix(g, primes, graph_name=name, opts=opts)
     except BudgetExceededError as exc:
-        return {"name": name, "id": graph_id(g), "skipped": str(exc)}, True
+        return {"name": name, "id": graph_id(g), "skipped": str(exc)}
     entry["verdicts"] = {
         "modL": modl.to_json_obj(),
         "Lrat": lrat.to_json_obj(),
@@ -85,17 +86,11 @@ def _verify_graph(
         if isinstance(result, NotPolynomiallyConsistent):
             entry["class"] = result.to_json_obj()
         else:
-            constant, tail = hodge_form(result)
-            matches = constant == entry["predicted_constant"] and constant in (0, 1, -1)
-            entry["class"] = {
-                "candidate": result.to_json_obj(),
-                "hodge_constant": constant,
-                "hodge_tail": tail.to_json_obj(),
-                "matches_predicted": matches,
-            }
-            ok = ok and matches
+            match = _class_match(result, entry["predicted_constant"])
+            entry["class"] = {"candidate": result.to_json_obj(), **match}
+            ok = ok and match["matches_predicted"]
     entry["pass"] = ok
-    return entry, ok
+    return entry
 
 
 def run_verify(
@@ -113,11 +108,10 @@ def run_verify(
     """
     primes = require_primes(primes)
     per_graph = replace(opts, workers=1)
-    results = thread_map(
+    entries = thread_map(
         lambda item: _verify_graph(*item, primes, per_graph), named_graphs, opts.workers
     )
-    entries = [entry for entry, _ in results]
-    all_ok = all(ok for _, ok in results)
+    all_ok = all(entry.get("pass", True) for entry in entries)  # skipped: no "pass"
     report = {
         "schema": 1,
         "primes": list(primes),
@@ -129,6 +123,17 @@ def run_verify(
         "pass": all_ok,
     }
     return report, all_ok
+
+
+def _class_match(c: ClassPoly, predicted: int) -> dict:
+    """c's split constant + L*tail, and whether the constant is the predicted
+    one; for graph classes it must lie in {0, 1, -1}."""
+    constant, tail = hodge_form(c)
+    return {
+        "hodge_constant": constant,
+        "hodge_tail": tail.to_json_obj(),
+        "matches_predicted": constant == predicted and constant in (0, 1, -1),
+    }
 
 
 # -- plumbing -----------------------------------------------------------------
@@ -161,12 +166,23 @@ def _load_graph(args: argparse.Namespace) -> tuple[str, Multigraph]:
         return family, generate_family(FamilySpec.parse(family))
     if not path:
         raise ValueError("no graph given: pass a file path or --family name:m")
+    return _read_graph(path)
+
+
+def _read_graph(path: str) -> tuple[str, Multigraph]:
+    """A graph file ('-' for stdin), named by its base name. Every command
+    builds psi, one variable per edge, so more than MAX_VARS edges is refused
+    here, before any per-edge work."""
     if path == "-":
-        return "stdin", Multigraph.parse(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    name = os.path.splitext(os.path.basename(path))[0]
-    return name, Multigraph.parse(text)
+        name, text = "stdin", sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        name = os.path.splitext(os.path.basename(path))[0]
+    g = Multigraph.parse(text)
+    if g.edge_count > MAX_VARS:
+        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
+    return name, g
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -236,28 +252,19 @@ def cmd_class(args: argparse.Namespace) -> int:
     if isinstance(result, NotPolynomiallyConsistent):
         _emit(args, _dumps({"schema": 1, **result.to_json_obj()}))
         return 0
-    constant, tail = hodge_form(result)
     predicted = predicted_sb_constant(g)
-    matches = constant == predicted and constant in (0, 1, -1)
+    match = _class_match(result, predicted)
     if args.format == "table":
         _emit(
             args,
             f"graph {name}: class {result.to_text()}  "
-            f"constant {constant} predicted {predicted} "
-            f"{'ok' if matches else 'MISMATCH'}",
+            f"constant {match['hodge_constant']} predicted {predicted} "
+            f"{'ok' if match['matches_predicted'] else 'MISMATCH'}",
         )
     else:
-        obj = {
-            "schema": 1,
-            "graph": name,
-            "class": result.to_json_obj(),
-            "hodge_constant": constant,
-            "hodge_tail": tail.to_json_obj(),
-            "predicted_constant": predicted,
-            "matches_predicted": matches,
-        }
-        _emit(args, _dumps(obj))
-    return 0 if matches else 1
+        obj = {"schema": 1, "graph": name, "class": result.to_json_obj()}
+        _emit(args, _dumps({**obj, "predicted_constant": predicted, **match}))
+    return 0 if match["matches_predicted"] else 1
 
 
 def cmd_dc_check(args: argparse.Namespace) -> int:
@@ -308,11 +315,7 @@ def cmd_family(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = _count_options(args)
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)
-    named: list[tuple[str, Multigraph]] = []
-    for path in args.graphs or []:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        named.append((os.path.splitext(os.path.basename(path))[0], Multigraph.parse(text)))
+    named = [_read_graph(path) for path in args.graphs or []]
     for family in args.family or []:
         named.append((family, generate_family(FamilySpec.parse(family))))
     if not named:

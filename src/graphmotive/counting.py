@@ -36,6 +36,7 @@ from .symanzik import (
 
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19
+MAX_WORKERS = 64  # thread_map opens one pool of this many threads at most
 _MAX_Q = 1 << 31  # keep products of two residues inside int64
 _SAFE_LIMIT = 1 << 62
 
@@ -69,7 +70,7 @@ class CountOptions:
     method: "brute", "fibered" (split at the last edge variable), or
     "both" (run both, insist on exact agreement). budget caps the
     single-polynomial point evaluations of one count. workers is the sweep
-    thread count; counts are identical for any value.
+    thread count, 1..MAX_WORKERS; counts are identical for any value.
     """
 
     method: str = "fibered"
@@ -83,6 +84,8 @@ class CountOptions:
             raise ValueError("budget must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers {self.workers} exceeds the limit {MAX_WORKERS}")
 
 
 DEFAULT_OPTIONS = CountOptions()

@@ -42,6 +42,13 @@ def _check_vertex_count(vc: int) -> None:
         raise GraphParseError(f"vertex_count {vc} exceeds the limit {MAX_VERTICES}")
 
 
+def _json_int(value) -> int:
+    """JSON integers only: floats would truncate, and bool is an int subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 class Edge(NamedTuple):
     label: int
     u: int
@@ -116,18 +123,22 @@ class Multigraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Multigraph":
+        """The to_json_obj form; edge_labels may be absent (labels 0..n-1)."""
         try:
-            vc = int(obj["vertex_count"])
-            pairs = [(int(u), int(v)) for u, v in obj["edges"]]
+            vc = _json_int(obj["vertex_count"])
+            pairs = [(_json_int(u), _json_int(v)) for u, v in obj["edges"]]
+            labels = obj.get("edge_labels")
+            if labels is None:
+                labels = range(len(pairs))
+            elif not isinstance(labels, (list, tuple)):
+                raise TypeError("edge_labels must be a list")
+            labels = [_json_int(label) for label in labels]
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphParseError(f"malformed graph JSON: {exc}") from exc
         _check_vertex_count(vc)
-        labels = obj.get("edge_labels")
-        if labels is None:
-            labels = list(range(len(pairs)))
         if len(labels) != len(pairs):
             raise GraphParseError("edge_labels length does not match edges")
-        return cls(vc, tuple(Edge(int(l), u, v) for l, (u, v) in zip(labels, pairs)))
+        return cls(vc, tuple(Edge(l, u, v) for l, (u, v) in zip(labels, pairs)))
 
     def to_text(self) -> str:
         """Edge-list format: a "vertex_count edge_count" header, then one

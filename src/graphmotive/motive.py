@@ -8,7 +8,7 @@ that survived held-out primes; nothing is ever fitted silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -143,16 +143,19 @@ class CongruenceVerdict:
 
     observed holds (q, observed_value, expected_value) triples; the verdict
     passes when every pair agrees. Vacuous verdicts (hypotheses not met)
-    carry applicable=False and pass trivially.
+    carry applicable=False and no rows, so they pass trivially.
     """
 
     graph: str
     tag: str  # modL | Lrat | dc-bridge | dc-loop | dc-regular
     expected: str
     observed: tuple[tuple[int, int, int], ...]
-    passed: bool
     applicable: bool = True
     edge: int | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(obs == exp for _, obs, exp in self.observed)
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -177,6 +180,10 @@ def _counts(g: Multigraph, primes: Sequence[int], opts: CountOptions) -> dict[in
     return {q: count_graph(g, q, opts=opts) for q in qs}
 
 
+def _name(g: Multigraph, graph_name: str | None) -> str:
+    return graph_name if graph_name is not None else graph_id(g)
+
+
 def predicted_sb_constant(g: Multigraph) -> int:
     """Constant the complement count must hit mod q: 0 once any non-looping
     edge exists, else (-1)^n for a pure bouquet of n loops (n=0 gives 1)."""
@@ -193,18 +200,15 @@ def check_modL_congruence(
     opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """|Y_G(F_q)| mod q against the predicted constant, at every prime."""
-    name = graph_name if graph_name is not None else graph_id(g)
     constant = predicted_sb_constant(g)
-    observed = [
-        (q, rec.complement_count % q, constant % q) for q, rec in _counts(g, primes, opts).items()
-    ]
-    passed = all(obs == exp for _, obs, exp in observed)
     return CongruenceVerdict(
-        graph=name,
+        graph=_name(g, graph_name),
         tag="modL",
         expected=f"{constant} mod q",
-        observed=tuple(observed),
-        passed=passed,
+        observed=tuple(
+            (q, rec.complement_count % q, constant % q)
+            for q, rec in _counts(g, primes, opts).items()
+        ),
     )
 
 
@@ -221,37 +225,22 @@ def check_projective_congruence(
     forests have no projective hypersurface, and pure loop bouquets
     genuinely violate the congruence.
     """
-    name = graph_name if graph_name is not None else graph_id(g)
-    if is_forest(g) or not has_non_loop_edge(g):
-        return CongruenceVerdict(
-            graph=name,
-            tag="Lrat",
-            expected="1 mod q",
-            observed=(),
-            passed=True,
-            applicable=False,
-        )
-    observed = [(q, rec.projective_count % q, 1) for q, rec in _counts(g, primes, opts).items()]
-    passed = all(obs == exp for _, obs, exp in observed)
+    applicable = not is_forest(g) and has_non_loop_edge(g)
+    counts = _counts(g, primes, opts) if applicable else {}
     return CongruenceVerdict(
-        graph=name,
+        graph=_name(g, graph_name),
         tag="Lrat",
         expected="1 mod q",
-        observed=tuple(observed),
-        passed=passed,
+        observed=tuple((q, rec.projective_count % q, 1) for q, rec in counts.items()),
+        applicable=applicable,
     )
 
 
-_DC_EXPECTED = {
-    EdgeKind.BRIDGE: "|Y| = q*|Y_del|",
-    EdgeKind.LOOP: "|Y| = (q-1)*|Y_del|",
-    EdgeKind.REGULAR: "|Y| = q*(q^(n-1) - |Z|) - |Y_del|",
-}
-
-_DC_TAG = {
-    EdgeKind.BRIDGE: "dc-bridge",
-    EdgeKind.LOOP: "dc-loop",
-    EdgeKind.REGULAR: "dc-regular",
+# Edge kind -> (verdict tag, the identity it checks).
+_DC_IDENTITY = {
+    EdgeKind.BRIDGE: ("dc-bridge", "|Y| = q*|Y_del|"),
+    EdgeKind.LOOP: ("dc-loop", "|Y| = (q-1)*|Y_del|"),
+    EdgeKind.REGULAR: ("dc-regular", "|Y| = q*(q^(n-1) - |Z|) - |Y_del|"),
 }
 
 
@@ -271,7 +260,6 @@ def dc_identity_check(
     minor polynomials. y_full optionally carries an already computed
     |Y_G(F_q)| so per-edge sweeps don't recount the whole graph.
     """
-    name = graph_name if graph_name is not None else graph_id(g)
     kind = classify_edge(g, edge_label)
     n = g.edge_count
     lhs = count_graph(g, q, opts=opts).complement_count if y_full is None else y_full
@@ -283,13 +271,9 @@ def dc_identity_check(
     else:
         z = count_Z(g, edge_label, q, opts=opts)
         rhs = q * (q ** (n - 1) - z) - y_del
+    tag, expected = _DC_IDENTITY[kind]
     return CongruenceVerdict(
-        graph=name,
-        tag=_DC_TAG[kind],
-        expected=_DC_EXPECTED[kind],
-        observed=((q, lhs, rhs),),
-        passed=lhs == rhs,
-        edge=edge_label,
+        _name(g, graph_name), tag, expected, observed=((q, lhs, rhs),), edge=edge_label
     )
 
 
@@ -301,7 +285,7 @@ def dc_identity_matrix(
     opts: CountOptions = DEFAULT_OPTIONS,
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
-    name = graph_name if graph_name is not None else graph_id(g)
+    name = _name(g, graph_name)
     full_counts = {q: rec.complement_count for q, rec in _counts(g, primes, opts).items()}
     out = []
     for e in g.labels:
@@ -309,16 +293,7 @@ def dc_identity_matrix(
             dc_identity_check(g, e, q, graph_name=name, opts=opts, y_full=y)
             for q, y in full_counts.items()
         ]
-        out.append(
-            CongruenceVerdict(
-                graph=name,
-                tag=rows[0].tag,
-                expected=rows[0].expected,
-                observed=tuple(row.observed[0] for row in rows),
-                passed=all(row.passed for row in rows),
-                edge=e,
-            )
-        )
+        out.append(replace(rows[0], observed=tuple(row.observed[0] for row in rows)))
     return out
 
 
@@ -361,7 +336,6 @@ def interpolate_class(
 
     With primes=None the first n+3 primes >= 3 are used.
     """
-    name = graph_name if graph_name is not None else graph_id(g)
     n = g.edge_count
     if primes is None:
         primes = first_primes(n + 3)
@@ -374,7 +348,7 @@ def interpolate_class(
     fitted = _lagrange_coefficients(counts[: n + 1])
     if any(c.denominator != 1 for c in fitted):
         return NotPolynomiallyConsistent(
-            graph=name,
+            graph=_name(g, graph_name),
             reason="interpolant has non-integer coefficients",
             data=tuple(counts),
         )
@@ -383,7 +357,7 @@ def interpolate_class(
         predicted = candidate.evaluate(q)
         if predicted != y:
             return NotPolynomiallyConsistent(
-                graph=name,
+                graph=_name(g, graph_name),
                 reason=f"held-out prime {q}: predicted {predicted}, counted {y}",
                 data=tuple(counts),
             )

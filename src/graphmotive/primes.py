@@ -54,10 +54,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def first_primes(count: int, start: int = 3) -> tuple[int, ...]:
-    """The first `count` primes >= start, ascending."""
+def first_primes(count: int) -> tuple[int, ...]:
+    """The first `count` primes >= 3, ascending."""
     out = []
-    n = max(start, 2)
+    n = 3
     while len(out) < count:
         if is_prime(n):
             out.append(n)

@@ -239,8 +239,12 @@ def test_interpolation_refuses_non_integer_fit(monkeypatch):
 
 
 def test_verdict_json_row_shape():
-    v = CongruenceVerdict(
-        graph="g", tag="modL", expected="0 mod q", observed=((3, 0, 0),), passed=True
-    )
+    v = CongruenceVerdict(graph="g", tag="modL", expected="0 mod q", observed=((3, 0, 0),))
     obj = v.to_json_obj()
     assert obj["observed"] == [[3, 0, 0]] and obj["applicable"] is True
+    assert obj["pass"] is True
+    # The pass flag is derived from the rows, so one disagreeing row fails it.
+    bad = CongruenceVerdict(
+        graph="g", tag="modL", expected="0 mod q", observed=((3, 0, 0), (5, 1, 0))
+    )
+    assert bad.to_json_obj()["pass"] is False

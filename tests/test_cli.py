@@ -114,6 +114,52 @@ def test_counting_too_many_edges_is_input_error(capsys, tmp_path):
         assert code == 2 and "edge labels exceed 62" in err
 
 
+def test_many_edge_file_refused_at_read(src_env, tmp_path):
+    # edge_census and the class fit's prime list grow with the edge count, so
+    # the file is refused as it is read. A subprocess with a timeout, so a
+    # missing check fails instead of hanging.
+    path = tmp_path / "banana30000.graph"
+    path.write_text("2 30000\n" + "0 1\n" * 30000)
+    for argv in (["verify", str(path), "--primes", "3"], ["class", str(path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphmotive.cli", *argv],
+            capture_output=True, text=True, env=src_env, timeout=20,
+        )
+        assert proc.returncode == 2 and "edge labels exceed 62" in proc.stderr, argv
+
+
+def test_sparse_json_labels_still_count(capsys, tmp_path):
+    # The read-time cap is on the edge count, not on the largest label.
+    path = tmp_path / "sparse.json"
+    g = {"vertex_count": 3, "edges": [[0, 1], [1, 2], [2, 0]], "edge_labels": [0, 1, 100]}
+    path.write_text(json.dumps(g))
+    assert run(capsys, "count", str(path), "--primes", "3")[0] == 0
+    assert run(capsys, "verify", str(path), "--primes", "3")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertex_count": 2, "edges": [[0, 1]], "edge_labels": 5}',
+        '{"vertex_count": 2, "edges": [[0, 1]], "edge_labels": [null]}',
+        '{"vertex_count": 2, "edges": [[0, 1]], "edge_labels": [true]}',
+        '{"vertex_count": 2.7, "edges": [[0, 1.9]]}',
+        '{"vertex_count": 2, "edges": [[0, 1.9]]}',
+        '{"vertex_count": true, "edges": [[0, 0]]}',
+        '{"vertex_count": 2, "edges": {"01": 1}}',
+    ],
+    ids=[
+        "labels-int", "labels-null", "labels-bool", "float-count",
+        "float-endpoint", "bool-count", "edges-object",
+    ],
+)
+def test_json_graph_numbers_must_be_integers(capsys, tmp_path, text):
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "count", str(path), "--primes", "3")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_family_size_bounded_by_edge_count(capsys):
     # banana builds its edge list in one allocation, so a missing check
     # fails fast with MemoryError instead of growing a list slowly.
@@ -216,6 +262,10 @@ def test_class_mismatch_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr("graphmotive.cli.predicted_sb_constant", lambda g: 7)
     code, out, _ = run(capsys, "class", "--family", "cycle:3")
     assert code == 1 and json.loads(out)["matches_predicted"] is False
+    # verify reads the same class-match rule, under the same patch.
+    code, out, _ = run(capsys, "verify", "--family", "cycle:3", "--primes", "3")
+    assert code == 1
+    assert json.loads(out)["graphs"][0]["class"]["matches_predicted"] is False
 
 
 # -- dc-check ------------------------------------------------------------------
@@ -252,8 +302,8 @@ def test_verify_report_shape_and_determinism(capsys, tmp_path):
     common = ("verify", "--family", "cycle:3", "--family", "banana:2", "--primes", "3,5")
     assert run(capsys, *common, "--out", f1)[0] == 0
     assert run(capsys, *common, "--workers", "3", "--out", f2)[0] == 0
-    b1 = open(f1, "rb").read()
-    assert b1 == open(f2, "rb").read()
+    b1 = Path(f1).read_bytes()
+    assert b1 == Path(f2).read_bytes()
     report = json.loads(b1)
     assert report["schema"] == 1 and report["pass"] is True
     assert [e["name"] for e in report["graphs"]] == ["cycle:3", "banana:2"]
@@ -306,7 +356,6 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
             tag="modL",
             expected="0 mod q",
             observed=((3, 1, 0),),
-            passed=False,
         )
 
     monkeypatch.setattr("graphmotive.cli.check_modL_congruence", failing)
@@ -317,9 +366,18 @@ def test_verify_failure_exits_nonzero(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command", ["count", "class", "dc-check", "verify"])
-@pytest.mark.parametrize("flag", ["--workers", "--budget"])
-def test_verify_rejects_bad_workers(capsys, command, flag):
-    assert run(capsys, command, "--family", "cycle:3", flag, "0")[0] == 2
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        pytest.param("--workers", "0", id="--workers"),
+        pytest.param("--budget", "0", id="--budget"),
+        pytest.param("--workers", str(counting.MAX_WORKERS + 1), id="--workers-over-cap"),
+    ],
+)
+def test_verify_rejects_bad_workers(capsys, command, flag, value):
+    # Refused by CountOptions, before any count or thread pool starts.
+    code, _, err = run(capsys, command, "--family", "cycle:3", flag, value)
+    assert code == 2 and flag.lstrip("-") in err
 
 
 # -- argparse level ----------------------------------------------------------------

@@ -377,7 +377,8 @@ def test_prime_and_size_limits():
 
 
 def test_count_graph_method_validation():
-    for bad in ({"method": "magic"}, {"budget": 0}, {"workers": 0}):
+    too_many = {"workers": counting.MAX_WORKERS + 1}
+    for bad in ({"method": "magic"}, {"budget": 0}, {"workers": 0}, too_many):
         with pytest.raises(ValueError):
             count_graph(CAT["cycle_3"], 3, opts=CountOptions(**bad))
     rec = count_graph(Multigraph(2, ()), 7)
