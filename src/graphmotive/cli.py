@@ -39,7 +39,7 @@ from .motive import (
     predicted_sb_constant,
 )
 from .primes import require_primes
-from .symanzik import MAX_VARS, NonMultilinearError, psi_by_trees
+from .symanzik import psi_by_trees
 
 DEFAULT_PRIMES = (3, 5, 7, 11, 13)
 
@@ -170,19 +170,15 @@ def _load_graph(args: argparse.Namespace) -> tuple[str, Multigraph]:
 
 
 def _read_graph(path: str) -> tuple[str, Multigraph]:
-    """A graph file ('-' for stdin), named by its base name. Every command
-    builds psi, one variable per edge, so more than MAX_VARS edges is refused
-    here, before any per-edge work."""
+    """A graph file ('-' for stdin), named by its base name. Parsing refuses
+    more than graphs.MAX_EDGES edges, before any edge is built."""
     if path == "-":
         name, text = "stdin", sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         name = os.path.splitext(os.path.basename(path))[0]
-    g = Multigraph.parse(text)
-    if g.edge_count > MAX_VARS:
-        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
-    return name, g
+    return name, Multigraph.parse(text)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:

@@ -1,9 +1,15 @@
 """Exact point counts over prime fields for graph hypersurfaces.
 
 Counts |zeros of psi| in F_q^n, the complement, the projective count, and
-the two-polynomial Z-locus. The workhorse is a chunked vectorized sweep that
-tallies zero-patterns of several polynomials over the same grid; integer
-accumulation makes results independent of chunking and thread count.
+the two-polynomial Z-locus. The workhorse is a sweep that tallies
+zero-patterns of several polynomials over the same grid. It evaluates a
+multilinear polynomial on F_q^k one axis at a time: each coefficient pair
+(c0, c1) becomes the q values c0 + x*c1, so a block costs about q^k
+multiply-adds whatever the term count. The grid is taken in blocks of at
+most chunk_points points, the outer coordinates of each block folded into
+the coefficients first. Every value is reduced below q after each
+multiply-add, so int64 holds it for q < 2^31, and integer accumulation
+makes results independent of block size and thread count.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19
 MAX_WORKERS = 64  # thread_map opens one pool of this many threads at most
 _MAX_Q = 1 << 31  # keep products of two residues inside int64
-_SAFE_LIMIT = 1 << 62
 
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
@@ -154,56 +159,40 @@ class CountRecord:
 # -- vectorized sweep core ---------------------------------------------------
 
 
-def _prepared_terms(p: MultilinearPoly, q: int) -> list[tuple[int, tuple[int, ...]]]:
-    out = []
-    for mask in sorted(p.terms):
-        coeff = p.terms[mask] % q
-        if coeff:
-            out.append((coeff, tuple(i for i in range(p.var_count) if mask >> i & 1)))
-    return out
+def _folder(p: MultilinearPoly, q: int, k: int) -> Callable[[list[int]], np.ndarray]:
+    """fold(y): the 2^k coefficients mod q, index bit i standing for t_i, of
+    p with its outer variables t_k, t_k+1, ... fixed to the values y."""
+    terms = sorted((mask & ((1 << k) - 1), mask >> k, c % q) for mask, c in p.terms.items())
+    terms = [t for t in terms if t[2]]
+    inner = np.array([t[0] for t in terms], dtype=np.int64)
+    coeffs = np.array([t[2] for t in terms], dtype=np.int64)
+    slots, starts = np.unique(inner, return_index=True)
+    uses = [np.array([t[1] >> j & 1 for t in terms], dtype=bool) for j in range(p.var_count - k)]
+
+    def fold(y: list[int]) -> np.ndarray:
+        vals = coeffs
+        for uses_j, y_j in zip(uses, y):
+            if y_j != 1:
+                vals = np.where(uses_j, vals * y_j % q, vals)
+        dense = np.zeros(1 << k, dtype=np.int64)
+        dense[slots] = np.add.reduceat(vals, starts) % q
+        return dense
+
+    return fold
 
 
-def _chunk_patterns(
-    polys_terms: list[list[tuple[int, tuple[int, ...]]]],
-    width: int,
-    q: int,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    """Zero-pattern histogram for grid points start..stop-1 (mixed-radix)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    coords = []
-    scale = 1
-    for _ in range(width):
-        coords.append(idx // scale % q)
-        scale *= q
-    pattern = np.zeros(stop - start, dtype=np.int64)
-    mul_limit = _SAFE_LIMIT // q
-    for bit_index, terms in enumerate(polys_terms):
-        total = np.zeros(stop - start, dtype=np.int64)
-        total_bound = 0
-        for coeff, variables in terms:
-            acc = None
-            bound = coeff
-            for j in variables:
-                if acc is None:
-                    acc = coords[j] if coeff == 1 else coeff * coords[j]
-                else:
-                    if bound > mul_limit:
-                        acc = acc % q
-                        bound = q - 1
-                    acc = acc * coords[j]
-                bound *= q - 1
-            if acc is None:
-                acc = np.full(stop - start, coeff, dtype=np.int64)
-                bound = coeff
-            if total_bound + bound >= _SAFE_LIMIT:
-                total = total % q
-                total_bound = q - 1
-            total = total + acc
-            total_bound += bound
-        pattern |= (total % q == 0).astype(np.int64) << bit_index
-    return np.bincount(pattern, minlength=1 << len(polys_terms))
+def _grid_values(coeffs: np.ndarray, k: int, q: int) -> np.ndarray:
+    """Values mod q, at every point of F_q^k, of the multilinear polynomial
+    with these 2^k coefficients: one axis at a time, lowest bit first, a
+    coefficient pair (c0, c1) becomes the q values c0 + x*c1, as a new
+    leading axis. Every entry is reduced below q after each axis."""
+    v = coeffs
+    for _ in range(k):
+        pairs = v.reshape(-1, 2)
+        v = pairs[:, 1] * np.arange(q, dtype=np.int64)[:, None]
+        v += pairs[:, 0]
+        np.remainder(v, q, out=v)
+    return v.reshape(-1)
 
 
 def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -226,7 +215,10 @@ def sweep_zero_patterns(
 
     Returns 2^len(polys) integers; index bit i is set when polys[i]
     vanishes. All polynomials must share var_count (the sweep width).
-    Results are bit-identical across chunk sizes and worker counts.
+    The grid is taken in blocks of q^k <= chunk_points points: the outer
+    width-k coordinates of a block are folded into each polynomial, whose
+    k inner axes are then transformed. Blocks are split over `workers`
+    threads; results are bit-identical across chunk sizes and worker counts.
     """
     require_prime(q)
     if q >= _MAX_Q:
@@ -234,18 +226,26 @@ def sweep_zero_patterns(
     width = polys[0].var_count
     if any(p.var_count != width for p in polys):
         raise ValueError("sweep polynomials must share var_count")
-    total_points = q**width
-    prepared = [_prepared_terms(p, q) for p in polys]
-    counts = [0] * (1 << len(polys))
-    hists = thread_map(
-        lambda s: _chunk_patterns(prepared, width, q, s, min(s + chunk_points, total_points)),
-        range(0, total_points, chunk_points),
-        workers,
-    )
-    for hist in hists:
-        for i, c in enumerate(hist):
-            counts[i] += int(c)
-    return counts
+    k = 0
+    while k < width and q ** (k + 1) <= chunk_points:
+        k += 1
+    folds = [_folder(p, q, k) for p in polys]
+    blocks = q ** (width - k)
+    lanes = min(workers, blocks)
+
+    def lane(first: int) -> np.ndarray:
+        hist = np.zeros(1 << len(polys), dtype=np.int64)
+        bits = np.min_scalar_type(len(hist) - 1)
+        for b in range(first, blocks, lanes):
+            y = [b // q**j % q for j in range(width - k)]
+            pattern = sum(
+                np.left_shift(_grid_values(f(y), k, q) == 0, i, dtype=bits)
+                for i, f in enumerate(folds)
+            )
+            hist += [np.count_nonzero(pattern == s) for s in range(len(hist))]
+        return hist
+
+    return [int(c) for c in sum(thread_map(lane, range(lanes), lanes))]
 
 
 # -- public counters ---------------------------------------------------------
@@ -360,8 +360,8 @@ def count_Z(
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
     _check_sweep_budget("Z-locus sweep", 1, q, g.edge_count, opts)
-    p_del = psi_by_deletion_contraction(relabel_dense(delete_edge(g, label)))
-    p_con = psi_by_deletion_contraction(relabel_dense(contract_edge(g, label)))
+    p_del = _dense_psi(delete_edge(g, label))
+    p_con = _dense_psi(contract_edge(g, label))
     return sweep_zero_patterns([p_del, p_con], q, workers=opts.workers)[3]
 
 
@@ -370,18 +370,31 @@ _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", defau
 
 @contextmanager
 def shared_counts() -> Iterator[None]:
-    """Within this block, count_graph counts each (graph, q, opts) once.
+    """Within this block, count_graph counts each (graph, q, opts) once, and
+    count_graph and count_Z build each graph's or minor's psi once.
 
-    Records are keyed by the Multigraph itself, labels included, and live
-    only until the block exits; outside any block nothing is memoized.
-    Each thread has its own context, so enter the block in the thread
-    that counts.
+    Records are keyed by (Multigraph, q, opts) with labels included, and
+    polynomials by the densely relabeled Multigraph; both live only until
+    the block exits, and outside any block nothing is memoized. Each
+    thread has its own context, so enter the block in the thread that
+    counts.
     """
     token = _shared.set({})
     try:
         yield
     finally:
         _shared.reset(token)
+
+
+def _dense_psi(g: Multigraph) -> MultilinearPoly:
+    """psi of g relabeled to 0..n-1, from the shared_counts() memo if any."""
+    dense = relabel_dense(g)
+    memo = _shared.get()
+    if memo is None:
+        return psi_by_deletion_contraction(dense)
+    if dense not in memo:
+        memo[dense] = psi_by_deletion_contraction(dense)
+    return memo[dense]
 
 
 def count_graph(
@@ -397,7 +410,7 @@ def count_graph(
     if memo is not None and key in memo:
         return memo[key]
     check_count_budget(g, q, opts)
-    p = psi_by_deletion_contraction(relabel_dense(g))
+    p = _dense_psi(g)
     rec, *others = [
         _count_level(p, q, opts, level, p.var_count - 1) for level in METHODS[opts.method]
     ]

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
+MAX_EDGES = 63  # parse-time cap; each edge is one of psi's at most 63 variables
 MAX_FOREST_SUBSETS = 10**7  # edge subsets spanning_forests may test, a few us each
+_LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
 
 class GraphError(ValueError):
@@ -40,6 +43,22 @@ def _check_vertex_count(vc: int) -> None:
     """Refuse oversized input at parse; __post_init__ stays cheap for minors."""
     if vc > MAX_VERTICES:
         raise GraphParseError(f"vertex_count {vc} exceeds the limit {MAX_VERTICES}")
+
+
+def _check_edge_count(n: int) -> None:
+    """Refuse, before any edge is read, more edges than psi has variables."""
+    if n > MAX_EDGES:
+        raise GraphParseError(f"edge labels exceed {MAX_EDGES - 1}")
+
+
+def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """enumerate(text.splitlines(), start=1), one line at a time."""
+    start, num = 0, 0
+    for num, end in enumerate(re.finditer(_LINE_BREAK, text), start=1):
+        yield num, text[start : end.start()]
+        start = end.end()
+    if start < len(text):
+        yield num + 1, text[start:]
 
 
 def _json_int(value) -> int:
@@ -126,7 +145,13 @@ class Multigraph:
         """The to_json_obj form; edge_labels may be absent (labels 0..n-1)."""
         try:
             vc = _json_int(obj["vertex_count"])
-            pairs = [(_json_int(u), _json_int(v)) for u, v in obj["edges"]]
+            edges = obj["edges"]
+            edge_count = len(edges)
+        except (KeyError, TypeError) as exc:
+            raise GraphParseError(f"malformed graph JSON: {exc}") from exc
+        _check_edge_count(edge_count)
+        try:
+            pairs = [(_json_int(u), _json_int(v)) for u, v in edges]
             labels = obj.get("edge_labels")
             if labels is None:
                 labels = range(len(pairs))
@@ -154,14 +179,15 @@ class Multigraph:
     @classmethod
     def from_text(cls, text: str) -> "Multigraph":
         """Parse the edge-list format, reporting 1-based line numbers on error."""
-        rows = []
-        for num, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append((num, line))
-        if not rows:
+        rows = (
+            (num, line)
+            for num, raw in _numbered_lines(text)
+            if (line := raw.split("#", 1)[0].strip())
+        )
+        first = next(rows, None)
+        if first is None:
             raise GraphParseError("empty graph file")
-        num, header = rows[0]
+        num, header = first
         parts = header.split()
         if len(parts) != 2:
             raise GraphParseError(
@@ -172,12 +198,13 @@ class Multigraph:
         except ValueError:
             raise GraphParseError(f"line {num}: header entries must be integers")
         _check_vertex_count(vc)
-        if len(rows) - 1 != n:
-            raise GraphParseError(
-                f"expected {n} edge lines, found {len(rows) - 1}"
-            )
+        _check_edge_count(n)
+        edge_rows = list(islice(rows, max(n, 0) + 1))
+        if len(edge_rows) != n:
+            found = len(edge_rows) + sum(1 for _ in rows)
+            raise GraphParseError(f"expected {n} edge lines, found {found}")
         pairs = []
-        for num, line in rows[1:]:
+        for num, line in edge_rows:
             parts = line.split()
             if len(parts) != 2:
                 raise GraphParseError(f"line {num}: expected 'u v'")

@@ -75,6 +75,20 @@ def zero_count(terms, nvars, q):
     return zeros
 
 
+def zero_patterns(polys_terms, width, q):
+    """How many points of F_q^width each set of polynomials vanishes at:
+    entry s counts the points where exactly the polynomials i with bit i
+    of s set vanish. Each polynomial is a dict mask -> coefficient."""
+    counts = [0] * (1 << len(polys_terms))
+    for xs in itertools.product(range(q), repeat=width):
+        pattern = 0
+        for i, terms in enumerate(polys_terms):
+            if eval_mask_poly(terms, xs, q) == 0:
+                pattern |= 1 << i
+        counts[pattern] += 1
+    return counts
+
+
 def complement_count(g, q):
     n = len(g.edges)
     return q**n - zero_count(psi_term_masks(g), n, q)

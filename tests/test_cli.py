@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from graphmotive import CongruenceVerdict, CountOptions, Multigraph, catalog_by_name, counting
 from graphmotive.cli import main, run_verify
-from graphmotive.graphs import MAX_VERTICES, GraphParseError
+from graphmotive.graphs import MAX_EDGES, MAX_VERTICES, GraphParseError
 
 TRIANGLE_TEXT = "# a triangle\n3 3\n0 1\n1 2\n2 0\n"
 
@@ -104,6 +106,19 @@ def test_vertex_count_bounded_at_parse(capsys, tmp_path, text):
     assert Multigraph.parse(ok).vertex_count == MAX_VERTICES
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["2 64\n", json.dumps({"vertex_count": 2, "edges": [[0, 1]] * 64})],
+    ids=["edge-list", "json"],
+)
+def test_edge_count_bounded_at_parse(text):
+    # The edge-list header alone is refused: no edge line is read.
+    with pytest.raises(GraphParseError, match="edge labels exceed 62"):
+        Multigraph.parse(text)
+    ok = f"2 {MAX_EDGES}\n" + "0 1\n" * MAX_EDGES
+    assert Multigraph.parse(ok).edge_count == MAX_EDGES
+
+
 def test_counting_too_many_edges_is_input_error(capsys, tmp_path):
     # Refused as input (exit 2), not skipped on budget: the budget check
     # comes before psi is built, so it must not mask psi's variable cap.
@@ -126,6 +141,31 @@ def test_many_edge_file_refused_at_read(src_env, tmp_path):
             capture_output=True, text=True, env=src_env, timeout=20,
         )
         assert proc.returncode == 2 and "edge labels exceed 62" in proc.stderr, argv
+
+
+def test_million_edge_file_refused_in_little_memory(src_env, tmp_path):
+    # 1,000,000 edges as an edge list (4 MB) and as JSON (8 MB). The child's
+    # peak RSS is read with wait4, under a watchdog that kills a hung child.
+    edges = 1_000_000
+    edge_list = tmp_path / "banana.graph"
+    edge_list.write_text(f"2 {edges}\n" + "0 1\n" * edges)
+    as_json = tmp_path / "banana.json"
+    as_json.write_text(json.dumps({"vertex_count": 2, "edges": [[0, 1]] * edges}))
+    for path in (edge_list, as_json):
+        argv = [sys.executable, "-m", "graphmotive.cli", "count", str(path), "--primes", "3"]
+        with subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=src_env
+        ) as proc:
+            watchdog = threading.Timer(60, proc.kill)
+            watchdog.start()
+            try:
+                _, status, usage = os.wait4(proc.pid, 0)
+            finally:
+                watchdog.cancel()
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            err = proc.stderr.read()
+        assert proc.returncode == 2 and "edge labels exceed 62" in err, path.name
+        assert usage.ru_maxrss < 150 * 1024, (path.name, usage.ru_maxrss)  # kB
 
 
 def test_sparse_json_labels_still_count(capsys, tmp_path):

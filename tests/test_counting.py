@@ -8,6 +8,7 @@ are pinned here as literals.
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,9 @@ from graphmotive import (
     sweep_zero_patterns,
 )
 from graphmotive import counting
+from graphmotive.families import FamilySpec, generate_family
+from graphmotive.graphs import delete_edge
+from graphmotive.symanzik import split_last_var
 
 CAT = catalog_by_name()
 
@@ -234,6 +238,27 @@ def test_sweep_agrees_with_naive_enumeration(p):
     assert zeros == _oracles.zero_count(p.terms, 3, 3)
 
 
+@st.composite
+def sweep_cases(draw):
+    width = draw(st.integers(0, 5))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    coefficients = st.integers(-(10**20), 10**20)
+    terms = st.dictionaries(st.integers(0, (1 << width) - 1), coefficients, max_size=8)
+    polys = draw(st.lists(terms.map(lambda t: MultilinearPoly(width, t)), min_size=1, max_size=3))
+    chunk = draw(st.sampled_from([1, 2, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
+    return polys, q, chunk, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_cases())
+def test_sweep_patterns_agree_with_naive_enumeration(case):
+    # Chunks below q fold every coordinate into the polynomials (no inner
+    # axis), q+1 and 97 split outer and inner axes, the default is all inner.
+    polys, q, chunk, workers = case
+    expected = _oracles.zero_patterns([p.terms for p in polys], polys[0].var_count, q)
+    assert sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers) == expected
+
+
 # -- Z-locus -------------------------------------------------------------------
 
 
@@ -333,6 +358,25 @@ def test_shared_counts_memoizes_only_inside_the_block(sweeps):
     assert count_graph(g, 5) == rec and sweeps == [5, 5, 5]
 
 
+def test_shared_counts_builds_each_psi_once(monkeypatch):
+    built = []
+    build = counting.psi_by_deletion_contraction
+
+    def spy(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", spy)
+    k4 = CAT["complete_4"]
+    with counting.shared_counts():
+        for q in (3, 5):
+            count_graph(k4, q)
+            count_graph(delete_edge(k4, 5), q)  # the deletion count_Z sweeps too
+            z = count_Z(k4, 5, q)
+    assert len(built) == len(set(built)) == 3  # k4, its deletion, its contraction
+    assert z == count_Z(k4, 5, 5) and len(built) == 5  # no memo outside the block
+
+
 # -- determinism ---------------------------------------------------------------
 
 
@@ -345,6 +389,29 @@ def test_sweep_bit_identical_across_chunks_and_workers():
         assert sweep_zero_patterns(polys, 5, chunk_points=chunk) == base
     for workers in (2, 4):
         assert sweep_zero_patterns(polys, 5, chunk_points=251, workers=workers) == base
+
+
+@pytest.mark.parametrize(
+    "polys,q",
+    [
+        # wheel_4's fibered pair: 5^7 grid points; a full grid is 625 kB
+        (split_last_var(psi_by_trees(CAT["wheel_4"]), 7), 5),
+        # 3^12 grid points in 2^6 blocks of 3^6: 2^6 half-transformed blocks
+        # of 3^6 values are 373 kB
+        ((psi_by_trees(generate_family(FamilySpec.parse("wheel:6"))),), 3),
+    ],
+    ids=["wheel_4-pair-q5", "wheel_6-q3"],
+)
+def test_sweep_memory_is_bounded_by_chunk(polys, q):
+    expected = sweep_zero_patterns(list(polys), q)
+    tracemalloc.start()
+    try:
+        got = sweep_zero_patterns(list(polys), q, chunk_points=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expected
+    assert peak < 32 * 1000 * 8
 
 
 def test_counts_identical_with_workers(monkeypatch):
