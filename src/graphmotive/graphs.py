@@ -61,6 +61,30 @@ def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
         yield num + 1, text[start:]
 
 
+def _json_int_counter():
+    """A json.loads parse_int hook that refuses, before the document is
+    built, more integers than the largest accepted graph holds: its
+    vertex_count plus two endpoints and a label per edge."""
+    limit = 1 + 3 * MAX_EDGES
+    seen = 0
+
+    def parse_int(text: str) -> int:
+        nonlocal seen
+        seen += 1
+        if seen > limit:
+            raise GraphParseError(
+                f"edge labels exceed {MAX_EDGES - 1}: graph JSON holds more than {limit} integers"
+            )
+        return int(text)
+
+    return parse_int
+
+
+def _json_non_int(text: str):
+    """A json.loads hook for floats and NaN/Infinity, refused at once."""
+    raise GraphParseError(f"malformed graph JSON: {text} is not an integer")
+
+
 def _json_int(value) -> int:
     """JSON integers only: floats would truncate, and bool is an int subclass."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -225,7 +249,12 @@ class Multigraph:
         stripped = text.lstrip()
         if stripped.startswith("{"):
             try:
-                obj = json.loads(text)
+                obj = json.loads(
+                    text,
+                    parse_int=_json_int_counter(),
+                    parse_float=_json_non_int,
+                    parse_constant=_json_non_int,
+                )
             except json.JSONDecodeError as exc:
                 raise GraphParseError(f"invalid JSON: {exc}") from exc
             return cls.from_json_obj(obj)

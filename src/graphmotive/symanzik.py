@@ -2,8 +2,10 @@
 polynomial built three independent ways.
 
 The constructions (forest enumeration, reduced-Laplacian determinant,
-deletion-contraction recursion) must agree term-for-term; each acts as an
-oracle for the others.
+deletion-contraction swept one edge label at a time) must agree
+term-for-term; each acts as an oracle for the others. The sweep merges
+equal minors, so it builds each minor once and holds no more terms than
+psi itself.
 """
 
 from __future__ import annotations
@@ -315,27 +317,58 @@ def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
 
 
 def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
-    """Recursive route over the bridge/loop/regular trichotomy.
+    """Deletion-contraction over the bridge/loop/regular trichotomy, swept
+    one edge label at a time, highest first, with no recursion.
 
-    Regular e: t_e * psi(g minus e) + psi(g contract e); bridge: contract
-    only; loop: t_e times the deletion. Stable edge labels make the
-    recursion land in literally the same variables as the other builders.
+    The frontier maps each minor reached so far to its multiplier, the
+    terms psi(g) gains per term of psi(minor). Each step classifies every
+    minor's edge once: a loop is deleted and its multiplier gains t_e, a
+    bridge is contracted, and a regular edge gives both children
+    (t_e * deletion + contraction). After k steps every minor has the same
+    remaining labels, and contract_edge names each merged vertex by the
+    rank of its class minimum, so minors reached along different paths
+    are usually equal Multigraphs; equal children are merged by adding
+    their multipliers and are built on once. The edgeless minors left at
+    the end carry psi as the sum of their multipliers.
+
+    A (minor, monomial) pair fixes which swept edges were deleted, so it
+    extends to exactly one maximal forest of g. The frontier therefore
+    never holds more terms than psi itself: memory is output-sized,
+    unlike a memo of every minor's psi. Stable edge labels make the sweep
+    land in literally the same variables as the other builders.
     """
     width = _ambient_width(g)
     if width > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
 
-    def rec(h: Multigraph) -> MultilinearPoly:
-        if not h.edges:
-            return MultilinearPoly.constant(1, width)
-        label = max(e.label for e in h.edges)
-        kind = classify_edge(h, label)
-        if kind is EdgeKind.LOOP:
-            return rec(delete_edge(h, label)).times_var(label)
-        if kind is EdgeKind.BRIDGE:
-            return rec(contract_edge(h, label))
-        return rec(delete_edge(h, label)).times_var(label) + rec(
-            contract_edge(h, label)
-        )
+    frontier: dict[Multigraph, dict[int, int]] = {g: {0: 1}}
+    for label in sorted(g.labels, reverse=True):
+        bit = 1 << label
+        children: dict[Multigraph, dict[int, int]] = {}
+        for h, terms in frontier.items():
+            kind = classify_edge(h, label)
+            if kind is not EdgeKind.BRIDGE:
+                _merge(children, delete_edge(h, label), {m | bit: c for m, c in terms.items()})
+            if kind is not EdgeKind.LOOP:
+                _merge(children, contract_edge(h, label), terms)
+        frontier = children
 
-    return rec(g)
+    total: dict[int, int] = {}
+    for terms in frontier.values():
+        _add_terms(total, terms)
+    return MultilinearPoly(width, total)
+
+
+def _merge(frontier: dict, h: Multigraph, terms: dict[int, int]) -> None:
+    """Add terms to minor h's multiplier. The first dict h gets is kept,
+    not copied: each dict passed in has one owner, whose step is done."""
+    held = frontier.get(h)
+    if held is None:
+        frontier[h] = terms
+    else:
+        _add_terms(held, terms)
+
+
+def _add_terms(into: dict[int, int], terms: dict[int, int]) -> None:
+    for mask, coeff in terms.items():
+        into[mask] = into.get(mask, 0) + coeff

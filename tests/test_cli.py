@@ -168,6 +168,47 @@ def test_million_edge_file_refused_in_little_memory(src_env, tmp_path):
         assert usage.ru_maxrss < 150 * 1024, (path.name, usage.ru_maxrss)  # kB
 
 
+# Runs argv from a small interpreter and prints its exit code and peak RSS.
+# A child forked from pytest starts with pytest's own peak (about 70 MB), so
+# a bound under that must measure a child of a small parent.
+_PEAK_RSS = """
+import os, subprocess, sys, threading
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+watchdog = threading.Timer(60, proc.kill)
+watchdog.start()
+err = proc.stderr.read()
+_, status, usage = os.wait4(proc.pid, 0)
+watchdog.cancel()
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+sys.stdout.write(err.decode())
+"""
+
+
+def test_million_edge_json_stops_parsing_early(src_env, tmp_path):
+    # json.loads refuses the 191st integer, so the document is never built:
+    # what is left is the import (about 38 MB) and the 8 MB of text.
+    path = tmp_path / "banana.json"
+    path.write_text(json.dumps({"vertex_count": 2, "edges": [[0, 1]] * 1_000_000}))
+    argv = [sys.executable, "-m", "graphmotive.cli", "count", str(path), "--primes", "3"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        capture_output=True, text=True, env=src_env, timeout=90,
+    )
+    head, _, err = proc.stdout.partition("\n")
+    code, peak_kb = map(int, head.split())
+    assert code == 2 and "edge labels exceed 62" in err
+    assert peak_kb < 60 * 1024, peak_kb
+
+
+def test_json_integer_cap_admits_the_largest_graph():
+    # 63 labelled edges are 1 + 3 * 63 integers, the most the parser reads
+    edges = [[0, 1]] * MAX_EDGES
+    largest = {"vertex_count": 2, "edges": edges, "edge_labels": list(range(MAX_EDGES))}
+    assert Multigraph.parse(json.dumps(largest)).edge_count == MAX_EDGES
+    with pytest.raises(GraphParseError, match="edge labels exceed 62"):
+        Multigraph.parse(json.dumps({**largest, "extra": [0]}))
+
+
 def test_sparse_json_labels_still_count(capsys, tmp_path):
     # The read-time cap is on the edge count, not on the largest label.
     path = tmp_path / "sparse.json"

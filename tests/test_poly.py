@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
 from graphmotive import (
+    Edge,
     EdgeKind,
+    FamilySpec,
     Multigraph,
     MultilinearPoly,
     NonMultilinearError,
@@ -19,12 +23,14 @@ from graphmotive import (
     disjoint_union,
     evaluate,
     evaluate_int,
+    generate_family,
     psi_by_deletion_contraction,
     psi_by_matrix_tree,
     psi_by_trees,
     spanning_forests,
     split_last_var,
     standard_catalog,
+    symanzik,
 )
 
 C3 = Multigraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
@@ -52,6 +58,25 @@ def small_graphs():
             for _ in range(n)
         ]
         return Multigraph.from_pairs(nv, pairs)
+
+    return build()
+
+
+def relabelled_graphs():
+    """Random multigraphs, <= 6 edges, with labels drawn without order from
+    0..19 (so with gaps, and the edge tuple not in label order) and up to
+    two isolated vertices past the ones the edges may touch."""
+
+    @st.composite
+    def build(draw):
+        nv = draw(st.integers(1, 4))
+        n = draw(st.integers(0, 6))
+        labels = draw(st.lists(st.integers(0, 19), min_size=n, max_size=n, unique=True))
+        edges = tuple(
+            Edge(label, draw(st.integers(0, nv - 1)), draw(st.integers(0, nv - 1)))
+            for label in labels
+        )
+        return Multigraph(nv + draw(st.integers(0, 2)), edges)
 
     return build()
 
@@ -194,6 +219,47 @@ def test_routes_agree_on_random_graphs(g):
     p = psi_by_trees(g)
     assert p == psi_by_matrix_tree(g)
     assert p == psi_by_deletion_contraction(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_graphs())
+def test_routes_agree_on_relabelled_graphs(g):
+    # the sweep merges minors by Multigraph equality, which sees vertex
+    # names, edge order and vertex count, not only the edge labels
+    p = psi_by_trees(g)
+    assert p == psi_by_matrix_tree(g)
+    assert p == psi_by_deletion_contraction(g)
+
+
+def test_deletion_contraction_builds_few_minors(monkeypatch):
+    # merging equal minors keeps complete:6 (1,296 terms) under 1,000 minor
+    # constructions; one per recursion path made 5,812
+    calls = []
+    for name in ("delete_edge", "contract_edge"):
+        build = getattr(symanzik, name)
+
+        def counted(h, label, build=build):
+            calls.append(label)
+            return build(h, label)
+
+        monkeypatch.setattr(symanzik, name, counted)
+    g = generate_family(FamilySpec.parse("complete:6"))
+    assert psi_by_deletion_contraction(g) == psi_by_trees(g)
+    assert len(calls) <= 1000
+
+
+def test_deletion_contraction_memory_is_output_sized():
+    # the frontier holds at most psi's own 15,125 terms (about 3.3 MB traced);
+    # a memo of every minor's psi peaks near 16 MB
+    g = generate_family(FamilySpec.parse("wheel:10"))
+    tracemalloc.start()
+    try:
+        p = psi_by_deletion_contraction(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.term_count() == 15125
+    assert peak < 6 * 2**20, peak
 
 
 @settings(max_examples=40, deadline=None)
