@@ -1,15 +1,22 @@
 """Exact point counts over prime fields for graph hypersurfaces.
 
 Counts |zeros of psi| in F_q^n, the complement, the projective count, and
-the two-polynomial Z-locus. The workhorse is a sweep that tallies
-zero-patterns of several polynomials over the same grid. It evaluates a
-multilinear polynomial on F_q^k one axis at a time: each coefficient pair
-(c0, c1) becomes the q values c0 + x*c1, so a block costs about q^k
-multiply-adds whatever the term count. The grid is taken in blocks of at
-most chunk_points points, the outer coordinates of each block folded into
-the coefficients first. Every value is reduced below q after each
-multiply-add, so int64 holds it for q < 2^31, and integer accumulation
-makes results independent of block size and thread count.
+the two-polynomial Z-locus. Each count is a fibration: split off edge
+variables, sweep the polynomials that describe each fiber over the base
+that is left, and add up a fiber table over the sweep's zero-patterns.
+Brute force sweeps psi itself over F_q^n. The fibered count writes
+psi = t_e*A + B, splits A and B again at a second variable f, and sweeps
+the four parts (A1, A0, B1, B0) over F_q^{n-2}; their zero-pattern and
+whether D = A1*B0 - A0*B1 vanishes fix the zeros on each (t_e, f) plane.
+The Z-locus splits the deletion and contraction polynomials at f the same
+way. The sweep evaluates multilinear polynomials on F_q^k one axis at a
+time: each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
+block costs about q^k multiply-adds per polynomial whatever the term
+count. The grid is taken in blocks of at most chunk_points polynomial
+values, the outer coordinates of each block folded into the coefficients
+first. Every value is reduced below q after each multiply-add, so int64
+holds it and the product of two residues for q < 2^31, and integer
+accumulation makes results independent of block size and thread count.
 """
 
 from __future__ import annotations
@@ -41,15 +48,16 @@ from .symanzik import (
 )
 
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
-DEFAULT_CHUNK = 1 << 19
+DEFAULT_CHUNK = 1 << 19  # polynomial values per sweep block
 MAX_WORKERS = 64  # thread_map opens one pool of this many threads at most
 _MAX_Q = 1 << 31  # keep products of two residues inside int64
 
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
-# brute force over all of F_q^n, level 1 splits off the last edge variable.
-METHODS = {"brute": (0,), "fibered": (1,), "both": (0, 1)}
-_LEVEL_NAMES = ("brute count", "fibered count")
+# brute force over all of F_q^n, level 2 splits off the last edge variable
+# and the highest one below it.
+METHODS = {"brute": (0,), "fibered": (2,), "both": (0, 2)}
+_LEVEL_NAMES = {0: "brute count", 2: "fibered count"}
 
 
 class BudgetExceededError(RuntimeError):
@@ -72,10 +80,11 @@ class NoProjectiveHypersurfaceError(ValueError):
 class CountOptions:
     """How every count is taken; validated once, at construction.
 
-    method: "brute", "fibered" (split at the last edge variable), or
+    method: "brute", "fibered" (split at the last two edge variables), or
     "both" (run both, insist on exact agreement). budget caps the
-    single-polynomial point evaluations of one count. workers is the sweep
-    thread count, 1..MAX_WORKERS; counts are identical for any value.
+    single-polynomial point evaluations charged to one count (see
+    _check_sweep_budget). workers is the sweep thread count,
+    1..MAX_WORKERS; counts are identical for any value.
     """
 
     method: str = "fibered"
@@ -159,40 +168,51 @@ class CountRecord:
 # -- vectorized sweep core ---------------------------------------------------
 
 
-def _folder(p: MultilinearPoly, q: int, k: int) -> Callable[[list[int]], np.ndarray]:
-    """fold(y): the 2^k coefficients mod q, index bit i standing for t_i, of
-    p with its outer variables t_k, t_k+1, ... fixed to the values y."""
-    terms = sorted((mask & ((1 << k) - 1), mask >> k, c % q) for mask, c in p.terms.items())
+def _folder(
+    polys: list[MultilinearPoly], q: int, k: int
+) -> Callable[[list[int]], np.ndarray]:
+    """fold(y): for each polynomial, as one row, its 2^k coefficients mod q,
+    index bit i standing for t_i, with its outer variables t_k, t_k+1, ...
+    fixed to the values y."""
+    low = (1 << k) - 1
+    terms = sorted(
+        (i << k | mask & low, mask >> k, c % q)
+        for i, p in enumerate(polys)
+        for mask, c in p.terms.items()
+    )
     terms = [t for t in terms if t[2]]
     inner = np.array([t[0] for t in terms], dtype=np.int64)
     coeffs = np.array([t[2] for t in terms], dtype=np.int64)
     slots, starts = np.unique(inner, return_index=True)
-    uses = [np.array([t[1] >> j & 1 for t in terms], dtype=bool) for j in range(p.var_count - k)]
+    outer = polys[0].var_count - k
+    uses = [np.array([t[1] >> j & 1 for t in terms], dtype=bool) for j in range(outer)]
 
     def fold(y: list[int]) -> np.ndarray:
         vals = coeffs
         for uses_j, y_j in zip(uses, y):
             if y_j != 1:
                 vals = np.where(uses_j, vals * y_j % q, vals)
-        dense = np.zeros(1 << k, dtype=np.int64)
+        dense = np.zeros(len(polys) << k, dtype=np.int64)
         dense[slots] = np.add.reduceat(vals, starts) % q
-        return dense
+        return dense.reshape(len(polys), -1)
 
     return fold
 
 
 def _grid_values(coeffs: np.ndarray, k: int, q: int) -> np.ndarray:
-    """Values mod q, at every point of F_q^k, of the multilinear polynomial
-    with these 2^k coefficients: one axis at a time, lowest bit first, a
-    coefficient pair (c0, c1) becomes the q values c0 + x*c1, as a new
-    leading axis. Every entry is reduced below q after each axis."""
+    """Values mod q, at every point of F_q^k, of the multilinear polynomials
+    whose 2^k coefficients are the rows of coeffs, one row out per row in.
+    One axis at a time, lowest bit first, a coefficient pair (c0, c1)
+    becomes the q values c0 + x*c1, as a new leading axis of the row.
+    Every entry is reduced below q after each axis."""
+    rows = len(coeffs)
     v = coeffs
     for _ in range(k):
-        pairs = v.reshape(-1, 2)
-        v = pairs[:, 1] * np.arange(q, dtype=np.int64)[:, None]
-        v += pairs[:, 0]
+        pairs = v.reshape(rows, 1, -1, 2)
+        v = pairs[..., 1] * np.arange(q, dtype=np.int64)[:, None]
+        v += pairs[..., 0]
         np.remainder(v, q, out=v)
-    return v.reshape(-1)
+    return v.reshape(rows, -1)
 
 
 def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
@@ -210,12 +230,16 @@ def sweep_zero_patterns(
     *,
     chunk_points: int = DEFAULT_CHUNK,
     workers: int = 1,
+    cross: bool = False,
 ) -> list[int]:
     """Count grid points of F_q^width by which polynomials vanish there.
 
-    Returns 2^len(polys) integers; index bit i is set when polys[i]
-    vanishes. All polynomials must share var_count (the sweep width).
-    The grid is taken in blocks of q^k <= chunk_points points: the outer
+    Returns 2^len(polys) integers, for at most 8 polynomials; index bit i
+    is set when polys[i] vanishes. With cross=True there must be exactly four polynomials, and
+    one more bit, 4, is set where polys[0]*polys[3] == polys[1]*polys[2]
+    mod q, so 32 integers are returned. All polynomials must share
+    var_count (the sweep width). The grid is taken in blocks of q^k points
+    with len(polys)*q^k <= chunk_points polynomial values: the outer
     width-k coordinates of a block are folded into each polynomial, whose
     k inner axes are then transformed. Blocks are split over `workers`
     threads; results are bit-identical across chunk sizes and worker counts.
@@ -226,23 +250,33 @@ def sweep_zero_patterns(
     width = polys[0].var_count
     if any(p.var_count != width for p in polys):
         raise ValueError("sweep polynomials must share var_count")
+    if len(polys) > 8:
+        raise ValueError("a sweep's zero-pattern holds at most 8 polynomials")
+    if cross and len(polys) != 4:
+        raise ValueError("the cross bit needs exactly four polynomials")
     k = 0
-    while k < width and q ** (k + 1) <= chunk_points:
+    while k < width and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
-    folds = [_folder(p, q, k) for p in polys]
+    fold = _folder(polys, q, k)
     blocks = q ** (width - k)
     lanes = min(workers, blocks)
+    bins = 1 << (len(polys) + cross)
+    shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
 
     def lane(first: int) -> np.ndarray:
-        hist = np.zeros(1 << len(polys), dtype=np.int64)
-        bits = np.min_scalar_type(len(hist) - 1)
+        hist = np.zeros(bins, dtype=np.int64)
         for b in range(first, blocks, lanes):
-            y = [b // q**j % q for j in range(width - k)]
-            pattern = sum(
-                np.left_shift(_grid_values(f(y), k, q) == 0, i, dtype=bits)
-                for i, f in enumerate(folds)
-            )
-            hist += [np.count_nonzero(pattern == s) for s in range(len(hist))]
+            v = _grid_values(fold([b // q**j % q for j in range(width - k)]), k, q)
+            bits = (v == 0).view(np.uint8)
+            bits <<= shifts
+            pattern = np.bitwise_or.reduce(bits, axis=0)
+            if cross:  # each product is below q^2 < 2^62
+                v[0] *= v[3]
+                v[1] *= v[2]
+                v[0] -= v[1]
+                v[0] %= q
+                pattern |= (v[0] == 0).view(np.uint8) << 4
+            hist += np.bincount(pattern, minlength=bins)
         return hist
 
     return [int(c) for c in sum(thread_map(lane, range(lanes), lanes))]
@@ -259,10 +293,17 @@ def _check_budget(cost: int, opts: CountOptions, what: str) -> None:
 
 
 def _check_sweep_budget(what: str, level: int, q: int, n: int, opts: CountOptions) -> None:
-    """Charge a level-`level` sweep of an n-variable count: 2^level
-    polynomials over F_q^{n-level}. A level above n sweeps nothing."""
-    if level <= n:
-        _check_budget(2**level * q ** (n - level), opts, f"{what} over F_{q}^{n - level}")
+    """Charge the sweep of an n-variable count at fibration level `level`.
+
+    Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
+    level is charged as 2 polynomials over F_q^{n-1}: that is the exact
+    cost of level 1, and an upper bound for level 2, which sweeps 4
+    polynomials over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2). A
+    fibered count of a constant (n = 0) sweeps nothing and is not charged.
+    """
+    charged = min(level, 1)
+    if charged <= n:
+        _check_budget(2**charged * q ** (n - charged), opts, f"{what} over F_{q}^{n - charged}")
 
 
 def check_count_budget(g: Multigraph, q: int, opts: CountOptions = DEFAULT_OPTIONS) -> None:
@@ -310,41 +351,99 @@ def _drop_var(p: MultilinearPoly, e: int) -> MultilinearPoly:
     return MultilinearPoly(p.var_count - 1, terms)
 
 
+# Fiber tables. Each maps the vanishing pattern of a base point (True where
+# that swept value is 0 mod q) to the zeros in the fiber over it. At level 2
+# the swept values are A1, A0, B1, B0 and D = A1*B0 - A0*B1, from A = f*A1 + A0
+# and B = f*B1 + B0: where A1 != 0, A vanishes at f = -A0/A1 alone, and B
+# there is D/A1.
+
+
+def _point_zeros(q: int, p: bool) -> int:
+    """Level 0: the point itself."""
+    return int(p)
+
+
+def _line_zeros(q: int, a: bool, b: bool) -> int:
+    """Level 1: zeros of t_e*A + B on the t_e line."""
+    return q if a and b else int(not a)
+
+
+def _plane_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> int:
+    """Level 2: zeros of t_e*A + B on the (t_e, f) plane."""
+    if not a1:
+        return 2 * q - 1 if d else q - 1
+    if not (a0 and b1):
+        return q
+    return q * q if b0 else 0
+
+
+def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> int:
+    """Level 2 of the Z-locus: common zeros of A and B on the f line."""
+    if not a1:
+        return int(d)
+    if not a0:
+        return 0
+    if not b1:
+        return 1
+    return q if b0 else 0
+
+
+def _sweep_fibers(
+    polys: list[MultilinearPoly], q: int, opts: CountOptions, fiber: Callable[..., int]
+) -> int:
+    """Total of fiber() over the base swept by polys; four polynomials
+    (A1, A0, B1, B0) are swept with the cross bit D."""
+    cross = len(polys) == 4
+    counts = sweep_zero_patterns(polys, q, workers=opts.workers, cross=cross)
+    bits = len(polys) + cross
+    return sum(
+        c * fiber(q, *(bool(s >> i & 1) for i in range(bits))) for s, c in enumerate(counts) if c
+    )
+
+
+def _split_top(a: MultilinearPoly, b: MultilinearPoly) -> list[MultilinearPoly]:
+    """[A1, A0, B1, B0]: a and b, of one width w >= 1, split at t_{w-1}."""
+    return [*split_last_var(a, a.var_count - 1), *split_last_var(b, b.var_count - 1)]
+
+
 def _count_level(
     p: MultilinearPoly, q: int, opts: CountOptions, level: int, e: int = 0
 ) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
-    Level 0 sweeps p over all of F_q^n. Level 1 writes p = t_e*A + B and
-    sweeps A and B over F_q^{n-1}: the fiber over a base point holds one
-    zero when A is non-zero there, q when both vanish and none when only
-    A does. A level above n leaves p constant and sweeps nothing.
+    Level 0 sweeps p over all of F_q^n. Level 2 writes p = t_e*A + B and
+    splits A and B at f, the highest variable other than t_e, then sweeps
+    (A1, A0, B1, B0) over F_q^{n-2} with the cross bit. With one variable
+    it splits t_e alone (level 1) and sweeps A and B; with none, p is
+    constant and nothing is swept.
     """
     require_prime(q)
     n = p.var_count
-    if level > n:
+    if level and n == 0:
         return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else 1)
     if level and not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
     _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
     if level == 0:
-        polys, fiber_zeros = [p], (0, 1)
+        zeros = _sweep_fibers([p], q, opts, _point_zeros)
     else:
         a, b = split_last_var(p, e)
         if a.var_count == n:
             a, b = _drop_var(a, e), _drop_var(b, e)
-        polys, fiber_zeros = [a, b], (1, 0, 1, q)
-    counts = sweep_zero_patterns(polys, q, workers=opts.workers)
-    zeros = sum(z * c for z, c in zip(fiber_zeros, counts))
+        if n == 1:
+            zeros = _sweep_fibers([a, b], q, opts, _line_zeros)
+        else:
+            zeros = _sweep_fibers(_split_top(a, b), q, opts, _plane_zeros)
     return CountRecord.from_zeros(p, q, zeros)
 
 
 def count_fibered(
     p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
-    """Count by sweeping the base F_q^{n-1} of the t_e-coordinate fibration;
-    one q-th of the brute-force work."""
-    return _count_level(p, q, opts, 1, e)
+    """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
+    highest variable other than t_e: 4*q^(n-2) polynomial values, against
+    q^n for brute force. One-variable p is fibered over t_e alone."""
+    return _count_level(p, q, opts, 2, e)
 
 
 def count_Z(
@@ -353,16 +452,17 @@ def count_Z(
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
     Both minors keep the surviving edge labels, so one dense relabeling
-    (shared, since the label sets coincide) pins the n-1 coordinates and
-    the two polynomials are swept together, at the cost of a level-1 count.
+    (shared, since the label sets coincide) pins the n-1 coordinates. Both
+    are split at their highest variable f and swept as one level-2 base
+    over F_q^{n-2}; the budget charges it as a level-1 count.
     """
     require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
-    _check_sweep_budget("Z-locus sweep", 1, q, g.edge_count, opts)
+    _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count, opts)
     p_del = _dense_psi(delete_edge(g, label))
     p_con = _dense_psi(contract_edge(g, label))
-    return sweep_zero_patterns([p_del, p_con], q, workers=opts.workers)[3]
+    return _sweep_fibers(_split_top(p_del, p_con), q, opts, _common_zeros)
 
 
 _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)

@@ -89,6 +89,19 @@ def zero_patterns(polys_terms, width, q):
     return counts
 
 
+def cross_zero_patterns(polys_terms, width, q):
+    """zero_patterns of four polynomials (p0, p1, p2, p3) with one more
+    bit, 4, set where p0*p3 - p1*p2 vanishes: 32 counts."""
+    counts = [0] * 32
+    for xs in itertools.product(range(q), repeat=width):
+        v = [eval_mask_poly(terms, xs, q) for terms in polys_terms]
+        pattern = sum(1 << i for i in range(4) if v[i] == 0)
+        if (v[0] * v[3] - v[1] * v[2]) % q == 0:
+            pattern |= 1 << 4
+        counts[pattern] += 1
+    return counts
+
+
 def complement_count(g, q):
     n = len(g.edges)
     return q**n - zero_count(psi_term_masks(g), n, q)

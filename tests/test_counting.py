@@ -11,9 +11,10 @@ import functools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles
+from test_poly import small_graphs
 from graphmotive import (
     BudgetExceededError,
     ConsistencyError,
@@ -35,8 +36,8 @@ from graphmotive import (
 )
 from graphmotive import counting
 from graphmotive.families import FamilySpec, generate_family
-from graphmotive.graphs import delete_edge
-from graphmotive.symanzik import split_last_var
+from graphmotive.graphs import EdgeKind, classify_edge, contract_edge, delete_edge, relabel_dense
+from graphmotive.symanzik import psi_by_deletion_contraction, split_last_var
 
 CAT = catalog_by_name()
 
@@ -128,12 +129,11 @@ PROJECTIVE = {
 }
 
 
-def small_polys():
-    return st.builds(
-        MultilinearPoly,
-        st.just(4),
-        st.dictionaries(st.integers(0, 15), st.integers(-5, 5), max_size=8),
-    )
+@st.composite
+def small_polys(draw):
+    width = draw(st.integers(0, 4))
+    terms = st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(-5, 5), max_size=8)
+    return MultilinearPoly(width, draw(terms))
 
 
 # -- record validation ---------------------------------------------------------
@@ -217,12 +217,26 @@ def test_fibered_constant_cases():
         count_fibered(psi_by_trees(CAT["cycle_3"]), 3, 5)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_polys(), st.sampled_from([3, 5]))
+@settings(max_examples=100, deadline=None)
+@given(small_polys(), st.sampled_from([2, 3, 5, 7]))
 def test_fibered_agrees_with_brute_everywhere(p, q):
+    # Widths 1 and 2 take the one-variable fallback and the smallest plane.
     rec_b = count_brute(p, q)
     for e in range(p.var_count):
         assert count_fibered(p, e, q) == rec_b
+
+
+def test_fibered_matches_brute_on_catalog():
+    # count_graph's "both" raises unless brute and level 2 agree at the top
+    # split; every other split must give the same record.
+    for name, g in CAT.items():
+        p = psi_by_deletion_contraction(relabel_dense(g))
+        for q in (2, 3, 5, 7, 11, 13):
+            if q**g.edge_count > 10**6:
+                continue
+            rec = count_graph(g, q, opts=CountOptions("both"))
+            for e in range(p.var_count):
+                assert count_fibered(p, e, q) == rec, (name, q, e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -259,6 +273,34 @@ def test_sweep_patterns_agree_with_naive_enumeration(case):
     assert sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers) == expected
 
 
+@st.composite
+def cross_cases(draw):
+    width = draw(st.integers(0, 4))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    terms = st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(-9, 9), max_size=6)
+    polys = [MultilinearPoly(width, draw(terms)) for _ in range(4)]
+    chunk = draw(st.sampled_from([1, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
+    return polys, q, chunk, draw(st.sampled_from([1, 2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cross_cases())
+def test_cross_patterns_agree_with_naive_enumeration(case):
+    polys, q, chunk, workers = case
+    expected = _oracles.cross_zero_patterns([p.terms for p in polys], polys[0].var_count, q)
+    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cross=True)
+    assert got == expected
+
+
+def test_sweep_rejects_bad_polynomial_counts():
+    zero = MultilinearPoly.zero(1)
+    assert len(sweep_zero_patterns([zero] * 8, 3)) == 256
+    with pytest.raises(ValueError):
+        sweep_zero_patterns([zero] * 9, 3)  # patterns are 8 bits wide
+    with pytest.raises(ValueError):
+        sweep_zero_patterns([zero] * 2, 3, cross=True)
+
+
 # -- Z-locus -------------------------------------------------------------------
 
 
@@ -270,6 +312,26 @@ def test_Z_frozen_values():
     for e in range(6):
         assert count_Z(CAT["theta"], e, 3) == 27
         assert count_Z(CAT["theta"], e, 5) == 125
+
+
+def _without_var(terms, e):
+    low = (1 << e) - 1
+    return {(m & low) | (m >> 1 & ~low): c for m, c in terms.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.sampled_from([2, 3, 5]))
+# banana_3 and a bridge f, the highest label: where psi(G-e) = a+b vanishes
+# on the whole f line, psi(G/e) = ab need not
+@example(Multigraph.from_pairs(3, [(0, 1), (0, 1), (0, 1), (1, 2)]), 3)
+def test_Z_agrees_with_naive_enumeration(g, q):
+    n = g.edge_count
+    for e in g.labels:
+        if classify_edge(g, e) is not EdgeKind.REGULAR:
+            continue
+        minors = [delete_edge(g, e), contract_edge(g, e)]
+        terms = [_without_var(_oracles.psi_term_masks(m), e) for m in minors]
+        assert count_Z(g, e, q) == _oracles.zero_patterns(terms, n - 1, q)[3], e
 
 
 def test_Z_requires_regular_edge():
@@ -314,6 +376,41 @@ def test_budget_guards():
     assert _refusal(count_graph, k4, 3, budget=700, method="both") == (
         "brute count over F_3^6 needs 729 point evaluations, budget is 700"
     )
+
+
+def test_budget_never_undercharges(monkeypatch):
+    # Each count sweeps at most the polynomial-points its budget check
+    # charged; level 2 sweeps 4*q^(n-2) and is charged 2*q^(n-1).
+    charged, swept = [], []
+    check, sweep = counting._check_budget, counting.sweep_zero_patterns
+
+    def charge(cost, opts, what):
+        charged.append(cost)
+        return check(cost, opts, what)
+
+    def spy(polys, q, **kw):
+        swept.append(len(polys) * q ** polys[0].var_count)
+        return sweep(polys, q, **kw)
+
+    monkeypatch.setattr(counting, "_check_budget", charge)
+    monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
+    for name, g in CAT.items():
+        p = psi_by_deletion_contraction(relabel_dense(g))
+        for q in (2, 3, 5):
+            if q**g.edge_count > 10**6:
+                continue
+            counts = [lambda: count_brute(p, q)]
+            counts += [lambda e=e: count_fibered(p, e, q) for e in range(p.var_count)]
+            counts += [
+                lambda e=e: count_Z(g, e, q)
+                for e in g.labels
+                if classify_edge(g, e) is EdgeKind.REGULAR
+            ]
+            for count in counts:
+                charged.clear()
+                swept.clear()
+                count()
+                assert len(charged) <= 1 and sum(swept) <= sum(charged), (name, q)
 
 
 @pytest.mark.parametrize(
@@ -391,22 +488,29 @@ def test_sweep_bit_identical_across_chunks_and_workers():
         assert sweep_zero_patterns(polys, 5, chunk_points=251, workers=workers) == base
 
 
+def _level2_quadruple(p):
+    a, b = split_last_var(p, p.var_count - 1)
+    return (*split_last_var(a, a.var_count - 1), *split_last_var(b, b.var_count - 1))
+
+
 @pytest.mark.parametrize(
-    "polys,q",
+    "polys,q,cross",
     [
-        # wheel_4's fibered pair: 5^7 grid points; a full grid is 625 kB
-        (split_last_var(psi_by_trees(CAT["wheel_4"]), 7), 5),
+        # wheel_4's level-1 pair: 5^7 grid points; a full grid is 625 kB
+        (split_last_var(psi_by_trees(CAT["wheel_4"]), 7), 5, False),
         # 3^12 grid points in 2^6 blocks of 3^6: 2^6 half-transformed blocks
         # of 3^6 values are 373 kB
-        ((psi_by_trees(generate_family(FamilySpec.parse("wheel:6"))),), 3),
+        ((psi_by_trees(generate_family(FamilySpec.parse("wheel:6"))),), 3, False),
+        # wheel_4's level-2 quadruple: four full grids of 5^6 are 500 kB
+        (_level2_quadruple(psi_by_trees(CAT["wheel_4"])), 5, True),
     ],
-    ids=["wheel_4-pair-q5", "wheel_6-q3"],
+    ids=["wheel_4-pair-q5", "wheel_6-q3", "wheel_4-quad-q5"],
 )
-def test_sweep_memory_is_bounded_by_chunk(polys, q):
-    expected = sweep_zero_patterns(list(polys), q)
+def test_sweep_memory_is_bounded_by_chunk(polys, q, cross):
+    expected = sweep_zero_patterns(list(polys), q, cross=cross)
     tracemalloc.start()
     try:
-        got = sweep_zero_patterns(list(polys), q, chunk_points=1000)
+        got = sweep_zero_patterns(list(polys), q, chunk_points=1000, cross=cross)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
