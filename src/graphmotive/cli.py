@@ -53,8 +53,8 @@ _LIMITATIONS = (
 # -- verification report -------------------------------------------------
 
 
-# The verdicts and the class fit ask for the same (graph, q) counts, so each
-# call counts each once; a fresh memo opens per call, in the calling thread.
+# The verdicts and the class fit ask for the same counts and minors; one memo
+# per call (the caller's, if it opened one) runs each distinct sweep once.
 @shared_counts()
 def _verify_graph(
     name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions

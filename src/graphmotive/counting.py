@@ -234,7 +234,7 @@ def sweep_zero_patterns(
 ) -> list[int]:
     """Count grid points of F_q^width by which polynomials vanish there.
 
-    Returns 2^len(polys) integers, for at most 8 polynomials; index bit i
+    Returns 2^len(polys) integers, for 1 to 8 polynomials; index bit i
     is set when polys[i] vanishes. With cross=True there must be exactly four polynomials, and
     one more bit, 4, is set where polys[0]*polys[3] == polys[1]*polys[2]
     mod q, so 32 integers are returned. All polynomials must share
@@ -247,11 +247,11 @@ def sweep_zero_patterns(
     require_prime(q)
     if q >= _MAX_Q:
         raise ValueError(f"modulus {q} too large for 64-bit sweep arithmetic")
+    if not 1 <= len(polys) <= 8:
+        raise ValueError("a sweep's zero-pattern holds 1 to 8 polynomials")
     width = polys[0].var_count
     if any(p.var_count != width for p in polys):
         raise ValueError("sweep polynomials must share var_count")
-    if len(polys) > 8:
-        raise ValueError("a sweep's zero-pattern holds at most 8 polynomials")
     if cross and len(polys) != 4:
         raise ValueError("the cross bit needs exactly four polynomials")
     k = 0
@@ -391,10 +391,12 @@ def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> in
 def _sweep_fibers(
     polys: list[MultilinearPoly], q: int, opts: CountOptions, fiber: Callable[..., int]
 ) -> int:
-    """Total of fiber() over the base swept by polys; four polynomials
-    (A1, A0, B1, B0) are swept with the cross bit D."""
+    """Total of fiber() over the base swept by polys, with the cross bit D for
+    four (A1, A0, B1, B0); the histogram comes from the shared_counts() memo."""
     cross = len(polys) == 4
-    counts = sweep_zero_patterns(polys, q, workers=opts.workers, cross=cross)
+    counts = _memoized(
+        (tuple(polys), q), sweep_zero_patterns, polys, q, workers=opts.workers, cross=cross
+    )
     bits = len(polys) + cross
     return sum(
         c * fiber(q, *(bool(s >> i & 1) for i in range(bits))) for s, c in enumerate(counts) if c
@@ -470,31 +472,37 @@ _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", defau
 
 @contextmanager
 def shared_counts() -> Iterator[None]:
-    """Within this block, count_graph counts each (graph, q, opts) once, and
-    count_graph and count_Z build each graph's or minor's psi once.
+    """Within this block each psi is built once and each sweep runs once.
 
-    Records are keyed by (Multigraph, q, opts) with labels included, and
-    polynomials by the densely relabeled Multigraph; both live only until
-    the block exits, and outside any block nothing is memoized. Each
-    thread has its own context, so enter the block in the thread that
-    counts.
+    psi is keyed by the densely relabeled Multigraph (_dense_psi), a sweep's
+    zero-pattern histogram by its polynomials and q alone (_sweep_fibers):
+    it is the same for any workers value and every fiber table reads it. A
+    block opened inside another joins it; the memo lives until the outermost
+    block exits, and outside any block nothing is memoized. Each thread has
+    its own context, so enter the block in the thread that counts.
     """
-    token = _shared.set({})
+    token = _shared.set({}) if _shared.get() is None else None
     try:
         yield
     finally:
-        _shared.reset(token)
+        if token is not None:
+            _shared.reset(token)
+
+
+def _memoized(key, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), or the shared_counts() memo's entry for key."""
+    memo = _shared.get()
+    if memo is None:
+        return build(*args, **kwargs)
+    if key not in memo:
+        memo[key] = build(*args, **kwargs)
+    return memo[key]
 
 
 def _dense_psi(g: Multigraph) -> MultilinearPoly:
     """psi of g relabeled to 0..n-1, from the shared_counts() memo if any."""
     dense = relabel_dense(g)
-    memo = _shared.get()
-    if memo is None:
-        return psi_by_deletion_contraction(dense)
-    if dense not in memo:
-        memo[dense] = psi_by_deletion_contraction(dense)
-    return memo[dense]
+    return _memoized(dense, psi_by_deletion_contraction, dense)
 
 
 def count_graph(
@@ -503,12 +511,8 @@ def count_graph(
     """Counts for a graph's polynomial over A^n, n = edge count, by opts.method.
 
     The budget is checked before psi is built; inside shared_counts() a
-    repeated request returns the stored record.
+    repeated request builds and sweeps nothing new.
     """
-    memo = _shared.get()
-    key = (g, q, opts)
-    if memo is not None and key in memo:
-        return memo[key]
     check_count_budget(g, q, opts)
     p = _dense_psi(g)
     rec, *others = [
@@ -517,6 +521,4 @@ def count_graph(
     for rec_f in others:
         if rec != rec_f:
             raise ConsistencyError(f"brute {rec} != fibered {rec_f}")
-    if memo is not None:
-        memo[key] = rec
     return rec

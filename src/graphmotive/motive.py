@@ -19,6 +19,7 @@ from .counting import (
     check_count_budget,
     count_Z,
     count_graph,
+    shared_counts,
 )
 from .graphs import (
     EdgeKind,
@@ -251,18 +252,17 @@ def dc_identity_check(
     *,
     graph_name: str | None = None,
     opts: CountOptions = DEFAULT_OPTIONS,
-    y_full: int | None = None,
 ) -> CongruenceVerdict:
     """Exact integer deletion-contraction identity for one edge, one prime.
 
     Bridge: |Y_G| = q*|Y_del|. Loop: (q-1)*|Y_del|. Regular:
     q*(q^(n-1) - |Z|) - |Y_del|, with Z the common zero locus of the two
-    minor polynomials. y_full optionally carries an already computed
-    |Y_G(F_q)| so per-edge sweeps don't recount the whole graph.
+    minor polynomials. Inside shared_counts() the counts of G and of
+    repeated minors are memo hits, not new sweeps.
     """
     kind = classify_edge(g, edge_label)
     n = g.edge_count
-    lhs = count_graph(g, q, opts=opts).complement_count if y_full is None else y_full
+    lhs = count_graph(g, q, opts=opts).complement_count
     y_del = count_graph(delete_edge(g, edge_label), q, opts=opts).complement_count
     if kind is EdgeKind.BRIDGE:
         rhs = q * y_del
@@ -277,6 +277,7 @@ def dc_identity_check(
     )
 
 
+@shared_counts()
 def dc_identity_matrix(
     g: Multigraph,
     primes: Sequence[int],
@@ -286,13 +287,10 @@ def dc_identity_matrix(
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
     name = _name(g, graph_name)
-    full_counts = {q: rec.complement_count for q, rec in _counts(g, primes, opts).items()}
+    qs = list(_counts(g, primes, opts))  # every prime's budget before any sweep
     out = []
     for e in g.labels:
-        rows = [
-            dc_identity_check(g, e, q, graph_name=name, opts=opts, y_full=y)
-            for q, y in full_counts.items()
-        ]
+        rows = [dc_identity_check(g, e, q, graph_name=name, opts=opts) for q in qs]
         out.append(replace(rows[0], observed=tuple(row.observed[0] for row in rows)))
     return out
 

@@ -22,6 +22,7 @@ from graphmotive import (
     predicted_sb_constant,
     require_primes,
 )
+from graphmotive import motive
 from graphmotive.counting import DEFAULT_OPTIONS
 
 CAT = catalog_by_name()
@@ -148,12 +149,15 @@ def test_dc_identity_bridge_loop_regular():
     assert v.to_json_obj()["edge"] == 4
 
 
-def test_dc_identity_accepts_precomputed_count():
-    v = dc_identity_check(CAT["cycle_3"], 2, 3, y_full=18)
-    assert v.passed
-    # a wrong precomputed count must surface as a failing verdict
-    v = dc_identity_check(CAT["cycle_3"], 2, 3, y_full=17)
-    assert not v.passed and v.observed == ((3, 17, 18),)
+def test_dc_identity_fails_on_a_wrong_count(monkeypatch):
+    count_Z = motive.count_Z
+    monkeypatch.setattr(motive, "count_Z", lambda *a, **kw: count_Z(*a, **kw) + 1)
+    # |Z| one too many shifts q*(q^(n-1) - |Z|) - |Y_del| down by q = 3
+    v = dc_identity_check(CAT["cycle_3"], 2, 3)
+    assert not v.passed and v.observed == ((3, 18, 15),)
+    matrix = dc_identity_matrix(CAT["cycle_3"], (3,))
+    assert matrix[2].edge == 2 and matrix[2].observed == v.observed
+    assert not matrix[2].passed
 
 
 def test_dc_matrix_merges_per_edge():

@@ -410,11 +410,39 @@ def test_verify_counts_each_graph_prime_once(sweeps):
     g = catalog_by_name()["cycle_4"]
     opts = CountOptions(budget=10**7)
     _, ok = run_verify([("cycle_4", g)], (3, 5, 7), opts)
-    assert ok and len(sweeps) == 31  # 40 without the per-graph memo
+    assert ok and len(sweeps) == 10  # each distinct (polys, q) sweep once
     # The memo ends with the verified graph: a later count sweeps again.
     sweeps.clear()
     counting.count_graph(g, 3, opts=opts)
     assert sweeps == [3]
+
+
+def test_verify_sweeps_each_distinct_sweep_once(monkeypatch):
+    keys = []
+    sweep = counting.sweep_zero_patterns
+
+    def spy(polys, q, **kw):
+        keys.append((tuple(polys), q))
+        return sweep(polys, q, **kw)
+
+    monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
+    for name, g in catalog_by_name().items():
+        keys.clear()
+        run_verify([(name, g)], (3, 5, 7), CountOptions(budget=10**7))
+        assert len(keys) == len(set(keys)), name
+
+
+def test_dc_check_builds_each_psi_once(capsys, monkeypatch):
+    built = []
+    build = counting.psi_by_deletion_contraction
+
+    def spy(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", spy)
+    code, _, _ = run(capsys, "dc-check", "--family", "wheel:4", "--primes", "3,5,7")
+    assert code == 0 and len(built) == len(set(built))
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

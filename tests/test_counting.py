@@ -299,6 +299,8 @@ def test_sweep_rejects_bad_polynomial_counts():
         sweep_zero_patterns([zero] * 9, 3)  # patterns are 8 bits wide
     with pytest.raises(ValueError):
         sweep_zero_patterns([zero] * 2, 3, cross=True)
+    with pytest.raises(ValueError):
+        sweep_zero_patterns([], 3)
 
 
 # -- Z-locus -------------------------------------------------------------------
@@ -449,8 +451,8 @@ def test_shared_counts_memoizes_only_inside_the_block(sweeps):
     g = CAT["cycle_4"]
     with counting.shared_counts():
         rec = count_graph(g, 5)
-        assert count_graph(g, 5) is rec and sweeps == [5]
-        count_graph(g, 5, opts=CountOptions("brute"))  # other options, own entry
+        assert count_graph(g, 5) == rec and sweeps == [5]
+        count_graph(g, 5, opts=CountOptions("brute"))  # brute sweeps psi itself
         assert sweeps == [5, 5]
     assert count_graph(g, 5) == rec and sweeps == [5, 5, 5]
 
@@ -470,8 +472,12 @@ def test_shared_counts_builds_each_psi_once(monkeypatch):
             count_graph(k4, q)
             count_graph(delete_edge(k4, 5), q)  # the deletion count_Z sweeps too
             z = count_Z(k4, 5, q)
-    assert len(built) == len(set(built)) == 3  # k4, its deletion, its contraction
-    assert z == count_Z(k4, 5, 5) and len(built) == 5  # no memo outside the block
+        with counting.shared_counts():  # joins the block: reads and adds to its memo
+            count_graph(k4, 3)
+            count_Z(k4, 4, 3)
+        count_graph(contract_edge(k4, 4), 3)
+    assert len(built) == len(set(built)) == 5  # k4 and its minors at edges 5 and 4
+    assert z == count_Z(k4, 5, 5) and len(built) == 7  # no memo outside the block
 
 
 # -- determinism ---------------------------------------------------------------
