@@ -53,8 +53,7 @@ _LIMITATIONS = (
 # -- verification report -------------------------------------------------
 
 
-# The verdicts and the class fit ask for the same counts and minors; one memo
-# per call (the caller's, if it opened one) runs each distinct sweep once.
+# The verdicts and the class fit share one memo: the caller's, else this call's.
 @shared_counts()
 def _verify_graph(
     name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
@@ -263,6 +262,7 @@ def cmd_class(args: argparse.Namespace) -> int:
     return 0 if match["matches_predicted"] else 1
 
 
+@shared_counts()  # at count_graph's fiber edge, --edge reads Z from its sweep
 def cmd_dc_check(args: argparse.Namespace) -> int:
     opts = _count_options(args)
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)

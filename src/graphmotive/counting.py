@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -54,8 +55,8 @@ _MAX_Q = 1 << 31  # keep products of two residues inside int64
 
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
-# brute force over all of F_q^n, level 2 splits off the last edge variable
-# and the highest one below it.
+# brute force over all of F_q^n, level 2 splits off one edge variable (the
+# highest regular edge's, in count_graph) and the highest other one.
 METHODS = {"brute": (0,), "fibered": (2,), "both": (0, 2)}
 _LEVEL_NAMES = {0: "brute count", 2: "fibered count"}
 
@@ -389,14 +390,12 @@ def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> in
 
 
 def _sweep_fibers(
-    polys: list[MultilinearPoly], q: int, opts: CountOptions, fiber: Callable[..., int]
+    polys: list[MultilinearPoly], q: int, opts: CountOptions, fiber: Callable[..., int], key=None
 ) -> int:
     """Total of fiber() over the base swept by polys, with the cross bit D for
-    four (A1, A0, B1, B0); the histogram comes from the shared_counts() memo."""
+    four (A1, A0, B1, B0); key (graph, level, edge, q) names it in the memo."""
     cross = len(polys) == 4
-    counts = _memoized(
-        (tuple(polys), q), sweep_zero_patterns, polys, q, workers=opts.workers, cross=cross
-    )
+    counts = _memoized(key, sweep_zero_patterns, polys, q, workers=opts.workers, cross=cross)
     bits = len(polys) + cross
     return sum(
         c * fiber(q, *(bool(s >> i & 1) for i in range(bits))) for s, c in enumerate(counts) if c
@@ -409,7 +408,7 @@ def _split_top(a: MultilinearPoly, b: MultilinearPoly) -> list[MultilinearPoly]:
 
 
 def _count_level(
-    p: MultilinearPoly, q: int, opts: CountOptions, level: int, e: int = 0
+    p: MultilinearPoly, q: int, opts: CountOptions, level: int, e: int = 0, key=None
 ) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
@@ -427,15 +426,15 @@ def _count_level(
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
     _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
     if level == 0:
-        zeros = _sweep_fibers([p], q, opts, _point_zeros)
+        zeros = _sweep_fibers([p], q, opts, _point_zeros, key)
     else:
         a, b = split_last_var(p, e)
         if a.var_count == n:
             a, b = _drop_var(a, e), _drop_var(b, e)
         if n == 1:
-            zeros = _sweep_fibers([a, b], q, opts, _line_zeros)
+            zeros = _sweep_fibers([a, b], q, opts, _line_zeros, key)
         else:
-            zeros = _sweep_fibers(_split_top(a, b), q, opts, _plane_zeros)
+            zeros = _sweep_fibers(_split_top(a, b), q, opts, _plane_zeros, key)
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -455,8 +454,8 @@ def count_Z(
 
     Both minors keep the surviving edge labels, so one dense relabeling
     (shared, since the label sets coincide) pins the n-1 coordinates. Both
-    are split at their highest variable f and swept as one level-2 base
-    over F_q^{n-2}; the budget charges it as a level-1 count.
+    are split at their highest variable f and swept over F_q^{n-2}: g's
+    level-2 sweep at label. The budget charges it as a level-1 count.
     """
     require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
@@ -464,7 +463,8 @@ def count_Z(
     _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count, opts)
     p_del = _dense_psi(delete_edge(g, label))
     p_con = _dense_psi(contract_edge(g, label))
-    return _sweep_fibers(_split_top(p_del, p_con), q, opts, _common_zeros)
+    key = (g, 2, sorted(g.labels).index(label), q)
+    return _sweep_fibers(_split_top(p_del, p_con), q, opts, _common_zeros, key)
 
 
 _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)
@@ -474,29 +474,28 @@ _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", defau
 def shared_counts() -> Iterator[None]:
     """Within this block each psi is built once and each sweep runs once.
 
-    psi is keyed by the densely relabeled Multigraph (_dense_psi), a sweep's
-    zero-pattern histogram by its polynomials and q alone (_sweep_fibers):
-    it is the same for any workers value and every fiber table reads it. A
-    block opened inside another joins it; the memo lives until the outermost
-    block exits, and outside any block nothing is memoized. Each thread has
-    its own context, so enter the block in the thread that counts.
+    psi is keyed by the densely relabeled Multigraph, a sweep's zero-pattern
+    histogram (the same for any workers value) by the labelled graph, level,
+    fibered edge and q: equal minors under other labels sweep again, so the
+    sweep count does not depend on labels. A nested block joins this one;
+    outside any block nothing is memoized. Each thread has its own context,
+    so enter the block in the thread that counts.
     """
-    token = _shared.set({}) if _shared.get() is None else None
+    token = _shared.set({} if _shared.get() is None else _shared.get())
     try:
         yield
     finally:
-        if token is not None:
-            _shared.reset(token)
+        _shared.reset(token)
 
 
 def _memoized(key, build: Callable, *args, **kwargs):
     """build(*args, **kwargs), or the shared_counts() memo's entry for key."""
     memo = _shared.get()
-    if memo is None:
+    if memo is None or key is None:
         return build(*args, **kwargs)
-    if key not in memo:
-        memo[key] = build(*args, **kwargs)
-    return memo[key]
+    if (value := memo.get(key)) is None:
+        value = memo[key] = build(*args, **kwargs)
+    return value
 
 
 def _dense_psi(g: Multigraph) -> MultilinearPoly:
@@ -510,13 +509,17 @@ def count_graph(
 ) -> CountRecord:
     """Counts for a graph's polynomial over A^n, n = edge count, by opts.method.
 
-    The budget is checked before psi is built; inside shared_counts() a
-    repeated request builds and sweeps nothing new.
+    The budget is checked before psi is built. The fibered count splits at
+    the highest regular edge, if any: inside shared_counts(), count_Z at
+    that edge and a repeated request read its sweep instead of sweeping.
     """
     check_count_budget(g, q, opts)
     p = _dense_psi(g)
+    # Edge e is regular exactly when t_e is in some terms of psi but not all.
+    regular = reduce(int.__or__, p.terms, 0) & ~reduce(int.__and__, p.terms, -1)
+    e = regular.bit_length() - 1 if regular else p.var_count - 1
     rec, *others = [
-        _count_level(p, q, opts, level, p.var_count - 1) for level in METHODS[opts.method]
+        _count_level(p, q, opts, level, e, (g, level, e, q)) for level in METHODS[opts.method]
     ]
     for rec_f in others:
         if rec != rec_f:

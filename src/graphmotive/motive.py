@@ -257,8 +257,8 @@ def dc_identity_check(
 
     Bridge: |Y_G| = q*|Y_del|. Loop: (q-1)*|Y_del|. Regular:
     q*(q^(n-1) - |Z|) - |Y_del|, with Z the common zero locus of the two
-    minor polynomials. Inside shared_counts() the counts of G and of
-    repeated minors are memo hits, not new sweeps.
+    minor polynomials. Inside shared_counts() a repeated count of G, and Z
+    at the edge G's count is fibered at, are memo hits, not new sweeps.
     """
     kind = classify_edge(g, edge_label)
     n = g.edge_count
@@ -288,11 +288,8 @@ def dc_identity_matrix(
     """One merged verdict per edge, observations across all primes."""
     name = _name(g, graph_name)
     qs = list(_counts(g, primes, opts))  # every prime's budget before any sweep
-    out = []
-    for e in g.labels:
-        rows = [dc_identity_check(g, e, q, graph_name=name, opts=opts) for q in qs]
-        out.append(replace(rows[0], observed=tuple(row.observed[0] for row in rows)))
-    return out
+    rows = [[dc_identity_check(g, e, q, graph_name=name, opts=opts) for q in qs] for e in g.labels]
+    return [replace(r[0], observed=tuple(v.observed[0] for v in r)) for r in rows]
 
 
 def _lagrange_coefficients(points: list[tuple[int, int]]) -> list[Fraction]:

@@ -480,6 +480,19 @@ def test_shared_counts_builds_each_psi_once(monkeypatch):
     assert z == count_Z(k4, 5, 5) and len(built) == 7  # no memo outside the block
 
 
+def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
+    # triangle_tail's top label is the tail's bridge: count_graph fibers at
+    # the highest regular edge instead, and count_Z there sweeps nothing new.
+    g = CAT["triangle_tail"]
+    regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
+    zs = [count_Z(g, e, 5) for e in regular]
+    with counting.shared_counts():
+        count_graph(g, 5)
+        sweeps.clear()
+        assert [count_Z(g, e, 5) for e in regular] == zs
+    assert len(sweeps) == len(regular) - 1 == 2
+
+
 # -- determinism ---------------------------------------------------------------
 
 
