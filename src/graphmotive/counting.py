@@ -390,16 +390,28 @@ def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> in
 
 
 def _sweep_fibers(
-    polys: list[MultilinearPoly], q: int, opts: CountOptions, fiber: Callable[..., int], key=None
+    polys: Callable[[], list[MultilinearPoly]],
+    q: int,
+    opts: CountOptions,
+    fiber: Callable[..., int],
+    key=None,
 ) -> int:
-    """Total of fiber() over the base swept by polys, with the cross bit D for
-    four (A1, A0, B1, B0); key (graph, level, edge, q) names it in the memo."""
-    cross = len(polys) == 4
-    counts = _memoized(key, sweep_zero_patterns, polys, q, workers=opts.workers, cross=cross)
-    bits = len(polys) + cross
-    return sum(
-        c * fiber(q, *(bool(s >> i & 1) for i in range(bits))) for s, c in enumerate(counts) if c
-    )
+    """Total of fiber() over the base swept by the polynomials polys()
+    builds, with the cross bit D for four (A1, A0, B1, B0); key (graph,
+    level, edge, q) names the sweep in the memo, and a hit builds none."""
+    return sum(c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, opts))
+
+
+def _zero_patterns(
+    polys: Callable[[], list[MultilinearPoly]], q: int, opts: CountOptions
+) -> list[tuple[tuple[bool, ...], int]]:
+    """The base points of a sweep of polys() by zero-pattern, as (whether
+    each swept value is 0 mod q, point count) for each pattern that occurs."""
+    swept = polys()
+    cross = len(swept) == 4
+    counts = sweep_zero_patterns(swept, q, workers=opts.workers, cross=cross)
+    bits = len(swept) + cross
+    return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
 
 
 def _split_top(a: MultilinearPoly, b: MultilinearPoly) -> list[MultilinearPoly]:
@@ -426,15 +438,16 @@ def _count_level(
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
     _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
     if level == 0:
-        zeros = _sweep_fibers([p], q, opts, _point_zeros, key)
+        zeros = _sweep_fibers(lambda: [p], q, opts, _point_zeros, key)
     else:
-        a, b = split_last_var(p, e)
-        if a.var_count == n:
-            a, b = _drop_var(a, e), _drop_var(b, e)
-        if n == 1:
-            zeros = _sweep_fibers([a, b], q, opts, _line_zeros, key)
-        else:
-            zeros = _sweep_fibers(_split_top(a, b), q, opts, _plane_zeros, key)
+
+        def split() -> list[MultilinearPoly]:
+            a, b = split_last_var(p, e)
+            if a.var_count == n:
+                a, b = _drop_var(a, e), _drop_var(b, e)
+            return [a, b] if n == 1 else _split_top(a, b)
+
+        zeros = _sweep_fibers(split, q, opts, _line_zeros if n == 1 else _plane_zeros, key)
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -461,10 +474,10 @@ def count_Z(
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
     _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count, opts)
-    p_del = _dense_psi(delete_edge(g, label))
-    p_con = _dense_psi(contract_edge(g, label))
+    p_del, _ = _fibration(delete_edge(g, label))
+    p_con, _ = _fibration(contract_edge(g, label))
     key = (g, 2, sorted(g.labels).index(label), q)
-    return _sweep_fibers(_split_top(p_del, p_con), q, opts, _common_zeros, key)
+    return _sweep_fibers(lambda: _split_top(p_del, p_con), q, opts, _common_zeros, key)
 
 
 _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)
@@ -474,12 +487,13 @@ _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", defau
 def shared_counts() -> Iterator[None]:
     """Within this block each psi is built once and each sweep runs once.
 
-    psi is keyed by the densely relabeled Multigraph, a sweep's zero-pattern
-    histogram (the same for any workers value) by the labelled graph, level,
-    fibered edge and q: equal minors under other labels sweep again, so the
-    sweep count does not depend on labels. A nested block joins this one;
-    outside any block nothing is memoized. Each thread has its own context,
-    so enter the block in the thread that counts.
+    psi is keyed by the densely relabeled Multigraph, and with its fiber
+    edge by the labelled one; a sweep's zero-pattern histogram (the same
+    for any workers value) by the labelled graph, level, fibered edge and
+    q: equal minors under other labels sweep again, so the sweep count does
+    not depend on labels. A nested block joins this one; outside any block
+    nothing is memoized. Each thread has its own context, so enter the
+    block in the thread that counts.
     """
     token = _shared.set({} if _shared.get() is None else _shared.get())
     try:
@@ -488,20 +502,31 @@ def shared_counts() -> Iterator[None]:
         _shared.reset(token)
 
 
-def _memoized(key, build: Callable, *args, **kwargs):
-    """build(*args, **kwargs), or the shared_counts() memo's entry for key."""
+def _memoized(key, build: Callable, *args):
+    """build(*args), or the shared_counts() memo's entry for key."""
     memo = _shared.get()
     if memo is None or key is None:
-        return build(*args, **kwargs)
+        return build(*args)
     if (value := memo.get(key)) is None:
-        value = memo[key] = build(*args, **kwargs)
+        value = memo[key] = build(*args)
     return value
 
 
-def _dense_psi(g: Multigraph) -> MultilinearPoly:
-    """psi of g relabeled to 0..n-1, from the shared_counts() memo if any."""
+def _fibration(g: Multigraph) -> tuple[MultilinearPoly, int]:
+    """psi of g relabeled to 0..n-1, and the variable count_graph fibers it
+    at: the highest regular edge's, if any, else the top one. Inside
+    shared_counts() the pair is kept under g itself, so a repeated request
+    neither relabels nor rescans psi, and psi under the relabeled graph,
+    so equal minors under other labels build it once."""
+    return _memoized(("fibration", g), _build_fibration, g)
+
+
+def _build_fibration(g: Multigraph) -> tuple[MultilinearPoly, int]:
     dense = relabel_dense(g)
-    return _memoized(dense, psi_by_deletion_contraction, dense)
+    p = _memoized(dense, psi_by_deletion_contraction, dense)
+    # Edge e is regular exactly when t_e is in some terms of psi but not all.
+    regular = reduce(int.__or__, p.terms, 0) & ~reduce(int.__and__, p.terms, -1)
+    return p, regular.bit_length() - 1 if regular else p.var_count - 1
 
 
 def count_graph(
@@ -511,13 +536,11 @@ def count_graph(
 
     The budget is checked before psi is built. The fibered count splits at
     the highest regular edge, if any: inside shared_counts(), count_Z at
-    that edge and a repeated request read its sweep instead of sweeping.
+    that edge and a repeated request read its sweep instead of sweeping,
+    and a repeated request splits no polynomial.
     """
     check_count_budget(g, q, opts)
-    p = _dense_psi(g)
-    # Edge e is regular exactly when t_e is in some terms of psi but not all.
-    regular = reduce(int.__or__, p.terms, 0) & ~reduce(int.__and__, p.terms, -1)
-    e = regular.bit_length() - 1 if regular else p.var_count - 1
+    p, e = _fibration(g)
     rec, *others = [
         _count_level(p, q, opts, level, e, (g, level, e, q)) for level in METHODS[opts.method]
     ]

@@ -12,14 +12,14 @@ import enum
 import json
 import re
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's at most 63 variables
-MAX_FOREST_SUBSETS = 10**7  # edge subsets spanning_forests may test, a few us each
+MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), a bound on the forests searched
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
 
@@ -340,27 +340,50 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
     """All maximal spanning forests as sorted label tuples, lexicographic.
 
     A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear. Refused, before
-    any is tested, when there are more than MAX_FOREST_SUBSETS candidates.
+    size is vertex_count - #components; loops never appear. The list form of
+    _iter_spanning_forests, which finds them by pruned backtracking and
+    refuses oversized graphs when called.
+    """
+    return list(_iter_spanning_forests(g))
+
+
+def _iter_spanning_forests(g: Multigraph) -> Iterator[tuple[int, ...]]:
+    """The maximal spanning forests of spanning_forests, one at a time.
+
+    A depth-first search over the non-loop edges in ascending label order
+    (Read and Tarjan's backtracking listing): an edge is taken only when
+    its endpoints lie in different components, so no prefix holding a cycle
+    is extended, and a branch stops when fewer edges remain than it still
+    needs. Each level keeps its own component array of length V. Refused
+    here, before any edge is tried, when C(non-loop edges, forest size)
+    exceeds MAX_FOREST_SUBSETS; this function is not itself a generator,
+    so the refusal does not wait for the first next().
     """
     target = g.vertex_count - component_count(g)
-    non_loops = sorted(e.label for e in g.edges if not e.is_loop)
-    subsets = comb(len(non_loops), target)
+    edges = sorted(e for e in g.edges if not e.is_loop)
+    subsets = comb(len(edges), target)
     if subsets > MAX_FOREST_SUBSETS:
         raise GraphError(
             f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
         )
-    by_label = {e.label: e for e in g.edges}
-    out = []
-    for combo in combinations(non_loops, target):
-        uf = _UnionFind(g.vertex_count)
-        for lab in combo:
-            e = by_label[lab]
-            if not uf.union(e.u, e.v):
-                break
-        else:
-            out.append(combo)
-    return out
+    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, ())
+
+
+def _extend_forest(
+    edges: list[Edge], comp: list[int], start: int, need: int, chosen: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Forests extending chosen by `need` edges of edges[start:], in
+    lexicographic order; comp names each vertex's component under chosen."""
+    if need == 0:
+        yield chosen
+        return
+    stop = len(edges) - need + 1  # past this, too few edges remain
+    for i in range(start, stop):
+        label, u, v = edges[i]
+        a, b = comp[u], comp[v]
+        if a != b:
+            merged = [a if c == b else c for c in comp]
+            yield from _extend_forest(edges, merged, i + 1, need - 1, (*chosen, label))
 
 
 def is_forest(g: Multigraph) -> bool:

@@ -16,10 +16,10 @@ from .graphs import (
     EdgeKind,
     Multigraph,
     _UnionFind,
+    _iter_spanning_forests,
     classify_edge,
     contract_edge,
     delete_edge,
-    spanning_forests,
 )
 from .primes import require_prime
 
@@ -241,13 +241,16 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     The defining formula. Homogeneous of degree betti_1(g), every
     coefficient 1, and psi(1,..,1) counts the forests. Edgeless graphs
     (and forests generally, whose only maximal forest is everything)
-    give the constant 1.
+    give the constant 1. The forests come one at a time from the pruned
+    backtracking search behind graphs.spanning_forests, and each becomes a
+    term as it arrives, so no forest list is held beside psi; oversized
+    graphs are refused as spanning_forests refuses them.
     """
     if _ambient_width(g) > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
     full = _full_mask(g)
     terms = {}
-    for forest in spanning_forests(g):
+    for forest in _iter_spanning_forests(g):
         mask = 0
         for label in forest:
             mask |= 1 << label

@@ -457,6 +457,21 @@ def test_shared_counts_memoizes_only_inside_the_block(sweeps):
     assert count_graph(g, 5) == rec and sweeps == [5, 5, 5]
 
 
+def test_repeated_count_finds_its_sweep_before_any_work(monkeypatch, sweeps):
+    # a repeat neither relabels the graph nor splits psi before its memo hit
+    calls = []
+    for name in ("relabel_dense", "split_last_var"):
+        fn = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    g = delete_edge(CAT["wheel_4"], 0)  # labels 1..7, so counting relabels it
+    with counting.shared_counts():
+        rec = count_graph(g, 5)
+        assert calls and sweeps == [5]
+        calls.clear()
+        assert count_graph(g, 5) == rec and count_graph(g, 5) == rec
+    assert calls == [] and sweeps == [5]
+
+
 def test_shared_counts_builds_each_psi_once(monkeypatch):
     built = []
     build = counting.psi_by_deletion_contraction

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles
 from graphmotive import (
     Edge,
     EdgeKind,
+    FamilySpec,
     GraphError,
     GraphParseError,
     LoopContractionError,
@@ -20,11 +22,15 @@ from graphmotive import (
     delete_edge,
     disjoint_union,
     edge_census,
+    generate_family,
+    graphs,
     graph_id,
+    psi_by_trees,
     relabel_dense,
     spanning_forests,
     standard_catalog,
 )
+from test_poly import relabelled_graphs, small_graphs
 
 
 def test_from_pairs_assigns_labels_in_order():
@@ -182,16 +188,48 @@ def test_minor_counts():
 # -- forests and invariants ---------------------------------------------------
 
 
+def _oracle_forest_list(g):
+    return sorted(tuple(sorted(f)) for f in _oracles.forest_label_sets(g))
+
+
 def test_spanning_forests_match_oracle_over_catalog():
     for name, g in standard_catalog():
-        got = {frozenset(f) for f in spanning_forests(g)}
-        expected = set(_oracles.forest_label_sets(g))
-        assert got == expected, name
+        assert spanning_forests(g) == _oracle_forest_list(g), name
 
 
 def test_spanning_forests_lexicographic_and_sorted():
     b3 = Multigraph.from_pairs(2, [(0, 1)] * 3)
     assert spanning_forests(b3) == [(0,), (1,), (2,)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_graphs(), relabelled_graphs()))
+def test_spanning_forests_order_matches_oracle(g):
+    # the list itself, not its set: sorted tuples in lexicographic order
+    assert spanning_forests(g) == _oracle_forest_list(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Multigraph(3, ()),
+        Multigraph.from_pairs(1, [(0, 0)] * 4),
+        generate_family(FamilySpec.parse("banana:12")),
+        generate_family(FamilySpec.parse("dumbbell:12")),
+    ],
+    ids=["edgeless", "bouquet", "banana:12", "dumbbell:12"],
+)
+def test_spanning_forests_order_fixed_cases(g):
+    assert spanning_forests(g) == _oracle_forest_list(g)
+
+
+def test_forest_refusal_is_raised_on_call():
+    # C(55, 10) candidates: refused when called, before any edge is tried;
+    # the forest iterator too, not at its first next()
+    k11 = generate_family(FamilySpec.parse("complete:11"))
+    for build in (spanning_forests, psi_by_trees, graphs._iter_spanning_forests):
+        with pytest.raises(GraphError, match="29248649430 edge subsets exceed the limit 10000000"):
+            build(k11)
 
 
 def test_betti_examples():

@@ -262,6 +262,20 @@ def test_deletion_contraction_memory_is_output_sized():
     assert peak < 6 * 2**20, peak
 
 
+def test_forest_enumeration_memory_is_output_sized():
+    # forests become psi's 15,125 terms as the search finds them (about
+    # 1.9 MB traced); holding the forest list beside them peaks near 3.0 MB
+    g = generate_family(FamilySpec.parse("wheel:10"))
+    tracemalloc.start()
+    try:
+        p = psi_by_trees(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.term_count() == 15125
+    assert peak <= 2.5 * 2**20, peak
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_graphs())
 def test_psi_structure_on_random_graphs(g):
