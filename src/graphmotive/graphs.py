@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's at most 63 variables
-MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), a bound on the forests searched
+MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), checked by _forest_candidates
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
 
@@ -356,9 +356,17 @@ def _iter_spanning_forests(g: Multigraph) -> Iterator[tuple[int, ...]]:
     is extended, and a branch stops when fewer edges remain than it still
     needs. Each level keeps its own component array of length V. Refused
     here, before any edge is tried, when C(non-loop edges, forest size)
-    exceeds MAX_FOREST_SUBSETS; this function is not itself a generator,
-    so the refusal does not wait for the first next().
+    exceeds MAX_FOREST_SUBSETS (_forest_candidates); this function is not
+    itself a generator, so the refusal does not wait for the first next().
     """
+    edges, target = _forest_candidates(g)
+    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, ())
+
+
+def _forest_candidates(g: Multigraph) -> tuple[list[Edge], int]:
+    """The non-loop edges in ascending label order and the size of a maximal
+    spanning forest, refused when C(edges, size) exceeds MAX_FOREST_SUBSETS:
+    a bound on the forests searched and the subsets psi_by_matrix_tree expands."""
     target = g.vertex_count - component_count(g)
     edges = sorted(e for e in g.edges if not e.is_loop)
     subsets = comb(len(edges), target)
@@ -366,7 +374,7 @@ def _iter_spanning_forests(g: Multigraph) -> Iterator[tuple[int, ...]]:
         raise GraphError(
             f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
         )
-    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, ())
+    return edges, target
 
 
 def _extend_forest(

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-# Miller-Rabin with this witness set is exact below 3.3 * 10^24.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as witnesses is exact below psi_13,
+# the least composite that passes them all (Sorenson and Webster); the
+# first 12 alone pass psi_12 = 318665857834031151167461 = 399165290221 *
+# 798330580441. require_prime refuses moduli from PSI_13 up.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 class NotPrimeError(ValueError):
@@ -13,6 +17,8 @@ class NotPrimeError(ValueError):
 
 
 def require_prime(q: int) -> int:
+    if q >= PSI_13:
+        raise ValueError(f"modulus {q} is not below {PSI_13}, the bound for exact primality")
     if not is_prime(q):
         raise NotPrimeError(f"modulus {q} is not prime")
     return q
@@ -31,6 +37,7 @@ def require_primes(primes: Sequence[int]) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
+    """Exact below PSI_13; above it a composite may pass."""
     if n < 2:
         return False
     for p in _WITNESSES:

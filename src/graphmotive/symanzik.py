@@ -1,21 +1,23 @@
 """Multilinear polynomials keyed by edge-subset bitmasks, and the graph
 polynomial built three independent ways.
 
-The constructions (forest enumeration, reduced-Laplacian determinant,
-deletion-contraction swept one edge label at a time) must agree
-term-for-term; each acts as an oracle for the others. The sweep merges
-equal minors, so it builds each minor once and holds no more terms than
-psi itself.
+The constructions (forest enumeration, the matrix-tree theorem as a sum
+of squared integer incidence minors, deletion-contraction swept one edge
+label at a time) must agree term-for-term; each acts as an oracle for the
+others. The sweep merges equal minors, so it builds each minor once and
+holds no more terms than psi itself.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from .graphs import (
     EdgeKind,
     Multigraph,
     _UnionFind,
+    _forest_candidates,
     _iter_spanning_forests,
     classify_edge,
     contract_edge,
@@ -259,64 +261,53 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
 
 
 def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
-    """Kirchhoff route: reduced weighted-Laplacian determinant per component.
+    """Kirchhoff route, the matrix-tree theorem in Cauchy-Binet form.
 
-    The determinant yields the forest generating sum (products over edges IN
-    the forest); the subset-complement transform against the full edge set
-    then matches psi_by_trees exactly. Loops never enter the Laplacian but
-    reappear via the complement. Exact symbolic arithmetic throughout; this
-    is an oracle, not a fast path.
+    B is the signed incidence matrix of the non-loop edges, one vertex row
+    removed per component. For each edge set S of forest size, det(B_S)^2
+    is added to the term t^(E minus S) as computed, never assumed 0 or 1,
+    so a sign or row slip shows as a wrong coefficient. Exact integers and
+    no forest search; an oracle, refused like spanning_forests.
     """
-    import sympy
-
     width = _ambient_width(g)
     if width > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
-
+    edges, size = _forest_candidates(g)
     uf = _UnionFind(g.vertex_count)
-    for e in g.edges:
+    for e in edges:
         uf.union(e.u, e.v)
-    members: dict[int, list[int]] = {}
-    for v in range(g.vertex_count):
-        members.setdefault(uf.find(v), []).append(v)
-
-    syms = {e.label: sympy.Symbol(f"t{e.label}") for e in g.edges}
-    det_product = sympy.Integer(1)
-    for verts in members.values():
-        if len(verts) < 2:
-            continue
-        index = {v: i for i, v in enumerate(verts)}
-        lap = sympy.zeros(len(verts), len(verts))
-        for e in g.edges:
-            if e.is_loop or e.u not in index:
-                continue
-            i, j, t = index[e.u], index[e.v], syms[e.label]
-            lap[i, i] += t
-            lap[j, j] += t
-            lap[i, j] -= t
-            lap[j, i] -= t
-        reduced = lap[:-1, :-1]
-        det_product *= reduced.det(method="bareiss")
-
-    expr = sympy.expand(det_product)
-    gens = [syms[label] for label in sorted(syms)]
-    forest_terms: dict[int, int] = {}
-    if not gens or expr.is_number:
-        forest_terms[0] = int(expr)
-    else:
-        poly = sympy.Poly(expr, *gens)
-        labels = sorted(syms)
-        for exponents, coeff in poly.terms():
-            mask = 0
-            for label, power in zip(labels, exponents):
-                if power not in (0, 1):
-                    raise NonMultilinearError("determinant produced a square")
-                if power:
-                    mask |= 1 << label
-            forest_terms[mask] = int(coeff)
-
+    kept = (v for v in range(g.vertex_count) if uf.find(v) != v)  # each root's row removed
+    row = {v: i for i, v in enumerate(kept)}
     full = _full_mask(g)
-    return MultilinearPoly(width, {full ^ m: c for m, c in forest_terms.items()})
+    terms: dict[int, int] = {}
+    for subset in combinations(edges, size):  # each subset is its own term
+        b = [[0] * size for _ in range(size)]
+        for j, (_, u, v) in enumerate(subset):
+            for w, sign in ((u, 1), (v, -1)):
+                if w in row:
+                    b[row[w]][j] = sign
+        if det := _integer_det(b):
+            terms[full ^ sum(1 << e.label for e in subset)] = det * det
+    return MultilinearPoly(width, terms)
+
+
+def _integer_det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix by Bareiss elimination:
+    each division by the previous pivot is exact. Zero pivots swap rows."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:

@@ -53,6 +53,20 @@ def psi_term_masks(g):
     return terms
 
 
+def leibniz_det(matrix):
+    """Determinant of a square matrix as the sum over permutations of
+    signed products, the sign counted from inversions."""
+    n = len(matrix)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        prod = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            prod *= matrix[row][col]
+        total += prod
+    return total
+
+
 def eval_mask_poly(terms, xs, q):
     total = 0
     for mask, coeff in terms.items():

@@ -7,6 +7,7 @@ import json
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -298,6 +299,15 @@ def test_count_rejects_bad_primes(capsys):
     assert run(capsys, "count", "--family", "cycle:3", "--primes", ",")[0] == 2
 
 
+def test_count_rejects_strong_pseudoprime(capsys, tmp_path):
+    # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the
+    # bases 2..37; an edgeless graph needs no sweep, so only the test stops it
+    path = tmp_path / "edgeless.graph"
+    path.write_text("2 0\n")
+    code, out, err = run(capsys, "count", str(path), "--primes", "318665857834031151167461")
+    assert code == 2 and out == "" and "not prime" in err
+
+
 # -- class -------------------------------------------------------------------
 
 
@@ -525,6 +535,26 @@ def test_package_import_leaves_cli_out(src_env):
         capture_output=True,
         text=True,
         env=src_env,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_no_runtime_path_needs_sympy(src_env):
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["sympy"] = None  # any import of sympy now fails
+        import graphmotive
+        from graphmotive import cli, standard_catalog
+        from graphmotive import psi_by_deletion_contraction, psi_by_matrix_tree, psi_by_trees
+        for name, g in standard_catalog():
+            p = psi_by_trees(g)
+            assert psi_by_matrix_tree(g) == p == psi_by_deletion_contraction(g), name
+        sys.exit(cli.main(["verify", "--family", "wheel:3", "--primes", "3,5,7"]))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
 

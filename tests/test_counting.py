@@ -574,6 +574,12 @@ def test_prime_and_size_limits():
         count_brute(p, 4)
     with pytest.raises(NotPrimeError):
         count_Z(CAT["cycle_3"], 0, 9)
+    # psi_12 = 399165290221 * 798330580441 passes the bases 2..37; psi_13
+    # passes 2..41, so moduli from it up are refused, not tested
+    with pytest.raises(NotPrimeError):
+        count_graph(Multigraph(2, ()), 318665857834031151167461)
+    with pytest.raises(ValueError, match="not below 3317044064679887385961981"):
+        count_graph(Multigraph(2, ()), 3317044064679887385961981)
     one = MultilinearPoly.constant(1, 0)
     # largest allowed modulus: fits the int64 product bound
     assert sweep_zero_patterns([one], (1 << 31) - 1) == [1, 0]

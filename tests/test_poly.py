@@ -5,7 +5,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from graphmotive import (
@@ -229,6 +229,29 @@ def test_routes_agree_on_relabelled_graphs(g):
     p = psi_by_trees(g)
     assert p == psi_by_matrix_tree(g)
     assert p == psi_by_deletion_contraction(g)
+
+
+def square_int_matrices():
+    """0x0 to 5x5 integer matrices, small entries so that singular ones and
+    zero pivots needing a row swap are common."""
+
+    @st.composite
+    def build(draw):
+        n = draw(st.integers(0, 5))
+        entries = st.integers(-3, 3) | st.just(0)
+        return draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    return build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_int_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[2, 1, 1], [4, 2, 5], [1, 3, 0]])
+def test_integer_det_matches_leibniz(m):
+    assert symanzik._integer_det(m) == _oracles.leibniz_det(m)
 
 
 def test_deletion_contraction_builds_few_minors(monkeypatch):
