@@ -14,9 +14,12 @@ time: each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
 block costs about q^k multiply-adds per polynomial whatever the term
 count. The grid is taken in blocks of at most chunk_points polynomial
 values, the outer coordinates of each block folded into the coefficients
-first. Every value is reduced below q after each multiply-add, so int64
-holds it and the product of two residues for q < 2^31, and integer
-accumulation makes results independent of block size and thread count.
+first. Every value is reduced below q after each multiply-add, so it and
+the product of two residues stay below q^2. For q <= 251 (q^4 < 2^32)
+residues are uint32 and the reduce step is a division-free Barrett
+reduction, exact below q^2; for larger q up to 2^31 they are int64 and the
+step is np.remainder. Integer accumulation makes results independent of
+block size and thread count.
 """
 
 from __future__ import annotations
@@ -169,12 +172,36 @@ class CountRecord:
 # -- vectorized sweep core ---------------------------------------------------
 
 
+def _barrett(q: int) -> tuple[int, int]:
+    """(s, m) with m = ceil(2^s / q): for q^4 < 2^32, v - (v*m >> s)*q is
+    v mod q for every v < q^2, since q^3 <= 2^s, and v*m < q^2*m < 2^32."""
+    s = 32 - q.bit_length()
+    return s, -(-(1 << s) // q)
+
+
+def _residues(q: int) -> tuple[type, Callable[[np.ndarray], np.ndarray]]:
+    """The dtype a sweep holds residues mod q in, and its reduce step, which
+    takes each entry v < q^2 of an array of that dtype to v mod q in place."""
+    if q**4 >= 1 << 32:
+        return np.int64, lambda v: np.remainder(v, q, out=v)
+    s, m = _barrett(q)
+
+    def reduce(v: np.ndarray) -> np.ndarray:
+        h = v * m
+        h >>= s
+        h *= q
+        v -= h
+        return v
+
+    return np.uint32, reduce
+
+
 def _folder(
-    polys: list[MultilinearPoly], q: int, k: int
+    polys: list[MultilinearPoly], q: int, k: int, dtype: type
 ) -> Callable[[list[int]], np.ndarray]:
-    """fold(y): for each polynomial, as one row, its 2^k coefficients mod q,
-    index bit i standing for t_i, with its outer variables t_k, t_k+1, ...
-    fixed to the values y."""
+    """fold(y): for each polynomial, as one row, its 2^k coefficients mod q
+    as dtype, index bit i standing for t_i, with its outer variables t_k,
+    t_k+1, ... fixed to the values y."""
     low = (1 << k) - 1
     terms = sorted(
         (i << k | mask & low, mask >> k, c % q)
@@ -193,26 +220,29 @@ def _folder(
         for uses_j, y_j in zip(uses, y):
             if y_j != 1:
                 vals = np.where(uses_j, vals * y_j % q, vals)
-        dense = np.zeros(len(polys) << k, dtype=np.int64)
+        dense = np.zeros(len(polys) << k, dtype=dtype)
         dense[slots] = np.add.reduceat(vals, starts) % q
         return dense.reshape(len(polys), -1)
 
     return fold
 
 
-def _grid_values(coeffs: np.ndarray, k: int, q: int) -> np.ndarray:
+def _grid_values(
+    coeffs: np.ndarray, k: int, q: int, reduce: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
     """Values mod q, at every point of F_q^k, of the multilinear polynomials
     whose 2^k coefficients are the rows of coeffs, one row out per row in.
     One axis at a time, lowest bit first, a coefficient pair (c0, c1)
     becomes the q values c0 + x*c1, as a new leading axis of the row.
-    Every entry is reduced below q after each axis."""
+    Each such value is below q^2 in coeffs' dtype (uint32 or int64, see
+    _residues), and `reduce` brings it below q again after each axis."""
     rows = len(coeffs)
     v = coeffs
     for _ in range(k):
         pairs = v.reshape(rows, 1, -1, 2)
-        v = pairs[..., 1] * np.arange(q, dtype=np.int64)[:, None]
+        v = pairs[..., 1] * np.arange(q, dtype=v.dtype)[:, None]
         v += pairs[..., 0]
-        np.remainder(v, q, out=v)
+        reduce(v)
     return v.reshape(rows, -1)
 
 
@@ -258,7 +288,8 @@ def sweep_zero_patterns(
     k = 0
     while k < width and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
-    fold = _folder(polys, q, k)
+    dtype, reduce = _residues(q)
+    fold = _folder(polys, q, k, dtype)
     blocks = q ** (width - k)
     lanes = min(workers, blocks)
     bins = 1 << (len(polys) + cross)
@@ -267,16 +298,14 @@ def sweep_zero_patterns(
     def lane(first: int) -> np.ndarray:
         hist = np.zeros(bins, dtype=np.int64)
         for b in range(first, blocks, lanes):
-            v = _grid_values(fold([b // q**j % q for j in range(width - k)]), k, q)
+            v = _grid_values(fold([b // q**j % q for j in range(width - k)]), k, q, reduce)
             bits = (v == 0).view(np.uint8)
             bits <<= shifts
             pattern = np.bitwise_or.reduce(bits, axis=0)
-            if cross:  # each product is below q^2 < 2^62
+            if cross:  # each product is below q^2
                 v[0] *= v[3]
                 v[1] *= v[2]
-                v[0] -= v[1]
-                v[0] %= q
-                pattern |= (v[0] == 0).view(np.uint8) << 4
+                pattern |= (reduce(v[0]) == reduce(v[1])).view(np.uint8) << 4
             hist += np.bincount(pattern, minlength=bins)
         return hist
 

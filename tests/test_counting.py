@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -31,6 +32,7 @@ from graphmotive import (
     count_fibered,
     count_graph,
     count_projective,
+    is_prime,
     psi_by_trees,
     sweep_zero_patterns,
 )
@@ -254,12 +256,15 @@ def test_sweep_agrees_with_naive_enumeration(p):
 
 @st.composite
 def sweep_cases(draw):
-    width = draw(st.integers(0, 5))
-    q = draw(st.sampled_from([2, 3, 5, 7]))
+    # 251 is the largest prime with uint32 residues, 257 the smallest in int64
+    q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
+    width = draw(st.integers(0, 5 if q < 251 else 2))
     coefficients = st.integers(-(10**20), 10**20)
     terms = st.dictionaries(st.integers(0, (1 << width) - 1), coefficients, max_size=8)
     polys = draw(st.lists(terms.map(lambda t: MultilinearPoly(width, t)), min_size=1, max_size=3))
     chunk = draw(st.sampled_from([1, 2, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
+    if q > 7:  # at most q blocks: q^2 one-point blocks would take seconds
+        chunk = max(chunk, len(polys) * q)
     return polys, q, chunk, draw(st.sampled_from([1, 2]))
 
 
@@ -275,11 +280,13 @@ def test_sweep_patterns_agree_with_naive_enumeration(case):
 
 @st.composite
 def cross_cases(draw):
-    width = draw(st.integers(0, 4))
-    q = draw(st.sampled_from([2, 3, 5, 7]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
+    width = draw(st.integers(0, 4 if q < 251 else 2))
     terms = st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(-9, 9), max_size=6)
     polys = [MultilinearPoly(width, draw(terms)) for _ in range(4)]
     chunk = draw(st.sampled_from([1, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
+    if q > 7:  # as in sweep_cases
+        chunk = max(chunk, 4 * q)
     return polys, q, chunk, draw(st.sampled_from([1, 2]))
 
 
@@ -290,6 +297,19 @@ def test_cross_patterns_agree_with_naive_enumeration(case):
     expected = _oracles.cross_zero_patterns([p.terms for p in polys], polys[0].var_count, q)
     got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cross=True)
     assert got == expected
+
+
+def test_barrett_reduction_is_exact_below_q_squared():
+    primes = [q for q in range(252) if is_prime(q)]
+    assert len(primes) == 54
+    assert counting._residues(257)[0] == np.int64
+    for q in primes:
+        s, m = counting._barrett(q)
+        assert q**3 <= 1 << s and q * q * m < 1 << 32
+        dtype, reduce = counting._residues(q)
+        v = np.arange(q * q, dtype=dtype)
+        assert dtype == np.uint32
+        assert np.array_equal(reduce(v.copy()), v % q)
 
 
 def test_sweep_rejects_bad_polynomial_counts():
@@ -580,6 +600,8 @@ def test_prime_and_size_limits():
         count_graph(Multigraph(2, ()), 318665857834031151167461)
     with pytest.raises(ValueError, match="not below 3317044064679887385961981"):
         count_graph(Multigraph(2, ()), 3317044064679887385961981)
+    with pytest.raises(ValueError, match="not below 3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
     one = MultilinearPoly.constant(1, 0)
     # largest allowed modulus: fits the int64 product bound
     assert sweep_zero_patterns([one], (1 << 31) - 1) == [1, 0]
