@@ -312,7 +312,7 @@ def _integer_det(m: Sequence[Sequence[int]]) -> int:
 
 def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     """Deletion-contraction over the bridge/loop/regular trichotomy, swept
-    one edge label at a time, highest first, with no recursion.
+    one edge label at a time with no recursion, in vertex-frontier order.
 
     The frontier maps each minor reached so far to its multiplier, the
     terms psi(g) gains per term of psi(minor). Each step classifies every
@@ -330,13 +330,21 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     never holds more terms than psi itself: memory is output-sized,
     unlike a memo of every minor's psi. Stable edge labels make the sweep
     land in literally the same variables as the other builders.
+
+    Both arguments hold for any label order fixed before the sweep, so the
+    order is chosen for few distinct minors (_sweep_order, after Sekine,
+    Imai and Tani's Tutte polynomial computation). The minors of one step
+    share their unswept edges and differ in how the contracted swept edges
+    merged vertices; the fewer vertices touch both kinds of edge, the fewer
+    of those mergings the unswept edges can see, and the more minors
+    coincide (141 minors for wheel:10).
     """
     width = _ambient_width(g)
     if width > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
 
     frontier: dict[Multigraph, dict[int, int]] = {g: {0: 1}}
-    for label in sorted(g.labels, reverse=True):
+    for label in _sweep_order(g):
         bit = 1 << label
         children: dict[Multigraph, dict[int, int]] = {}
         for h, terms in frontier.items():
@@ -351,6 +359,32 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     for terms in frontier.values():
         _add_terms(total, terms)
     return MultilinearPoly(width, total)
+
+
+def _sweep_order(g: Multigraph) -> list[int]:
+    """g's labels in vertex-frontier order: each next label is the edge
+    whose sweep leaves the fewest active vertices (touching both swept and
+    unswept edges), ties to the highest label. Only which edges share a
+    vertex is read, so the order does not depend on vertex names."""
+    ends = {e.label: {e.u, e.v} for e in g.edges}
+    unswept = [0] * g.vertex_count  # unswept edges at each vertex
+    for vs in ends.values():
+        for w in vs:
+            unswept[w] += 1
+    swept = [False] * g.vertex_count  # some swept edge at the vertex
+    order = []
+    while ends:
+        # sweeping an edge activates each end it leaves unfinished and
+        # retires each already active end whose last edge it is
+        label = min(
+            ends,
+            key=lambda lab: (sum((unswept[w] > 1) - swept[w] for w in ends[lab]), -lab),
+        )
+        for w in ends.pop(label):
+            unswept[w] -= 1
+            swept[w] = True
+        order.append(label)
+    return order
 
 
 def _merge(frontier: dict, h: Multigraph, terms: dict[int, int]) -> None:

@@ -24,6 +24,25 @@ def component_count(vertex_count, pairs):
     return len(set(comp))
 
 
+def graph_refusal(vertex_count, edges):
+    """The message a multigraph on these (label, u, v) triples must be
+    refused with, or None: the vertex count first, then edge by edge a
+    negative label, a label seen before, an endpoint outside the vertices."""
+    if vertex_count < 0:
+        return "vertex_count must be non-negative"
+    labels = []
+    for label, u, v in edges:
+        if label < 0:
+            return f"negative edge label {label}"
+        if label in labels:
+            return f"duplicate edge label {label}"
+        labels.append(label)
+        for w in (u, v):
+            if w < 0 or w >= vertex_count:
+                return f"edge {label} endpoint {w} outside 0..{vertex_count - 1}"
+    return None
+
+
 def forest_label_sets(g):
     """All maximal spanning forests as frozensets of edge labels."""
     labeled = [(e.label, e.u, e.v) for e in g.edges]

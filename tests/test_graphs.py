@@ -41,14 +41,46 @@ def test_from_pairs_assigns_labels_in_order():
 
 
 def test_validation_rejects_bad_graphs():
-    with pytest.raises(GraphError):
-        Multigraph(2, (Edge(0, 0, 1), Edge(0, 1, 0)))  # duplicate label
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^duplicate edge label 0$"):
+        Multigraph(2, (Edge(0, 0, 1), Edge(0, 1, 0)))
+    with pytest.raises(GraphError, match=r"^negative edge label -1$"):
         Multigraph(2, (Edge(-1, 0, 1),))
-    with pytest.raises(GraphError):
-        Multigraph(2, (Edge(0, 0, 2),))  # endpoint out of range
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"^edge 0 endpoint 2 outside 0\.\.1$"):
+        Multigraph(2, (Edge(0, 0, 2),))
+    with pytest.raises(GraphError, match=r"^vertex_count must be non-negative$"):
         Multigraph(-1, ())
+
+
+def raw_graphs():
+    """(vertex_count, edges) drawn without regard to validity: labels and
+    endpoints may be negative, repeated or out of range, and each edge is
+    an Edge or a plain tuple."""
+
+    @st.composite
+    def build(draw):
+        vc = draw(st.integers(-1, 4))
+        edges = []
+        for _ in range(draw(st.integers(0, 6))):
+            e = (draw(st.integers(-2, 6)), draw(st.integers(-1, 5)), draw(st.integers(-1, 5)))
+            edges.append(Edge(*e) if draw(st.booleans()) else e)
+        return vc, tuple(edges)
+
+    return build()
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_graphs())
+def test_validation_matches_per_edge_oracle(raw):
+    vc, edges = raw
+    want = _oracles.graph_refusal(vc, edges)
+    try:
+        g = Multigraph(vc, edges)
+    except GraphError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert type(g.edges) is tuple and all(type(e) is Edge for e in g.edges)
+        assert g.edges == edges
 
 
 # -- parsing ------------------------------------------------------------------
@@ -125,18 +157,29 @@ def test_classify_examples():
     assert classify_edge(loop, 0) is EdgeKind.LOOP
 
 
+def _check_classify_against_oracle(g, name=None):
+    pairs = [(e.u, e.v) for e in g.edges]
+    base = _oracles.component_count(g.vertex_count, pairs)
+    for e in g.edges:
+        kind = classify_edge(g, e.label)
+        if e.u == e.v:
+            assert kind is EdgeKind.LOOP, name
+            continue
+        rest = [(f.u, f.v) for f in g.edges if f.label != e.label]
+        disconnects = _oracles.component_count(g.vertex_count, rest) > base
+        assert kind is (EdgeKind.BRIDGE if disconnects else EdgeKind.REGULAR), name
+
+
 def test_classify_against_oracle_over_catalog():
     for name, g in standard_catalog():
-        pairs = [(e.u, e.v) for e in g.edges]
-        base = _oracles.component_count(g.vertex_count, pairs)
-        for e in g.edges:
-            kind = classify_edge(g, e.label)
-            if e.u == e.v:
-                assert kind is EdgeKind.LOOP, name
-                continue
-            rest = [(f.u, f.v) for f in g.edges if f.label != e.label]
-            disconnects = _oracles.component_count(g.vertex_count, rest) > base
-            assert kind is (EdgeKind.BRIDGE if disconnects else EdgeKind.REGULAR), name
+        _check_classify_against_oracle(g, name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_graphs(), relabelled_graphs()))
+def test_classify_against_oracle_on_random_graphs(g):
+    # loops, parallel edges, isolated vertices and gapped labels
+    _check_classify_against_oracle(g)
 
 
 def test_unknown_label_raises():

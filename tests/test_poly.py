@@ -24,6 +24,7 @@ from graphmotive import (
     evaluate,
     evaluate_int,
     generate_family,
+    graphs,
     psi_by_deletion_contraction,
     psi_by_matrix_tree,
     psi_by_trees,
@@ -255,8 +256,10 @@ def test_integer_det_matches_leibniz(m):
 
 
 def test_deletion_contraction_builds_few_minors(monkeypatch):
-    # merging equal minors keeps complete:6 (1,296 terms) under 1,000 minor
-    # constructions; one per recursion path made 5,812
+    # merging equal minors builds complete:6 (1,296 terms) from 496 minors,
+    # where one per recursion path made 5,812; the vertex-frontier sweep
+    # order builds wheel:10 (15,125 terms) from 141, where sweeping labels
+    # highest first made 7,241
     calls = []
     for name in ("delete_edge", "contract_edge"):
         build = getattr(symanzik, name)
@@ -266,9 +269,32 @@ def test_deletion_contraction_builds_few_minors(monkeypatch):
             return build(h, label)
 
         monkeypatch.setattr(symanzik, name, counted)
-    g = generate_family(FamilySpec.parse("complete:6"))
-    assert psi_by_deletion_contraction(g) == psi_by_trees(g)
-    assert len(calls) <= 1000
+    for spec, bound in (("complete:6", 496), ("wheel:10", 500)):
+        g = generate_family(FamilySpec.parse(spec))
+        calls.clear()
+        assert psi_by_deletion_contraction(g) == psi_by_trees(g)
+        assert len(calls) <= bound, (spec, len(calls))
+
+
+@pytest.mark.parametrize("spec", ["wheel:10", "complete:7"])
+def test_forest_search_has_no_dead_ends(monkeypatch, spec):
+    # every search node yields a forest; pruning only on edges remaining
+    # left 45,687 of wheel:10's nodes and 5,993 of complete:7's barren
+    extend = graphs._extend_forest
+    yields = []
+
+    def counted(*args):
+        yields.append(0)
+        node = len(yields) - 1
+        for forest in extend(*args):
+            yields[node] += 1
+            yield forest
+
+    monkeypatch.setattr(graphs, "_extend_forest", counted)
+    g = generate_family(FamilySpec.parse(spec))
+    forests = spanning_forests(g)
+    assert len(forests) == psi_by_trees(g).term_count()
+    assert yields and 0 not in yields
 
 
 def test_deletion_contraction_memory_is_output_sized():
