@@ -27,6 +27,7 @@ from .graphs import (
     Multigraph,
     UnknownLabelError,
     betti_1,
+    canonical_relabel,
     classify_edge,
     component_count,
     contract_edge,
@@ -36,7 +37,6 @@ from .graphs import (
     graph_id,
     has_non_loop_edge,
     is_forest,
-    relabel_dense,
     spanning_forests,
 )
 from .motive import (

@@ -53,11 +53,12 @@ _LIMITATIONS = (
 # -- verification report -------------------------------------------------
 
 
-# The verdicts and the class fit share one memo: the caller's, else this call's.
-@shared_counts()
 def _verify_graph(
     name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
 ) -> dict:
+    """One graph's report entry. Call it inside a shared_counts() block, as
+    run_verify does, so that its verdicts and class fit share their counts
+    with each other and with every other graph of the run."""
     entry: dict = {
         "name": name,
         "id": graph_id(g),
@@ -102,14 +103,17 @@ def run_verify(
     Per-graph work items go to a pool of opts.workers threads, and each
     graph counts with one sweep thread; the report itself is assembled
     single-threaded in input order, so worker count never changes a byte
-    of output. Budget-exceeded graphs are marked skipped, which is not a
-    failure.
+    of output. All of them share one shared_counts() memo, so each sweep
+    and psi build runs once per isomorphism class in the run; memo entries
+    are exact, so which thread fills one first changes no output either.
+    Budget-exceeded graphs are marked skipped, which is not a failure.
     """
     primes = require_primes(primes)
     per_graph = replace(opts, workers=1)
-    entries = thread_map(
-        lambda item: _verify_graph(*item, primes, per_graph), named_graphs, opts.workers
-    )
+    with shared_counts():
+        entries = thread_map(
+            lambda item: _verify_graph(*item, primes, per_graph), named_graphs, opts.workers
+        )
     all_ok = all(entry.get("pass", True) for entry in entries)  # skipped: no "pass"
     report = {
         "schema": 1,

@@ -8,9 +8,9 @@ Brute force sweeps psi itself over F_q^n. The fibered count writes
 psi = t_e*A + B, splits A and B again at a second variable f, and sweeps
 the four parts (A1, A0, B1, B0) over F_q^{n-2}; their zero-pattern and
 whether D = A1*B0 - A0*B1 vanishes fix the zeros on each (t_e, f) plane.
-The Z-locus splits the deletion and contraction polynomials at f the same
-way. The sweep evaluates multilinear polynomials on F_q^k one axis at a
-time: each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
+The Z-locus at an edge is read off the same sweep, fibered at that edge.
+The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
+each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
 block costs about q^k multiply-adds per polynomial whatever the term
 count. The grid is taken in blocks of at most chunk_points polynomial
 values, the outer coordinates of each block folded into the coefficients
@@ -26,22 +26,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .graphs import (
-    EdgeKind,
-    GraphError,
-    Multigraph,
-    classify_edge,
-    contract_edge,
-    delete_edge,
-    relabel_dense,
-)
+from .graphs import EdgeKind, GraphError, Multigraph, canonical_relabel, classify_edge
 from .primes import require_prime
 from .symanzik import (
     MAX_VARS,
@@ -248,11 +239,14 @@ def _grid_values(
 
 def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
     """[fn(x) for x in items], in input order; on a pool of `workers`
-    threads only when there are more than one of both."""
+    threads only when there are more than one of both. Each pooled call
+    runs in a copy of the caller's context, so it joins the caller's
+    shared_counts() block."""
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    context = copy_context()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda x: context.copy().run(fn, x), items))
 
 
 def sweep_zero_patterns(
@@ -426,8 +420,8 @@ def _sweep_fibers(
     key=None,
 ) -> int:
     """Total of fiber() over the base swept by the polynomials polys()
-    builds, with the cross bit D for four (A1, A0, B1, B0); key (graph,
-    level, edge, q) names the sweep in the memo, and a hit builds none."""
+    builds, with the cross bit D for four (A1, A0, B1, B0); key (canonical
+    graph, level, q) names the sweep in the memo, and a hit builds none."""
     return sum(c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, opts))
 
 
@@ -443,9 +437,17 @@ def _zero_patterns(
     return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
 
 
-def _split_top(a: MultilinearPoly, b: MultilinearPoly) -> list[MultilinearPoly]:
-    """[A1, A0, B1, B0]: a and b, of one width w >= 1, split at t_{w-1}."""
-    return [*split_last_var(a, a.var_count - 1), *split_last_var(b, b.var_count - 1)]
+def _fiber_parts(p: MultilinearPoly, e: int) -> list[MultilinearPoly]:
+    """What a fibered count of p at t_e sweeps: with p = t_e*A + B, A and
+    B when p has one variable, else [A1, A0, B1, B0], A and B split at f,
+    the highest variable other than t_e."""
+    n = p.var_count
+    a, b = split_last_var(p, e)
+    if a.var_count == n:
+        a, b = _drop_var(a, e), _drop_var(b, e)
+    if n == 1:
+        return [a, b]
+    return [*split_last_var(a, n - 2), *split_last_var(b, n - 2)]
 
 
 def _count_level(
@@ -456,27 +458,22 @@ def _count_level(
     Level 0 sweeps p over all of F_q^n. Level 2 writes p = t_e*A + B and
     splits A and B at f, the highest variable other than t_e, then sweeps
     (A1, A0, B1, B0) over F_q^{n-2} with the cross bit. With one variable
-    it splits t_e alone (level 1) and sweeps A and B; with none, p is
-    constant and nothing is swept.
+    it splits t_e alone (level 1) and sweeps A and B. A constant p (psi
+    of a forest) is charged like any other, but its fibered levels sweep
+    nothing: it vanishes everywhere or nowhere.
     """
     require_prime(q)
     n = p.var_count
-    if level and n == 0:
-        return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else 1)
-    if level and not 0 <= e < n:
+    if level and n and not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
     _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
+    if level and p.degree() == 0:
+        return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else q**n)
     if level == 0:
         zeros = _sweep_fibers(lambda: [p], q, opts, _point_zeros, key)
     else:
-
-        def split() -> list[MultilinearPoly]:
-            a, b = split_last_var(p, e)
-            if a.var_count == n:
-                a, b = _drop_var(a, e), _drop_var(b, e)
-            return [a, b] if n == 1 else _split_top(a, b)
-
-        zeros = _sweep_fibers(split, q, opts, _line_zeros if n == 1 else _plane_zeros, key)
+        fiber = _line_zeros if n == 1 else _plane_zeros
+        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, opts, fiber, key)
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -494,19 +491,25 @@ def count_Z(
 ) -> int:
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
-    Both minors keep the surviving edge labels, so one dense relabeling
-    (shared, since the label sets coincide) pins the n-1 coordinates. Both
-    are split at their highest variable f and swept over F_q^{n-2}: g's
-    level-2 sweep at label. The budget charges it as a level-1 count.
+    With k = canonical_relabel(g, label), psi(k) = t*A + B at its last
+    variable t, label's image, where A and B are psi of the deletion and
+    the contraction in the same n-1 variables. So Z is read off the sweep
+    of (A1, A0, B1, B0), A and B split at their highest variable f, over
+    F_q^{n-2}: the very sweep count_graph makes when it fibers k. That
+    sweep's histogram depends on which variable is f; its total of
+    _common_zeros does not. The budget charges it as a level-1 count.
+    Inside shared_counts(), isomorphic (graph, edge) pairs share k, and
+    so one psi build and one sweep per prime.
     """
     require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
     _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count, opts)
-    p_del, _ = _fibration(delete_edge(g, label))
-    p_con, _ = _fibration(contract_edge(g, label))
-    key = (g, 2, sorted(g.labels).index(label), q)
-    return _sweep_fibers(lambda: _split_top(p_del, p_con), q, opts, _common_zeros, key)
+    k = _memoized(("canonical", g, label), canonical_relabel, g, label)
+    p = _memoized(k, psi_by_deletion_contraction, k)
+    return _sweep_fibers(
+        lambda: _fiber_parts(p, k.edge_count - 1), q, opts, _common_zeros, (k, 2, q)
+    )
 
 
 _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)
@@ -514,15 +517,20 @@ _shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", defau
 
 @contextmanager
 def shared_counts() -> Iterator[None]:
-    """Within this block each psi is built once and each sweep runs once.
+    """Within this block each psi is built once and each sweep runs once,
+    for all graphs isomorphic to each other.
 
-    psi is keyed by the densely relabeled Multigraph, and with its fiber
-    edge by the labelled one; a sweep's zero-pattern histogram (the same
-    for any workers value) by the labelled graph, level, fibered edge and
-    q: equal minors under other labels sweep again, so the sweep count does
-    not depend on labels. A nested block joins this one; outside any block
-    nothing is memoized. Each thread has its own context, so enter the
-    block in the thread that counts.
+    Counts are keyed by canonical forms (graphs.canonical_relabel), whose
+    psi variables are their labels: psi by the canonical graph itself, and
+    a sweep's zero-pattern histogram (the same for any workers value) by
+    the canonical graph, level and q. The fibered edge is the canonical
+    graph's last label, so the key fixes the swept polynomials: two
+    requests share a sweep only when they would sweep the same thing, and
+    a form that is not canonical can cost a memo hit, never a wrong count.
+    The canonical form of each labelled request is kept too, so a repeated
+    request runs no search. A nested block joins this one; outside any
+    block nothing is memoized. thread_map runs its calls in the caller's
+    context, so pool threads share the caller's block.
     """
     token = _shared.set({} if _shared.get() is None else _shared.get())
     try:
@@ -541,21 +549,16 @@ def _memoized(key, build: Callable, *args):
     return value
 
 
-def _fibration(g: Multigraph) -> tuple[MultilinearPoly, int]:
-    """psi of g relabeled to 0..n-1, and the variable count_graph fibers it
-    at: the highest regular edge's, if any, else the top one. Inside
-    shared_counts() the pair is kept under g itself, so a repeated request
-    neither relabels nor rescans psi, and psi under the relabeled graph,
-    so equal minors under other labels build it once."""
-    return _memoized(("fibration", g), _build_fibration, g)
-
-
-def _build_fibration(g: Multigraph) -> tuple[MultilinearPoly, int]:
-    dense = relabel_dense(g)
-    p = _memoized(dense, psi_by_deletion_contraction, dense)
-    # Edge e is regular exactly when t_e is in some terms of psi but not all.
-    regular = reduce(int.__or__, p.terms, 0) & ~reduce(int.__and__, p.terms, -1)
-    return p, regular.bit_length() - 1 if regular else p.var_count - 1
+def _count_form(g: Multigraph) -> Multigraph:
+    """The canonical graph count_graph fibers at its last label:
+    canonical_relabel(g) with its highest regular label marked, if it has a
+    regular edge, else canonical_relabel(g) itself. The choice depends on
+    g's isomorphism class alone, so edge labels cannot change the sweeps."""
+    h = canonical_relabel(g)
+    for label in reversed(h.labels):
+        if classify_edge(h, label) is EdgeKind.REGULAR:
+            return _memoized(("canonical", h, label), canonical_relabel, h, label)
+    return h
 
 
 def count_graph(
@@ -563,15 +566,19 @@ def count_graph(
 ) -> CountRecord:
     """Counts for a graph's polynomial over A^n, n = edge count, by opts.method.
 
-    The budget is checked before psi is built. The fibered count splits at
-    the highest regular edge, if any: inside shared_counts(), count_Z at
-    that edge and a repeated request read its sweep instead of sweeping,
-    and a repeated request splits no polynomial.
+    The budget is checked before psi is built. The count runs on psi of
+    k = _count_form(g), and the fibered level splits at k's last label,
+    the image of a regular edge if g has one. Inside shared_counts() every
+    count of a graph isomorphic to g, and count_Z at every edge that
+    corresponds to k's last label, read that sweep instead of sweeping,
+    and a repeated request runs no canonical search.
     """
     check_count_budget(g, q, opts)
-    p, e = _fibration(g)
+    k = _memoized(("count", g), _count_form, g)
+    p = _memoized(k, psi_by_deletion_contraction, k)
     rec, *others = [
-        _count_level(p, q, opts, level, e, (g, level, e, q)) for level in METHODS[opts.method]
+        _count_level(p, q, opts, level, k.edge_count - 1, (k, level, q))
+        for level in METHODS[opts.method]
     ]
     for rec_f in others:
         if rec != rec_f:

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's at most 63 variables
 MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), checked by _forest_candidates
+CANON_LEAF_BOUND = 720  # leaves a canonical form searches per component; 6! covers <= 6 vertices
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
 
@@ -449,12 +450,143 @@ def disjoint_union(g1: Multigraph, g2: Multigraph) -> Multigraph:
     return Multigraph(g1.vertex_count + g2.vertex_count, edges)
 
 
-def relabel_dense(g: Multigraph) -> Multigraph:
-    """Renumber labels to 0..n-1 preserving their order (counting plumbing)."""
-    rank = {lab: i for i, lab in enumerate(sorted(g.labels))}
-    return Multigraph(
-        g.vertex_count, tuple(Edge(rank[e.label], e.u, e.v) for e in g.edges)
-    )
+def canonical_relabel(g: Multigraph, mark: int | None = None) -> Multigraph:
+    """g renamed into canonical form: isolated vertices dropped, the others
+    0..V-1, labels 0..n-1 in edge order, and the edge labelled `mark`, if
+    given, last.
+
+    The result is isomorphic to g, by a map that takes the marked edge to
+    the last label. Each connected component is put in canonical form on
+    its own (_canonical_component) and the components follow in sorted
+    order, the marked one last. Isomorphic inputs (with marked edges that
+    correspond) give equal results whenever no component's search reaches
+    CANON_LEAF_BOUND leaves, as none of at most 6 vertices can.
+    """
+    if mark is not None:
+        g.edge_by_label(mark)
+    adjacent: dict[int, list[int]] = {}
+    for e in g.edges:
+        adjacent.setdefault(e.u, []).append(e.v)
+        adjacent.setdefault(e.v, []).append(e.u)
+    place: dict[int, tuple[int, int]] = {}  # vertex -> (component, index in it)
+    sizes: list[int] = []
+    for start in adjacent:
+        if start not in place:
+            order = [start]
+            place[start] = (len(sizes), 0)
+            for w in order:  # breadth first; order grows as it is read
+                for x in adjacent[w]:
+                    if x not in place:
+                        place[x] = (len(sizes), len(order))
+                        order.append(x)
+            sizes.append(len(order))
+    split: list[tuple[list, list]] = [([], []) for _ in sizes]  # (unmarked, marked)
+    for e in g.edges:
+        c, a = place[e.u]
+        split[c][e.label == mark].append((a, place[e.v][1]))
+    forms, last = [], []
+    for vc, (pairs, marked) in zip(sizes, split):
+        form = (vc, *_canonical_component(vc, pairs, marked))
+        (last if marked else forms).append(form)
+    out, offset = [], 0
+    for vc, pairs, marked in sorted(forms) + last:
+        out += [(u + offset, v + offset) for u, v in (*pairs, *marked)]
+        offset += vc
+    return Multigraph(offset, tuple(Edge(i, u, v) for i, (u, v) in enumerate(out)))
+
+
+def _canonical_component(
+    vc: int, pairs: list[tuple[int, int]], marked: list[tuple[int, int]]
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """(sorted unmarked edges, marked edges) of a connected multigraph on
+    vertices 0..vc-1 in canonical form, with at most one marked edge.
+
+    Individualisation-refinement (McKay and Piperno, "Practical graph
+    isomorphism II"): colour refinement (1-WL) splits the vertices into
+    ordered cells, the ends of the marked edge and the loop count of each
+    vertex coloured from the start; a search tree then individualises,
+    one at a time, each vertex of the smallest leftmost cell that is not a
+    singleton, refining again after each, until every cell is one vertex.
+    Each leaf orders the vertices, and the least edge list over the leaves
+    is the canonical form. Two vertices of a cell with equal multiplicities
+    to every other vertex are twins: swapping them is an automorphism that
+    fixes the node, so only the first of them is tried. The search stops
+    after CANON_LEAF_BOUND leaves; past that the least form found is still
+    an isomorphic relabelling, but may not be canonical.
+    """
+    loops = [0] * vc
+    mult: list[dict[int, int]] = [{} for _ in range(vc)]
+    for u, v in pairs + marked:
+        if u == v:
+            loops[u] += 1
+        else:
+            mult[u][v] = mult[u].get(v, 0) + 1
+            mult[v][u] = mult[v].get(u, 0) + 1
+    nbrs = [tuple(m.items()) for m in mult]
+    ends = {w for pair in marked for w in pair}
+    best = None
+    leaves = 0
+
+    def search(colour: list[int]) -> None:
+        nonlocal best, leaves
+        cells: list[list[int]] = [[] for _ in range(max(colour) + 1)]
+        for v, c in enumerate(colour):
+            cells[c].append(v)
+        target = min((cell for cell in cells if len(cell) > 1), key=len, default=None)
+        if target is None:
+            form = (_sorted_pairs(pairs, colour), _sorted_pairs(marked, colour))
+            if best is None or form < best:
+                best = form
+            leaves += 1
+            return
+        tried: list[int] = []
+        for v in target:
+            if leaves >= CANON_LEAF_BOUND:
+                return
+            if any(_twins(mult, v, t) for t in tried):
+                continue
+            tried.append(v)
+            c = colour[v]  # v before the rest of its cell
+            search(_refine([x + (x > c or x == c and w != v) for w, x in enumerate(colour)], nbrs))
+
+    start = [(w in ends, loops[w]) for w in range(vc)]
+    rank = {c: i for i, c in enumerate(sorted(set(start)))}
+    search(_refine([rank[c] for c in start], nbrs))
+    return best
+
+
+def _sorted_pairs(pairs: list[tuple[int, int]], pos: list[int]) -> tuple[tuple[int, int], ...]:
+    """pairs renamed by pos, each pair ascending, in ascending order."""
+    renamed = ((pos[u], pos[v]) for u, v in pairs)
+    return tuple(sorted((a, b) if a <= b else (b, a) for a, b in renamed))
+
+
+def _twins(mult: list[dict[int, int]], u: int, v: int) -> bool:
+    """Whether u and v, of one cell (so with equal loop counts), have the
+    same multiplicity to every other vertex."""
+    return {w: m for w, m in mult[u].items() if w != v} == {
+        w: m for w, m in mult[v].items() if w != u
+    }
+
+
+def _refine(colour: list[int], nbrs: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """The coarsest equitable refinement of colour (1-WL), whose colours
+    must be 0, 1, ...: a vertex's next colour is its colour and the
+    multiset of (colour, multiplicity) over its neighbours, renumbered
+    0, 1, ... by sorting, so cells keep their order. Stops when no cell
+    splits or every cell is one vertex."""
+    cells = len(set(colour))
+    while cells < len(colour):
+        signature = [
+            (colour[v], tuple(sorted([(colour[w], m) for w, m in nbrs[v]])))
+            for v in range(len(colour))
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(signature)))}
+        colour = [rank[s] for s in signature]
+        if len(rank) == cells:
+            break
+        cells = len(rank)
+    return colour
 
 
 def graph_id(g: Multigraph) -> str:

@@ -257,8 +257,9 @@ def dc_identity_check(
 
     Bridge: |Y_G| = q*|Y_del|. Loop: (q-1)*|Y_del|. Regular:
     q*(q^(n-1) - |Z|) - |Y_del|, with Z the common zero locus of the two
-    minor polynomials. Inside shared_counts() a repeated count of G, and Z
-    at the edge G's count is fibered at, are memo hits, not new sweeps.
+    minor polynomials. Inside shared_counts() a count of any graph
+    isomorphic to one counted before, and Z at any edge that corresponds
+    to the one G's count is fibered at, are memo hits, not new sweeps.
     """
     kind = classify_edge(g, edge_label)
     n = g.edge_count

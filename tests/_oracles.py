@@ -138,3 +138,20 @@ def cross_zero_patterns(polys_terms, width, q):
 def complement_count(g, q):
     n = len(g.edges)
     return q**n - zero_count(psi_term_masks(g), n, q)
+
+
+def least_form(g, mark=None):
+    """(vertices touched by an edge, least relabelled edge list) of g over
+    every numbering of those vertices: the edges other than `mark` as
+    sorted (min, max) pairs, then the marked edge's pair, if any. Two
+    graphs get the same value exactly when they are isomorphic by a map
+    that takes mark to mark."""
+    touched = sorted({w for e in g.edges for w in (e.u, e.v)})
+    best = None
+    for perm in itertools.permutations(range(len(touched))):
+        pos = dict(zip(touched, perm))
+        pairs = [(min(pos[e.u], pos[e.v]), max(pos[e.u], pos[e.v]), e.label == mark) for e in g.edges]
+        form = (sorted(p[:2] for p in pairs if not p[2]), [p[:2] for p in pairs if p[2]])
+        if best is None or form < best:
+            best = form
+    return len(touched), best

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -421,16 +422,21 @@ def test_verify_counts_each_graph_prime_once(sweeps):
     g = catalog_by_name()["cycle_4"]
     opts = CountOptions(budget=10**7)
     _, ok = run_verify([("cycle_4", g)], (3, 5, 7), opts)
-    assert ok and len(sweeps) == 28  # 31 with Z re-sweeping the fibered edge, 40 with no memo
-    # The memo ends with the verified graph: a later count sweeps again.
+    # One sweep per prime of the class fit (3..19). Z at every edge reads
+    # it, as all four edges are one orbit, and the deletions, paths, have
+    # constant psi and sweep nothing. 28 with the memo keyed by labelled
+    # graphs, 40 with no memo.
+    assert ok and len(sweeps) == 7
+    # The memo ends with the run: a later count sweeps again.
     sweeps.clear()
     counting.count_graph(g, 3, opts=opts)
     assert sweeps == [3]
 
 
 def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):
-    # The memo keys sweeps by the labelled graph they count, so relabelling
-    # the edges adds or removes no memo hit: same sweeps, same points.
+    # The memo keys sweeps by canonical forms, so renaming the vertices and
+    # relabelling the edges of every graph of one verify run adds or
+    # removes no memo hit: same sweeps, same points.
     work = []
     sweep = counting.sweep_zero_patterns
 
@@ -439,18 +445,45 @@ def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):
         return sweep(polys, q, **kw)
 
     monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
-    for name, g in catalog_by_name().items():
-        old = sorted(g.labels)
-        shuffled = old[:]
-        random.Random(name).shuffle(shuffled)
-        seen = set()
-        for new in (old, old[::-1], old[1:] + old[:1], shuffled):
-            rank = dict(zip(old, new))
-            h = Multigraph(g.vertex_count, tuple(Edge(rank[e.label], e.u, e.v) for e in g.edges))
-            work.clear()
-            run_verify([(name, h)], (3, 5, 7), CountOptions(budget=10**7))
-            seen.add(tuple(sorted(work)))
-        assert len(seen) == 1, name
+    seen = set()
+    for seed in range(4):
+        rng = random.Random(seed)
+        renamed = []
+        for name, g in catalog_by_name().items():
+            old, vertex = sorted(g.labels), range(g.vertex_count)
+            if seed:  # seed 0 keeps the catalog's own names
+                vertex = rng.sample(vertex, len(vertex))
+            rank = dict(zip(old, rng.sample(old, len(old)) if seed else old))
+            edges = tuple(Edge(rank[e.label], vertex[e.u], vertex[e.v]) for e in g.edges)
+            renamed.append((name, Multigraph(g.vertex_count, edges)))
+        work.clear()
+        run_verify(renamed, (3, 5, 7), CountOptions(budget=10**7))
+        seen.add(tuple(sorted(work)))
+    assert len(seen) == 1
+
+
+def test_verify_report_identical_for_any_workers():
+    # Pool threads share the run's memo, and which thread fills an entry
+    # first must not change a byte of the report: more threads than cores,
+    # switching often, against one thread.
+    named = list(catalog_by_name().items())
+    one, _ = run_verify(named, (3, 5, 7), CountOptions(budget=10**7))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        t0 = time.perf_counter()
+        four, _ = run_verify(named, (3, 5, 7), CountOptions(budget=10**7, workers=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.perf_counter() - t0 < 30
+    assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
+
+
+def test_pool_threads_join_the_callers_memo():
+    with counting.shared_counts():
+        memo = counting._shared.get()
+        seen = counting.thread_map(lambda _: counting._shared.get(), range(4), 2)
+    assert memo is not None and all(m is memo for m in seen)
 
 
 def test_dc_check_builds_each_psi_once(capsys, monkeypatch):

@@ -38,7 +38,7 @@ from graphmotive import (
 )
 from graphmotive import counting
 from graphmotive.families import FamilySpec, generate_family
-from graphmotive.graphs import EdgeKind, classify_edge, contract_edge, delete_edge, relabel_dense
+from graphmotive.graphs import Edge, EdgeKind, classify_edge, contract_edge, delete_edge
 from graphmotive.symanzik import psi_by_deletion_contraction, split_last_var
 
 CAT = catalog_by_name()
@@ -232,7 +232,7 @@ def test_fibered_matches_brute_on_catalog():
     # count_graph's "both" raises unless brute and level 2 agree at the top
     # split; every other split must give the same record.
     for name, g in CAT.items():
-        p = psi_by_deletion_contraction(relabel_dense(g))
+        p = psi_by_deletion_contraction(g)
         for q in (2, 3, 5, 7, 11, 13):
             if q**g.edge_count > 10**6:
                 continue
@@ -356,6 +356,31 @@ def test_Z_agrees_with_naive_enumeration(g, q):
         assert count_Z(g, e, q) == _oracles.zero_patterns(terms, n - 1, q)[3], e
 
 
+@settings(max_examples=30, deadline=None)
+@given(small_graphs(), st.sampled_from([2, 3]), st.randoms(use_true_random=False))
+def test_memo_hits_between_isomorphic_graphs_are_exact(g, q, rng):
+    # One block counts g, a copy under other vertex names and labels, and
+    # every deletion, and takes Z at every regular edge of both: each value
+    # read from the memo equals the value counted with no memo.
+    vertex = rng.sample(range(g.vertex_count), g.vertex_count)
+    label = dict(zip(g.labels, rng.sample(range(40), g.edge_count)))
+    edges = tuple(Edge(label[e.label], vertex[e.u], vertex[e.v]) for e in g.edges)
+    copy = Multigraph(g.vertex_count, edges)
+    regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
+    minors = [delete_edge(g, e) for e in g.labels]
+
+    def everything():
+        counts = [count_graph(h, q) for h in (copy, g, *minors)]
+        zs = [(count_Z(copy, label[e], q), count_Z(g, e, q)) for e in regular]
+        return counts, zs
+
+    alone = everything()
+    with counting.shared_counts():
+        shared = everything()
+    assert shared == alone
+    assert alone[0][0] == alone[0][1] and all(a == b for a, b in alone[1])
+
+
 def test_Z_requires_regular_edge():
     with pytest.raises(NotRegularEdgeError):
         count_Z(CAT["dumbbell_3"], 3, 3)  # loop
@@ -417,7 +442,7 @@ def test_budget_never_undercharges(monkeypatch):
     monkeypatch.setattr(counting, "_check_budget", charge)
     monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
     for name, g in CAT.items():
-        p = psi_by_deletion_contraction(relabel_dense(g))
+        p = psi_by_deletion_contraction(g)
         for q in (2, 3, 5):
             if q**g.edge_count > 10**6:
                 continue
@@ -467,6 +492,17 @@ def test_check_count_budget_passes_edgeless(sweeps, method):
     assert len(sweeps) == edgeless_sweeps + cycle_sweeps
 
 
+def test_fibered_count_of_a_forest_sweeps_nothing(sweeps):
+    # psi of a forest is the constant 1: charged as any fibered count, but
+    # it vanishes nowhere, so nothing is swept. Brute force still sweeps.
+    path = CAT["path_3"]
+    assert count_graph(path, 5) == CountRecord(5, 3, 0, 125) and sweeps == []
+    with pytest.raises(BudgetExceededError, match=r"^fibered count over F_5\^2 needs 50 "):
+        count_graph(path, 5, opts=CountOptions(budget=49))
+    assert count_graph(path, 5, opts=CountOptions("both")) == CountRecord(5, 3, 0, 125)
+    assert sweeps == [5]
+
+
 def test_shared_counts_memoizes_only_inside_the_block(sweeps):
     g = CAT["cycle_4"]
     with counting.shared_counts():
@@ -478,15 +514,15 @@ def test_shared_counts_memoizes_only_inside_the_block(sweeps):
 
 
 def test_repeated_count_finds_its_sweep_before_any_work(monkeypatch, sweeps):
-    # a repeat neither relabels the graph nor splits psi before its memo hit
+    # a repeat runs no canonical search and splits no psi before its memo hit
     calls = []
-    for name in ("relabel_dense", "split_last_var"):
+    for name in ("canonical_relabel", "split_last_var"):
         fn = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    g = delete_edge(CAT["wheel_4"], 0)  # labels 1..7, so counting relabels it
+    g = delete_edge(CAT["wheel_4"], 0)  # labels 1..7
     with counting.shared_counts():
         rec = count_graph(g, 5)
-        assert calls and sweeps == [5]
+        assert "canonical_relabel" in calls and "split_last_var" in calls and sweeps == [5]
         calls.clear()
         assert count_graph(g, 5) == rec and count_graph(g, 5) == rec
     assert calls == [] and sweeps == [5]
@@ -505,19 +541,21 @@ def test_shared_counts_builds_each_psi_once(monkeypatch):
     with counting.shared_counts():
         for q in (3, 5):
             count_graph(k4, q)
-            count_graph(delete_edge(k4, 5), q)  # the deletion count_Z sweeps too
-            z = count_Z(k4, 5, q)
+            count_graph(delete_edge(k4, 5), q)
+            z = count_Z(k4, 5, q)  # K4's edges are one orbit: k4's own psi
         with counting.shared_counts():  # joins the block: reads and adds to its memo
-            count_graph(k4, 3)
+            count_graph(delete_edge(k4, 0), 3)  # isomorphic to K4 minus edge 5
             count_Z(k4, 4, 3)
         count_graph(contract_edge(k4, 4), 3)
-    assert len(built) == len(set(built)) == 5  # k4 and its minors at edges 5 and 4
-    assert z == count_Z(k4, 5, 5) and len(built) == 7  # no memo outside the block
+    assert len(built) == len(set(built)) == 3  # K4, its deletion and its contraction
+    assert z == count_Z(k4, 5, 5) and len(built) == 4  # no memo outside the block
 
 
 def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
     # triangle_tail's top label is the tail's bridge: count_graph fibers at
-    # the highest regular edge instead, and count_Z there sweeps nothing new.
+    # a regular edge instead, one of the two triangle edges at the tail's
+    # vertex. count_Z at either reads the count's sweep; the third
+    # triangle edge lies in another orbit and sweeps once per prime.
     g = CAT["triangle_tail"]
     regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
     zs = [count_Z(g, e, 5) for e in regular]
@@ -525,7 +563,11 @@ def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
         count_graph(g, 5)
         sweeps.clear()
         assert [count_Z(g, e, 5) for e in regular] == zs
-    assert len(sweeps) == len(regular) - 1 == 2
+        assert len(sweeps) == 1
+        # an isomorphic copy under other vertex names and labels sweeps nothing
+        copy = Multigraph(4, tuple(Edge(9 - e.label, 3 - e.u, 3 - e.v) for e in g.edges))
+        count_graph(copy, 5)
+        assert [count_Z(copy, 9 - e, 5) for e in regular] == zs and len(sweeps) == 1
 
 
 # -- determinism ---------------------------------------------------------------

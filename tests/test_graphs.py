@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +18,7 @@ from graphmotive import (
     Multigraph,
     UnknownLabelError,
     betti_1,
+    canonical_relabel,
     classify_edge,
     component_count,
     contract_edge,
@@ -27,7 +30,6 @@ from graphmotive import (
     graph_id,
     psi_by_matrix_tree,
     psi_by_trees,
-    relabel_dense,
     spanning_forests,
     standard_catalog,
 )
@@ -301,11 +303,83 @@ def test_disjoint_union_shifts_vertices_and_labels():
     assert component_count(g) == 2
 
 
-def test_relabel_dense_preserves_order():
-    c3 = Multigraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
-    g = relabel_dense(delete_edge(c3, 1))
-    assert g.labels == (0, 1)
-    assert g.edge_by_label(1) == Edge(1, 2, 0)
+def test_canonical_relabel_names_vertices_and_labels():
+    # a triangle with a tail, labels 3, 5, 7, 9, and an isolated vertex 2
+    g = Multigraph(5, (Edge(9, 0, 1), Edge(3, 1, 3), Edge(7, 3, 0), Edge(5, 3, 4)))
+    for mark in (None, 9, 5):
+        h = canonical_relabel(g, mark)
+        assert h.vertex_count == 4 and h.labels == (0, 1, 2, 3)
+        assert {w for e in h.edges for w in (e.u, e.v)} == set(range(4))
+        last = None if mark is None else 3
+        assert _oracles.least_form(h, last) == _oracles.least_form(g, mark)
+    # the triangle's two edges at the tail are one orbit; its third edge
+    # and the tail are others
+    forms = {mark: canonical_relabel(g, mark) for mark in g.labels}
+    assert forms[3] == forms[7] and len({forms[3], forms[5], forms[9]}) == 3
+    assert canonical_relabel(Multigraph(3, ())) == Multigraph(0, ())
+    with pytest.raises(UnknownLabelError):
+        canonical_relabel(g, 4)
+
+
+@st.composite
+def permuted_multigraphs(draw):
+    """(g, mark, h, h's mark): a multigraph on at most 6 vertices, loops
+    and parallel edges included, labels with gaps, maybe one edge marked,
+    and a copy h with vertices and labels permuted at random."""
+    nv = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 9))
+    labels = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+    ends = st.integers(0, nv - 1)
+    g = Multigraph(nv, tuple(Edge(label, draw(ends), draw(ends)) for label in labels))
+    mark = draw(st.sampled_from((None, *labels)))
+    vertex = draw(st.permutations(range(nv)))
+    label = dict(zip(labels, draw(st.permutations(labels))))
+    edges = draw(st.permutations([Edge(label[e.label], vertex[e.u], vertex[e.v]) for e in g.edges]))
+    return g, mark, Multigraph(nv, tuple(edges)), label.get(mark)
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_multigraphs(), permuted_multigraphs())
+def test_canonical_relabel_against_every_vertex_numbering(case, other):
+    # Brute force over all vertex permutations: the result is isomorphic
+    # to its input with the mark last, isomorphic inputs give equal
+    # results, and non-isomorphic ones differ (marked or not alike).
+    g, mark, h, h_mark = case
+    canon = canonical_relabel(g, mark)
+    assert canon.labels == tuple(range(g.edge_count))
+    last = None if mark is None else g.edge_count - 1
+    assert _oracles.least_form(canon, last) == _oracles.least_form(g, mark)
+    assert canonical_relabel(h, h_mark) == canon
+    g2, mark2, _, _ = other
+    if (mark is None) == (mark2 is None):
+        same = _oracles.least_form(g2, mark2) == _oracles.least_form(g, mark)
+        assert (canonical_relabel(g2, mark2) == canon) == same
+
+
+def test_canonical_relabel_takes_bounded_time():
+    # Twins, components and the leaf bound keep the search small: a naive
+    # search took seconds on star:8 and on 6 disjoint edges.
+    star = Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)])
+    matching = Multigraph.from_pairs(18, [(2 * i, 2 * i + 1) for i in range(9)])
+    legs = [(0, i) for i in range(1, 10)] + [(i, i + 9) for i in range(1, 10)]
+    spider = Multigraph.from_pairs(19, legs)
+    t0 = time.perf_counter()
+    for g in (star, matching):
+        top = g.vertex_count - 1
+        flipped = Multigraph(top + 1, tuple(Edge(e.label, top - e.u, top - e.v) for e in g.edges))
+        assert canonical_relabel(flipped) == canonical_relabel(g)
+    h = canonical_relabel(spider, 17)
+    assert time.perf_counter() - t0 < 2.0
+    assert sorted(_degrees(h)) == sorted(_degrees(spider)) and h.edges[-1].label == 17
+    assert _degrees(h)[h.edges[-1].u] + _degrees(h)[h.edges[-1].v] == 3  # a leg's tip edge
+
+
+def _degrees(g):
+    deg = [0] * g.vertex_count
+    for e in g.edges:
+        deg[e.u] += 1
+        deg[e.v] += 1
+    return deg
 
 
 def test_graph_id_and_census():
