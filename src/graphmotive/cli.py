@@ -212,6 +212,7 @@ def cmd_psi(args: argparse.Namespace) -> int:
     return 0
 
 
+@shared_counts()  # one psi build and one canonical search for every prime
 def cmd_count(args: argparse.Namespace) -> int:
     opts = _count_options(args)
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)

@@ -14,12 +14,18 @@ each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
 block costs about q^k multiply-adds per polynomial whatever the term
 count. The grid is taken in blocks of at most chunk_points polynomial
 values, the outer coordinates of each block folded into the coefficients
-first. Every value is reduced below q after each multiply-add, so it and
-the product of two residues stay below q^2. For q <= 251 (q^4 < 2^32)
-residues are uint32 and the reduce step is a division-free Barrett
-reduction, exact below q^2; for larger q up to 2^31 they are int64 and the
-step is np.remainder. Integer accumulation makes results independent of
-block size and thread count.
+first. psi is homogeneous, and so are A1, A0, B1, B0, with D's two
+products of equal degree: their zero-pattern is the same at x and at l*x
+for every l != 0. So when a fibered sweep spans several blocks it
+transforms one block per line through the origin of outer coordinates
+and weights it by the q-1 points of that line off the origin: about
+4*q^(n-2)/(q-1) values in place of 4*q^(n-2). Brute force, the oracle,
+still evaluates psi at every point of F_q^n. Every value is reduced
+below q after each multiply-add, so it and the product of two residues
+stay below q^2. For q <= 251 (q^4 < 2^32) residues are uint32 and the
+reduce step is a division-free Barrett reduction, exact below q^2; for
+larger q up to 2^31 they are int64 and the step is np.remainder. Integer
+accumulation makes results independent of block size and thread count.
 """
 
 from __future__ import annotations
@@ -249,6 +255,24 @@ def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(lambda x: context.copy().run(fn, x), items))
 
 
+def _scales_alike(polys: list[MultilinearPoly], q: int, cross: bool) -> bool:
+    """Whether the zero-pattern of polys, with the cross bit if cross, is
+    the same at x and at l*x for every l != 0 mod q: each polynomial is
+    homogeneous mod q, or zero, so P(l*x) = l^d*P(x); and the cross bit's
+    products P0*P3 and P1*P2 scale alike, d0 + d3 = d1 + d2, unless one
+    of the four is zero."""
+    degrees = []
+    for p in polys:
+        found = {mask.bit_count() for mask, c in p.terms.items() if c % q}
+        if len(found) > 1:
+            return False
+        degrees.append(found.pop() if found else None)
+    if cross and None not in degrees:
+        d0, d1, d2, d3 = degrees
+        return d0 + d3 == d1 + d2
+    return True
+
+
 def sweep_zero_patterns(
     polys: list[MultilinearPoly],
     q: int,
@@ -256,6 +280,7 @@ def sweep_zero_patterns(
     chunk_points: int = DEFAULT_CHUNK,
     workers: int = 1,
     cross: bool = False,
+    cone: bool = False,
 ) -> list[int]:
     """Count grid points of F_q^width by which polynomials vanish there.
 
@@ -265,9 +290,16 @@ def sweep_zero_patterns(
     mod q, so 32 integers are returned. All polynomials must share
     var_count (the sweep width). The grid is taken in blocks of q^k points
     with len(polys)*q^k <= chunk_points polynomial values: the outer
-    width-k coordinates of a block are folded into each polynomial, whose
-    k inner axes are then transformed. Blocks are split over `workers`
-    threads; results are bit-identical across chunk sizes and worker counts.
+    width-k coordinates y of a block are folded into each polynomial, whose
+    k inner axes are then transformed. With cone=True, when there are outer
+    coordinates and the zero-pattern is the same at x and at l*x for every
+    l != 0 (_scales_alike), only one block per line through the origin is
+    transformed: y = 0 with weight 1 and each y whose last nonzero
+    coordinate is 1 with weight q-1, since scaling by l maps the inner grid
+    of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
+    of the q^(width-k) blocks; other input is swept in full. Blocks are split
+    over `workers` threads; results are bit-identical across chunk sizes,
+    worker counts and cone.
     """
     require_prime(q)
     if q >= _MAX_Q:
@@ -282,17 +314,23 @@ def sweep_zero_patterns(
     k = 0
     while k < width and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
+    outer = width - k
     dtype, reduce = _residues(q)
     fold = _folder(polys, q, k, dtype)
-    blocks = q ** (width - k)
-    lanes = min(workers, blocks)
+    if cone and outer and _scales_alike(polys, q, cross):
+        # block b has y_j = b // q^j % q: its last nonzero y_j is 1 for b
+        # in [q^j, 2*q^j)
+        blocks, scale = [0, *(b for j in range(outer) for b in range(q**j, 2 * q**j))], q - 1
+    else:
+        blocks, scale = range(q**outer), 1
+    lanes = min(workers, len(blocks))
     bins = 1 << (len(polys) + cross)
     shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
 
     def lane(first: int) -> np.ndarray:
         hist = np.zeros(bins, dtype=np.int64)
-        for b in range(first, blocks, lanes):
-            v = _grid_values(fold([b // q**j % q for j in range(width - k)]), k, q, reduce)
+        for b in blocks[first::lanes]:
+            v = _grid_values(fold([b // q**j % q for j in range(outer)]), k, q, reduce)
             bits = (v == 0).view(np.uint8)
             bits <<= shifts
             pattern = np.bitwise_or.reduce(bits, axis=0)
@@ -300,7 +338,7 @@ def sweep_zero_patterns(
                 v[0] *= v[3]
                 v[1] *= v[2]
                 pattern |= (reduce(v[0]) == reduce(v[1])).view(np.uint8) << 4
-            hist += np.bincount(pattern, minlength=bins)
+            hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
         return hist
 
     return [int(c) for c in sum(thread_map(lane, range(lanes), lanes))]
@@ -324,6 +362,9 @@ def _check_sweep_budget(what: str, level: int, q: int, n: int, opts: CountOption
     cost of level 1, and an upper bound for level 2, which sweeps 4
     polynomials over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2). A
     fibered count of a constant (n = 0) sweeps nothing and is not charged.
+    The charge stays this upper bound, not the about 4*q^(n-2)/(q-1)
+    values a cone-reduced level-2 sweep evaluates, so that no budget
+    refusal changed when the sweep began to visit one block per line.
     """
     charged = min(level, 1)
     if charged <= n:
@@ -418,21 +459,26 @@ def _sweep_fibers(
     opts: CountOptions,
     fiber: Callable[..., int],
     key=None,
+    cone: bool = False,
 ) -> int:
     """Total of fiber() over the base swept by the polynomials polys()
     builds, with the cross bit D for four (A1, A0, B1, B0); key (canonical
-    graph, level, q) names the sweep in the memo, and a hit builds none."""
-    return sum(c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, opts))
+    graph, level, q) names the sweep in the memo, and a hit builds none.
+    cone lets the sweep visit one block per line through the origin where
+    the swept parts are homogeneous (sweep_zero_patterns)."""
+    return sum(
+        c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, opts, cone)
+    )
 
 
 def _zero_patterns(
-    polys: Callable[[], list[MultilinearPoly]], q: int, opts: CountOptions
+    polys: Callable[[], list[MultilinearPoly]], q: int, opts: CountOptions, cone: bool
 ) -> list[tuple[tuple[bool, ...], int]]:
     """The base points of a sweep of polys() by zero-pattern, as (whether
     each swept value is 0 mod q, point count) for each pattern that occurs."""
     swept = polys()
     cross = len(swept) == 4
-    counts = sweep_zero_patterns(swept, q, workers=opts.workers, cross=cross)
+    counts = sweep_zero_patterns(swept, q, workers=opts.workers, cross=cross, cone=cone)
     bits = len(swept) + cross
     return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
 
@@ -473,7 +519,7 @@ def _count_level(
         zeros = _sweep_fibers(lambda: [p], q, opts, _point_zeros, key)
     else:
         fiber = _line_zeros if n == 1 else _plane_zeros
-        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, opts, fiber, key)
+        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, opts, fiber, key, cone=True)
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -481,8 +527,9 @@ def count_fibered(
     p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
 ) -> CountRecord:
     """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
-    highest variable other than t_e: 4*q^(n-2) polynomial values, against
-    q^n for brute force. One-variable p is fibered over t_e alone."""
+    highest variable other than t_e: 4*q^(n-2) polynomial values, or about
+    4*q^(n-2)/(q-1) for homogeneous p once the sweep spans several blocks,
+    against q^n for brute force. One-variable p is fibered over t_e alone."""
     return _count_level(p, q, opts, 2, e)
 
 
@@ -508,7 +555,7 @@ def count_Z(
     k = _memoized(("canonical", g, label), canonical_relabel, g, label)
     p = _memoized(k, psi_by_deletion_contraction, k)
     return _sweep_fibers(
-        lambda: _fiber_parts(p, k.edge_count - 1), q, opts, _common_zeros, (k, 2, q)
+        lambda: _fiber_parts(p, k.edge_count - 1), q, opts, _common_zeros, (k, 2, q), cone=True
     )
 
 

@@ -174,11 +174,13 @@ class CongruenceVerdict:
 
 def _counts(g: Multigraph, primes: Sequence[int], opts: CountOptions) -> dict[int, CountRecord]:
     """count_graph at each prime, ascending, after checking every prime's
-    budget: a count the budget refuses fails before any sweep runs."""
+    budget: a count the budget refuses fails before any sweep runs. The
+    counts share one shared_counts() block, so psi is built once."""
     qs = sorted(require_primes(primes))
     for q in qs:
         check_count_budget(g, q, opts)
-    return {q: count_graph(g, q, opts=opts) for q in qs}
+    with shared_counts():
+        return {q: count_graph(g, q, opts=opts) for q in qs}
 
 
 def _name(g: Multigraph, graph_name: str | None) -> str:

@@ -13,7 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from graphmotive import CongruenceVerdict, CountOptions, Multigraph, catalog_by_name, counting
+from graphmotive import (
+    CongruenceVerdict,
+    CountOptions,
+    Multigraph,
+    catalog_by_name,
+    counting,
+    interpolate_class,
+)
 from graphmotive.cli import main, run_verify
 from graphmotive.graphs import MAX_EDGES, MAX_VERTICES, Edge, GraphParseError
 
@@ -497,6 +504,23 @@ def test_dc_check_builds_each_psi_once(capsys, monkeypatch):
     monkeypatch.setattr(counting, "psi_by_deletion_contraction", spy)
     code, _, _ = run(capsys, "dc-check", "--family", "wheel:4", "--primes", "3,5,7")
     assert code == 0 and len(built) == len(set(built))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--family", "wheel:4", "--primes", "3,5,7,11"),
+        ("class", "--family", "cycle:4"),  # the first 7 primes
+    ],
+    ids=["count", "class"],
+)
+def test_count_and_class_build_psi_once(capsys, monkeypatch, argv):
+    built = []
+    build = counting.psi_by_deletion_contraction
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", lambda g: built.append(g) or build(g))
+    assert run(capsys, *argv)[0] == 0 and len(built) == 1
+    interpolate_class(catalog_by_name()["cycle_4"])  # library callers share one block too
+    assert len(built) == 2
 
 
 def test_verify_failure_exits_nonzero(capsys, monkeypatch):

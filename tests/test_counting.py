@@ -254,49 +254,104 @@ def test_sweep_agrees_with_naive_enumeration(p):
     assert zeros == _oracles.zero_count(p.terms, 3, 3)
 
 
+def _terms(width, coefficients, max_size, degree=None):
+    """Terms of a multilinear polynomial in `width` variables; homogeneous
+    of `degree`, with at least one term, unless degree is None."""
+    masks = [m for m in range(1 << width) if degree is None or m.bit_count() == degree]
+    least = int(degree is not None)
+    return st.dictionaries(st.sampled_from(masks), coefficients, min_size=least, max_size=max_size)
+
+
 @st.composite
 def sweep_cases(draw):
     # 251 is the largest prime with uint32 residues, 257 the smallest in int64
     q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
     width = draw(st.integers(0, 5 if q < 251 else 2))
     coefficients = st.integers(-(10**20), 10**20)
-    terms = st.dictionaries(st.integers(0, (1 << width) - 1), coefficients, max_size=8)
-    polys = draw(st.lists(terms.map(lambda t: MultilinearPoly(width, t)), min_size=1, max_size=3))
+    cone = draw(st.booleans())
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        # half the time homogeneous, so that cone=True can take one block
+        # per line through the origin
+        degree = draw(st.integers(0, width)) if draw(st.booleans()) else None
+        polys.append(MultilinearPoly(width, draw(_terms(width, coefficients, 8, degree))))
     chunk = draw(st.sampled_from([1, 2, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
     if q > 7:  # at most q blocks: q^2 one-point blocks would take seconds
         chunk = max(chunk, len(polys) * q)
-    return polys, q, chunk, draw(st.sampled_from([1, 2]))
+    return polys, q, chunk, draw(st.sampled_from([1, 2])), cone
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(sweep_cases())
 def test_sweep_patterns_agree_with_naive_enumeration(case):
     # Chunks below q fold every coordinate into the polynomials (no inner
     # axis), q+1 and 97 split outer and inner axes, the default is all inner.
-    polys, q, chunk, workers = case
+    polys, q, chunk, workers, cone = case
     expected = _oracles.zero_patterns([p.terms for p in polys], polys[0].var_count, q)
-    assert sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers) == expected
+    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cone=cone)
+    assert got == expected
 
 
 @st.composite
 def cross_cases(draw):
     q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
     width = draw(st.integers(0, 4 if q < 251 else 2))
-    terms = st.dictionaries(st.integers(0, (1 << width) - 1), st.integers(-9, 9), max_size=6)
-    polys = [MultilinearPoly(width, draw(terms)) for _ in range(4)]
+    coefficients = st.integers(-9, 9)
+    degrees, shape = [None] * 4, None
+    if draw(st.booleans()):
+        # homogeneous parts: mostly balanced, d0 + d3 = d1 + d2, as in the
+        # (A1, A0, B1, B0) of a homogeneous psi; or any degrees with one
+        # part zero; or any degrees, which sweep in full
+        degrees = [draw(st.integers(0, width)) for _ in range(4)]
+        shape = draw(st.sampled_from(["balanced", "any", 0, 1, 2, 3]))
+        if shape == "balanced":
+            d12 = degrees[1] + degrees[2]
+            degrees[0] = draw(st.integers(max(0, d12 - width), min(width, d12)))
+            degrees[3] = d12 - degrees[0]
+    polys = [MultilinearPoly(width, draw(_terms(width, coefficients, 6, d))) for d in degrees]
+    if isinstance(shape, int):
+        polys[shape] = MultilinearPoly.zero(width)
     chunk = draw(st.sampled_from([1, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
     if q > 7:  # as in sweep_cases
         chunk = max(chunk, 4 * q)
-    return polys, q, chunk, draw(st.sampled_from([1, 2]))
+    return polys, q, chunk, draw(st.sampled_from([1, 2])), draw(st.booleans())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(cross_cases())
 def test_cross_patterns_agree_with_naive_enumeration(case):
-    polys, q, chunk, workers = case
+    polys, q, chunk, workers, cone = case
     expected = _oracles.cross_zero_patterns([p.terms for p in polys], polys[0].var_count, q)
-    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cross=True)
+    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cross=True, cone=cone)
     assert got == expected
+
+
+def _var(width, *variables):
+    return MultilinearPoly(width, {sum(1 << v for v in variables): 1})
+
+
+@pytest.mark.parametrize(
+    "polys,cross",
+    [
+        # x*y + z + 1 is not homogeneous: x*y = -1-c has 2q-1 solutions on
+        # the plane z = c = -1 and q-1 on the others
+        ([_var(3, 0, 1) + _var(3, 2) + _var(3)], False),
+        # (x, y, z, w*u): x*w*u and y*z scale by l^3 and l^2
+        ([_var(5, 0), _var(5, 1), _var(5, 2), _var(5, 3, 4)], True),
+        # (x, 1, y, x): x^2 = y has 0 or 2 solutions on each line y = c,
+        # so one block per line through the origin would miscount it
+        ([_var(2, 0), _var(2), _var(2, 1), _var(2, 0)], True),
+    ],
+    ids=["inhomogeneous", "unbalanced-cross", "unbalanced-square"],
+)
+def test_cone_sweep_of_input_that_is_no_cone_is_full(polys, cross):
+    width, q = polys[0].var_count, 5
+    oracle = _oracles.cross_zero_patterns if cross else _oracles.zero_patterns
+    expected = oracle([p.terms for p in polys], width, q)
+    assert not counting._scales_alike(polys, q, cross)
+    for chunk in (1, len(polys) * q):
+        got = sweep_zero_patterns(polys, q, chunk_points=chunk, cross=cross, cone=True)
+        assert got == expected
 
 
 def test_barrett_reduction_is_exact_below_q_squared():
@@ -568,6 +623,70 @@ def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
         copy = Multigraph(4, tuple(Edge(9 - e.label, 3 - e.u, 3 - e.v) for e in g.edges))
         count_graph(copy, 5)
         assert [count_Z(copy, 9 - e, 5) for e in regular] == zs and len(sweeps) == 1
+
+
+# -- cone reduction ------------------------------------------------------------
+
+
+def _one_point_blocks(monkeypatch) -> list:
+    """From here on fibered sweeps take one-point blocks (chunk_points
+    below 4*q), so every one of positive width has outer blocks; brute
+    force sweeps as usual. Returns what _scales_alike answers."""
+    sweep, scales_alike = counting.sweep_zero_patterns, counting._scales_alike
+    answers = []
+
+    def one_point_blocks(polys, q, **kw):
+        return sweep(polys, q, **kw, **({"chunk_points": 4 * q - 1} if kw["cone"] else {}))
+
+    def spy(*args):
+        answers.append(scales_alike(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(counting, "sweep_zero_patterns", one_point_blocks)
+    monkeypatch.setattr(counting, "_scales_alike", spy)
+    return answers
+
+
+def _counts_and_Z(g, q):
+    """count_graph by both levels, which insists that they agree, and
+    count_Z at every regular edge."""
+    regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
+    return count_graph(g, q, opts=CountOptions("both")), [count_Z(g, e, q) for e in regular]
+
+
+def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
+    # At the default chunk no catalog sweep has outer blocks, so the
+    # reference Z values come from full sweeps.
+    cases = [(name, q, grid[name]) for q, grid in ((3, Q3_GRID), (5, Q5_GRID)) for name in grid]
+    full = [_counts_and_Z(CAT[name], q) for name, q, _ in cases]
+    for (name, q, frozen), (rec, _) in zip(cases, full):
+        assert (rec.affine_zero_count, rec.complement_count) == frozen, (name, q)
+    answers = _one_point_blocks(monkeypatch)
+    assert [_counts_and_Z(CAT[name], q) for name, q, _ in cases] == full
+    assert len(answers) > 100 and all(answers)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.sampled_from([2, 3, 5]))
+def test_cone_reduced_counts_match_brute_on_random_graphs(g, q):
+    full = _counts_and_Z(g, q)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        answers = _one_point_blocks(monkeypatch)
+        assert _counts_and_Z(g, q) == full
+    assert all(answers)
+
+
+def test_fibered_wheel_4_sweeps_one_block_per_line(monkeypatch):
+    # 4 polynomials over F_11^6 in blocks of 11^4 points: 121 blocks, of
+    # which y = 0 and the 12 with last nonzero outer coordinate 1 are swept
+    grids = []
+    grid_values = counting._grid_values
+    monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
+    rec = count_graph(CAT["wheel_4"], 11)
+    assert len(grids) == 13 and rec.affine_zero_count == 19887681
+    grids.clear()
+    assert count_graph(CAT["wheel_4"], 11, opts=CountOptions("both")) == rec
+    assert len(grids) == 13 + 11**3  # brute force: 11^8 points in blocks of 11^5
 
 
 # -- determinism ---------------------------------------------------------------
