@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from typing import Sequence
 
 from .counting import (
@@ -23,7 +22,6 @@ from .counting import (
     CountOptions,
     count_graph,
     shared_counts,
-    thread_map,
 )
 from .families import FamilySpec, generate_family, standard_catalog
 from .graphs import Multigraph, edge_census, graph_id
@@ -100,20 +98,15 @@ def run_verify(
 ) -> tuple[dict, bool]:
     """Full report over the given graphs; deterministic, input order kept.
 
-    Per-graph work items go to a pool of opts.workers threads, and each
-    graph counts with one sweep thread; the report itself is assembled
-    single-threaded in input order, so worker count never changes a byte
-    of output. All of them share one shared_counts() memo, so each sweep
-    and psi build runs once per isomorphism class in the run; memo entries
-    are exact, so which thread fills one first changes no output either.
+    Graphs are verified one after another, in input order, inside one
+    shared_counts() block, so each sweep and psi build runs once per
+    isomorphism class in the run. opts.workers is each sweep's thread
+    count, as in every other count; it changes no byte of output.
     Budget-exceeded graphs are marked skipped, which is not a failure.
     """
     primes = require_primes(primes)
-    per_graph = replace(opts, workers=1)
     with shared_counts():
-        entries = thread_map(
-            lambda item: _verify_graph(*item, primes, per_graph), named_graphs, opts.workers
-        )
+        entries = [_verify_graph(name, g, primes, opts) for name, g in named_graphs]
     all_ok = all(entry.get("pass", True) for entry in entries)  # skipped: no "pass"
     report = {
         "schema": 1,

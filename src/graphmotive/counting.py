@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar, copy_context
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .symanzik import (
 
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19  # polynomial values per sweep block
-MAX_WORKERS = 64  # thread_map opens one pool of this many threads at most
+MAX_WORKERS = 64  # a sweep opens one pool of this many threads at most
 _MAX_Q = 1 << 31  # keep products of two residues inside int64
 
 # The fibration levels each method runs, in order. A level-k count sweeps
@@ -77,6 +77,14 @@ class NoProjectiveHypersurfaceError(ValueError):
     """Constant polynomial: forests define no projective hypersurface."""
 
 
+def _check_workers(workers: int) -> None:
+    """Refuse a sweep thread count outside 1..MAX_WORKERS."""
+    if workers < 1:
+        raise ValueError("workers must be positive")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers {workers} exceeds the limit {MAX_WORKERS}")
+
+
 @dataclass(frozen=True)
 class CountOptions:
     """How every count is taken; validated once, at construction.
@@ -97,10 +105,7 @@ class CountOptions:
             raise ValueError(f"unknown method {self.method!r}")
         if self.budget < 1:
             raise ValueError("budget must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
-        if self.workers > MAX_WORKERS:
-            raise ValueError(f"workers {self.workers} exceeds the limit {MAX_WORKERS}")
+        _check_workers(self.workers)
 
 
 DEFAULT_OPTIONS = CountOptions()
@@ -243,18 +248,6 @@ def _grid_values(
     return v.reshape(rows, -1)
 
 
-def thread_map(fn: Callable, items: Sequence, workers: int) -> list:
-    """[fn(x) for x in items], in input order; on a pool of `workers`
-    threads only when there are more than one of both. Each pooled call
-    runs in a copy of the caller's context, so it joins the caller's
-    shared_counts() block."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    context = copy_context()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda x: context.copy().run(fn, x), items))
-
-
 def _scales_alike(polys: list[MultilinearPoly], q: int, cross: bool) -> bool:
     """Whether the zero-pattern of polys, with the cross bit if cross, is
     the same at x and at l*x for every l != 0 mod q: each polynomial is
@@ -298,9 +291,10 @@ def sweep_zero_patterns(
     coordinate is 1 with weight q-1, since scaling by l maps the inner grid
     of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
     of the q^(width-k) blocks; other input is swept in full. Blocks are split
-    over `workers` threads; results are bit-identical across chunk sizes,
-    worker counts and cone.
+    over `workers` threads, 1..MAX_WORKERS; results are bit-identical across
+    chunk sizes, worker counts and cone.
     """
+    _check_workers(workers)
     require_prime(q)
     if q >= _MAX_Q:
         raise ValueError(f"modulus {q} too large for 64-bit sweep arithmetic")
@@ -341,7 +335,10 @@ def sweep_zero_patterns(
             hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
         return hist
 
-    return [int(c) for c in sum(thread_map(lane, range(lanes), lanes))]
+    if lanes == 1:
+        return [int(c) for c in lane(0)]
+    with ThreadPoolExecutor(lanes) as pool:
+        return [int(c) for c in sum(pool.map(lane, range(lanes)))]
 
 
 # -- public counters ---------------------------------------------------------
@@ -576,8 +573,7 @@ def shared_counts() -> Iterator[None]:
     a form that is not canonical can cost a memo hit, never a wrong count.
     The canonical form of each labelled request is kept too, so a repeated
     request runs no search. A nested block joins this one; outside any
-    block nothing is memoized. thread_map runs its calls in the caller's
-    context, so pool threads share the caller's block.
+    block nothing is memoized.
     """
     token = _shared.set({} if _shared.get() is None else _shared.get())
     try:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import random
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from graphmotive import (
     CountOptions,
     Multigraph,
     catalog_by_name,
+    cli,
     counting,
     interpolate_class,
 )
@@ -469,12 +472,28 @@ def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):
     assert len(seen) == 1
 
 
-def test_verify_report_identical_for_any_workers():
-    # Pool threads share the run's memo, and which thread fills an entry
-    # first must not change a byte of the report: more threads than cores,
-    # switching often, against one thread.
+def test_verify_report_identical_for_any_workers(monkeypatch):
+    # workers is each sweep's thread count, in verify as in every count:
+    # small blocks make catalog sweeps span several, so 4 lanes run (more
+    # threads than cores, switching often), and the report must match one
+    # thread's byte for byte while every graph is verified on this thread.
     named = list(catalog_by_name().items())
     one, _ = run_verify(named, (3, 5, 7), CountOptions(budget=10**7))
+    small_chunks = functools.partial(counting.sweep_zero_patterns, chunk_points=100)
+    monkeypatch.setattr(counting, "sweep_zero_patterns", small_chunks)
+    pools, threads = [], set()
+    pool = counting.ThreadPoolExecutor
+
+    def spy_pool(*args, **kwargs):
+        made = pool(*args, **kwargs)
+        pools.append(made._max_workers)
+        return made
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", spy_pool)
+    verify_graph = cli._verify_graph
+    monkeypatch.setattr(
+        cli, "_verify_graph", lambda *a: threads.add(threading.get_ident()) or verify_graph(*a)
+    )
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -484,13 +503,8 @@ def test_verify_report_identical_for_any_workers():
         sys.setswitchinterval(interval)
     assert time.perf_counter() - t0 < 30
     assert json.dumps(one, sort_keys=True) == json.dumps(four, sort_keys=True)
-
-
-def test_pool_threads_join_the_callers_memo():
-    with counting.shared_counts():
-        memo = counting._shared.get()
-        seen = counting.thread_map(lambda _: counting._shared.get(), range(4), 2)
-    assert memo is not None and all(m is memo for m in seen)
+    assert threads == {threading.get_ident()}
+    assert 4 in pools  # some sweeps span 4 blocks or more
 
 
 def test_dc_check_builds_each_psi_once(capsys, monkeypatch):

@@ -749,6 +749,18 @@ def test_sweep_rejects_mixed_widths():
         sweep_zero_patterns([MultilinearPoly.zero(2), MultilinearPoly.zero(3)], 3)
 
 
+@pytest.mark.parametrize("workers", [0, -1, counting.MAX_WORKERS + 1])
+def test_sweep_rejects_bad_workers(monkeypatch, workers):
+    # Refused before any pool is made: 9 blocks of 3 points would give lanes.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was made")
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", no_pool)
+    p = psi_by_trees(CAT["cycle_3"])
+    with pytest.raises(ValueError, match="workers"):
+        sweep_zero_patterns([p], 3, chunk_points=3, workers=workers)
+
+
 def test_prime_and_size_limits():
     p = psi_by_trees(CAT["cycle_3"])
     with pytest.raises(NotPrimeError):
