@@ -15,6 +15,7 @@ from .counting import (
     count_graph,
     count_projective,
     count_Z,
+    shared_counts,
     sweep_zero_patterns,
 )
 from .families import FamilySpec, catalog_by_name, generate_family, standard_catalog

@@ -17,7 +17,6 @@ from typing import Sequence
 from .counting import (
     BudgetExceededError,
     DEFAULT_BUDGET,
-    DEFAULT_OPTIONS,
     METHODS,
     CountOptions,
     count_graph,
@@ -51,12 +50,11 @@ _LIMITATIONS = (
 # -- verification report -------------------------------------------------
 
 
-def _verify_graph(
-    name: str, g: Multigraph, primes: tuple[int, ...], opts: CountOptions
-) -> dict:
-    """One graph's report entry. Call it inside a shared_counts() block, as
-    run_verify does, so that its verdicts and class fit share their counts
-    with each other and with every other graph of the run."""
+def _verify_graph(name: str, g: Multigraph, primes: tuple[int, ...]) -> dict:
+    """One graph's report entry. Call it inside a shared_counts(opts) block,
+    as run_verify does: its verdicts and class fit count by that block's
+    options and share their counts with each other and with every other
+    graph of the run."""
     entry: dict = {
         "name": name,
         "id": graph_id(g),
@@ -65,9 +63,9 @@ def _verify_graph(
         "predicted_constant": predicted_sb_constant(g),
     }
     try:
-        modl = check_modL_congruence(g, primes, graph_name=name, opts=opts)
-        lrat = check_projective_congruence(g, primes, graph_name=name, opts=opts)
-        dc = dc_identity_matrix(g, primes, graph_name=name, opts=opts)
+        modl = check_modL_congruence(g, primes, graph_name=name)
+        lrat = check_projective_congruence(g, primes, graph_name=name)
+        dc = dc_identity_matrix(g, primes, graph_name=name)
     except BudgetExceededError as exc:
         return {"name": name, "id": graph_id(g), "skipped": str(exc)}
     entry["verdicts"] = {
@@ -77,7 +75,7 @@ def _verify_graph(
     }
     ok = modl.passed and lrat.passed and all(v.passed for v in dc)
     try:
-        result = interpolate_class(g, None, graph_name=name, opts=opts)
+        result = interpolate_class(g, None, graph_name=name)
     except BudgetExceededError as exc:
         entry["class"] = {"skipped_budget": str(exc)}
     else:
@@ -94,19 +92,20 @@ def _verify_graph(
 def run_verify(
     named_graphs: list[tuple[str, Multigraph]],
     primes: Sequence[int],
-    opts: CountOptions = DEFAULT_OPTIONS,
+    opts: CountOptions,
 ) -> tuple[dict, bool]:
     """Full report over the given graphs; deterministic, input order kept.
 
     Graphs are verified one after another, in input order, inside one
-    shared_counts() block, so each sweep and psi build runs once per
-    isomorphism class in the run. opts.workers is each sweep's thread
-    count, as in every other count; it changes no byte of output.
+    shared_counts(opts) block, so each sweep and psi build runs once per
+    isomorphism class in the run. opts has no default: the method and
+    budget the report records are those of every count in it. opts.workers
+    is each sweep's thread count; it changes no byte of output.
     Budget-exceeded graphs are marked skipped, which is not a failure.
     """
     primes = require_primes(primes)
-    with shared_counts():
-        entries = [_verify_graph(name, g, primes, opts) for name, g in named_graphs]
+    with shared_counts(opts):
+        entries = [_verify_graph(name, g, primes) for name, g in named_graphs]
     all_ok = all(entry.get("pass", True) for entry in entries)  # skipped: no "pass"
     report = {
         "schema": 1,
@@ -205,22 +204,22 @@ def cmd_psi(args: argparse.Namespace) -> int:
     return 0
 
 
-@shared_counts()  # one psi build and one canonical search for every prime
 def cmd_count(args: argparse.Namespace) -> int:
     opts = _count_options(args)
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     name, g = _load_graph(args)
     lines = []
     rows = []
-    for q in primes:
-        try:
-            rec = count_graph(g, q, opts=opts)
-        except BudgetExceededError as exc:
-            lines.append(json.dumps({"graph": name, "q": q, "skipped": str(exc)}, sort_keys=True))
-            rows.append((q, "skipped", "", ""))
-            continue
-        lines.append(json.dumps({"graph": name, **rec.to_json_obj()}, sort_keys=True))
-        rows.append((q, rec.affine_zero_count, rec.complement_count, rec.projective_count))
+    with shared_counts(opts):  # one psi build and one canonical search for every prime
+        for q in primes:
+            try:
+                rec = count_graph(g, q)
+            except BudgetExceededError as exc:
+                lines.append(json.dumps({"graph": name, "q": q, "skipped": str(exc)}, sort_keys=True))
+                rows.append((q, "skipped", "", ""))
+                continue
+            lines.append(json.dumps({"graph": name, **rec.to_json_obj()}, sort_keys=True))
+            rows.append((q, rec.affine_zero_count, rec.complement_count, rec.projective_count))
     if args.format == "table":
         header = f"{'q':>6}  {'affine_zeros':>14}  {'complement':>14}  {'projective':>12}"
         body = [
@@ -238,7 +237,8 @@ def cmd_class(args: argparse.Namespace) -> int:
     primes = _parse_primes(args.primes, None)
     name, g = _load_graph(args)
     try:
-        result = interpolate_class(g, primes, graph_name=name, opts=opts)
+        with shared_counts(opts):
+            result = interpolate_class(g, primes, graph_name=name)
     except BudgetExceededError as exc:
         _emit(args, _dumps({"schema": 1, "graph": name, "skipped_budget": str(exc)}))
         return 0
@@ -260,19 +260,16 @@ def cmd_class(args: argparse.Namespace) -> int:
     return 0 if match["matches_predicted"] else 1
 
 
-@shared_counts()  # at count_graph's fiber edge, --edge reads Z from its sweep
 def cmd_dc_check(args: argparse.Namespace) -> int:
     opts = _count_options(args)
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     name, g = _load_graph(args)
     try:
-        if args.edge is not None:
-            verdicts = [
-                dc_identity_check(g, args.edge, q, graph_name=name, opts=opts)
-                for q in primes
-            ]
-        else:
-            verdicts = dc_identity_matrix(g, primes, graph_name=name, opts=opts)
+        with shared_counts(opts):  # at count_graph's fiber edge, --edge reads Z from its sweep
+            if args.edge is not None:
+                verdicts = [dc_identity_check(g, args.edge, q, graph_name=name) for q in primes]
+            else:
+                verdicts = dc_identity_matrix(g, primes, graph_name=name)
     except BudgetExceededError as exc:
         _emit(args, _dumps({"schema": 1, "graph": name, "skipped": str(exc)}))
         return 0

@@ -87,7 +87,7 @@ def _check_workers(workers: int) -> None:
 
 @dataclass(frozen=True)
 class CountOptions:
-    """How every count is taken; validated once, at construction.
+    """How the counts of a shared_counts(opts) block are taken; validated once.
 
     method: "brute", "fibered" (split at the last two edge variables), or
     "both" (run both, insist on exact agreement). budget caps the
@@ -344,14 +344,13 @@ def sweep_zero_patterns(
 # -- public counters ---------------------------------------------------------
 
 
-def _check_budget(cost: int, opts: CountOptions, what: str) -> None:
-    if cost > opts.budget:
-        raise BudgetExceededError(
-            f"{what} needs {cost} point evaluations, budget is {opts.budget}"
-        )
+def _check_budget(cost: int, what: str) -> None:
+    budget = _options().budget
+    if cost > budget:
+        raise BudgetExceededError(f"{what} needs {cost} point evaluations, budget is {budget}")
 
 
-def _check_sweep_budget(what: str, level: int, q: int, n: int, opts: CountOptions) -> None:
+def _check_sweep_budget(what: str, level: int, q: int, n: int) -> None:
     """Charge the sweep of an n-variable count at fibration level `level`.
 
     Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
@@ -365,26 +364,24 @@ def _check_sweep_budget(what: str, level: int, q: int, n: int, opts: CountOption
     """
     charged = min(level, 1)
     if charged <= n:
-        _check_budget(2**charged * q ** (n - charged), opts, f"{what} over F_{q}^{n - charged}")
+        _check_budget(2**charged * q ** (n - charged), f"{what} over F_{q}^{n - charged}")
 
 
-def check_count_budget(g: Multigraph, q: int, opts: CountOptions = DEFAULT_OPTIONS) -> None:
-    """Raise what count_graph(g, q, opts=opts) would raise before its first
-    sweep, without building psi: too many edges for one polynomial, then
-    the budget of each level of opts.method in turn."""
+def check_count_budget(g: Multigraph, q: int) -> None:
+    """Raise what count_graph(g, q) would raise before its first sweep,
+    without building psi: too many edges for one polynomial, then the
+    budget of each level of the block's method in turn."""
     require_prime(q)
     n = g.edge_count
     if n > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
-    for level in METHODS[opts.method]:
-        _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
+    for level in METHODS[_options().method]:
+        _check_sweep_budget(_LEVEL_NAMES[level], level, q, n)
 
 
-def count_brute(
-    p: MultilinearPoly, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
-) -> CountRecord:
+def count_brute(p: MultilinearPoly, q: int) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
-    return _count_level(p, q, opts, 0)
+    return _count_level(p, q, 0)
 
 
 def count_projective(rec: CountRecord) -> int:
@@ -453,7 +450,6 @@ def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> in
 def _sweep_fibers(
     polys: Callable[[], list[MultilinearPoly]],
     q: int,
-    opts: CountOptions,
     fiber: Callable[..., int],
     key=None,
     cone: bool = False,
@@ -464,18 +460,19 @@ def _sweep_fibers(
     cone lets the sweep visit one block per line through the origin where
     the swept parts are homogeneous (sweep_zero_patterns)."""
     return sum(
-        c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, opts, cone)
+        c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, cone)
     )
 
 
 def _zero_patterns(
-    polys: Callable[[], list[MultilinearPoly]], q: int, opts: CountOptions, cone: bool
+    polys: Callable[[], list[MultilinearPoly]], q: int, cone: bool
 ) -> list[tuple[tuple[bool, ...], int]]:
     """The base points of a sweep of polys() by zero-pattern, as (whether
-    each swept value is 0 mod q, point count) for each pattern that occurs."""
+    each swept value is 0 mod q, point count) for each pattern that occurs.
+    workers is read here, on the calling thread, as lanes do not see it."""
     swept = polys()
     cross = len(swept) == 4
-    counts = sweep_zero_patterns(swept, q, workers=opts.workers, cross=cross, cone=cone)
+    counts = sweep_zero_patterns(swept, q, workers=_options().workers, cross=cross, cone=cone)
     bits = len(swept) + cross
     return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
 
@@ -493,9 +490,7 @@ def _fiber_parts(p: MultilinearPoly, e: int) -> list[MultilinearPoly]:
     return [*split_last_var(a, n - 2), *split_last_var(b, n - 2)]
 
 
-def _count_level(
-    p: MultilinearPoly, q: int, opts: CountOptions, level: int, e: int = 0, key=None
-) -> CountRecord:
+def _count_level(p: MultilinearPoly, q: int, level: int, e: int = 0, key=None) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
     Level 0 sweeps p over all of F_q^n. Level 2 writes p = t_e*A + B and
@@ -509,30 +504,26 @@ def _count_level(
     n = p.var_count
     if level and n and not 0 <= e < n:
         raise ValueError(f"split variable {e} outside 0..{n - 1}")
-    _check_sweep_budget(_LEVEL_NAMES[level], level, q, n, opts)
+    _check_sweep_budget(_LEVEL_NAMES[level], level, q, n)
     if level and p.degree() == 0:
         return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else q**n)
     if level == 0:
-        zeros = _sweep_fibers(lambda: [p], q, opts, _point_zeros, key)
+        zeros = _sweep_fibers(lambda: [p], q, _point_zeros, key)
     else:
         fiber = _line_zeros if n == 1 else _plane_zeros
-        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, opts, fiber, key, cone=True)
+        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, fiber, key, cone=True)
     return CountRecord.from_zeros(p, q, zeros)
 
 
-def count_fibered(
-    p: MultilinearPoly, e: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
-) -> CountRecord:
+def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
     """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
     highest variable other than t_e: 4*q^(n-2) polynomial values, or about
     4*q^(n-2)/(q-1) for homogeneous p once the sweep spans several blocks,
     against q^n for brute force. One-variable p is fibered over t_e alone."""
-    return _count_level(p, q, opts, 2, e)
+    return _count_level(p, q, 2, e)
 
 
-def count_Z(
-    g: Multigraph, label: int, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
-) -> int:
+def count_Z(g: Multigraph, label: int, q: int) -> int:
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
     With k = canonical_relabel(g, label), psi(k) = t*A + B at its last
@@ -548,45 +539,57 @@ def count_Z(
     require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
-    _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count, opts)
+    _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count)
     k = _memoized(("canonical", g, label), canonical_relabel, g, label)
     p = _memoized(k, psi_by_deletion_contraction, k)
     return _sweep_fibers(
-        lambda: _fiber_parts(p, k.edge_count - 1), q, opts, _common_zeros, (k, 2, q), cone=True
+        lambda: _fiber_parts(p, k.edge_count - 1), q, _common_zeros, (k, 2, q), cone=True
     )
 
 
-_shared: ContextVar[dict | None] = ContextVar("graphmotive_shared_counts", default=None)
+_shared: ContextVar[tuple | None] = ContextVar("graphmotive_shared_counts", default=None)
 
 
 @contextmanager
-def shared_counts() -> Iterator[None]:
-    """Within this block each psi is built once and each sweep runs once,
-    for all graphs isomorphic to each other.
+def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
+    """Within this block every count takes its method, budget and workers
+    from opts (if None, from the enclosing block, or DEFAULT_OPTIONS), and
+    each psi is built and each sweep run once for all isomorphic graphs.
 
+    A nested block joins the enclosing memo whatever its options, as no
+    entry depends on them: workers changes no count, a sweep's key holds
+    its level, and every budget is checked before the memo is read.
     Counts are keyed by canonical forms (graphs.canonical_relabel), whose
     psi variables are their labels: psi by the canonical graph itself, and
-    a sweep's zero-pattern histogram (the same for any workers value) by
-    the canonical graph, level and q. The fibered edge is the canonical
-    graph's last label, so the key fixes the swept polynomials: two
-    requests share a sweep only when they would sweep the same thing, and
-    a form that is not canonical can cost a memo hit, never a wrong count.
-    The canonical form of each labelled request is kept too, so a repeated
-    request runs no search. A nested block joins this one; outside any
-    block nothing is memoized.
+    a sweep's zero-pattern histogram by the canonical graph, level and q.
+    The fibered edge is the canonical graph's last label, so the key fixes
+    the swept polynomials: two requests share a sweep only when they would
+    sweep the same thing, and a form that is not canonical can cost a memo
+    hit, never a wrong count. The canonical form of each labelled request
+    is kept too, so a repeated request runs no search. Outside any block
+    nothing is memoized.
     """
-    token = _shared.set({} if _shared.get() is None else _shared.get())
+    outer = _shared.get()
+    inherited, memo = (DEFAULT_OPTIONS, {}) if outer is None else outer
+    token = _shared.set((inherited if opts is None else opts, memo))
     try:
         yield
     finally:
         _shared.reset(token)
 
 
+def _options() -> CountOptions:
+    """The innermost shared_counts() block's options, else DEFAULT_OPTIONS."""
+    shared = _shared.get()
+    return DEFAULT_OPTIONS if shared is None else shared[0]
+
+
 def _memoized(key, build: Callable, *args):
     """build(*args), or the shared_counts() memo's entry for key."""
-    memo = _shared.get()
-    if memo is None or key is None:
+    shared = _shared.get()
+    if shared is None or key is None:
         return build(*args)
+    memo = shared[1]
     if (value := memo.get(key)) is None:
         value = memo[key] = build(*args)
     return value
@@ -604,10 +607,9 @@ def _count_form(g: Multigraph) -> Multigraph:
     return h
 
 
-def count_graph(
-    g: Multigraph, q: int, *, opts: CountOptions = DEFAULT_OPTIONS
-) -> CountRecord:
-    """Counts for a graph's polynomial over A^n, n = edge count, by opts.method.
+def count_graph(g: Multigraph, q: int) -> CountRecord:
+    """Counts for a graph's polynomial over A^n, n = edge count, by the
+    block's method.
 
     The budget is checked before psi is built. The count runs on psi of
     k = _count_form(g), and the fibered level splits at k's last label,
@@ -616,12 +618,12 @@ def count_graph(
     corresponds to k's last label, read that sweep instead of sweeping,
     and a repeated request runs no canonical search.
     """
-    check_count_budget(g, q, opts)
+    check_count_budget(g, q)
     k = _memoized(("count", g), _count_form, g)
     p = _memoized(k, psi_by_deletion_contraction, k)
     rec, *others = [
-        _count_level(p, q, opts, level, k.edge_count - 1, (k, level, q))
-        for level in METHODS[opts.method]
+        _count_level(p, q, level, k.edge_count - 1, (k, level, q))
+        for level in METHODS[_options().method]
     ]
     for rec_f in others:
         if rec != rec_f:

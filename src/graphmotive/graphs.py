@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
-MAX_EDGES = 63  # parse-time cap; each edge is one of psi's at most 63 variables
+MAX_EDGES = 63  # parse-time cap; each edge is one of psi's variables (symanzik.MAX_VARS)
 MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), checked by _forest_candidates
 CANON_LEAF_BOUND = 720  # leaves a canonical form searches per component; 6! covers <= 6 vertices
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
@@ -285,12 +285,10 @@ class _UnionFind:
         return True
 
 
-def component_count(g: Multigraph, skip_label: int | None = None) -> int:
+def component_count(g: Multigraph) -> int:
     uf = _UnionFind(g.vertex_count)
     merges = 0
     for e in g.edges:
-        if e.label == skip_label:
-            continue
         if uf.union(e.u, e.v):
             merges += 1
     return g.vertex_count - merges

@@ -3,7 +3,9 @@
 Counting points specializes the Lefschetz class L to q, so polynomial
 identities in L become integer identities checkable per prime. Everything
 here either produces an exact verdict or an interpolated class candidate
-that survived held-out primes; nothing is ever fitted silently.
+that survived held-out primes; nothing is ever fitted silently. Every
+count takes its method, budget and workers from the enclosing
+counting.shared_counts(opts) block.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .counting import (
-    DEFAULT_OPTIONS,
-    CountOptions,
     CountRecord,
     check_count_budget,
     count_Z,
@@ -89,6 +89,8 @@ class ClassPoly:
         return ClassPoly(tuple(out))
 
     def __pow__(self, k: int) -> "ClassPoly":
+        if k < 0:
+            raise ValueError(f"negative power {k}: Z[L] has no inverse of L")
         out = ClassPoly.one()
         for _ in range(k):
             out = out * self
@@ -172,15 +174,15 @@ class CongruenceVerdict:
         return obj
 
 
-def _counts(g: Multigraph, primes: Sequence[int], opts: CountOptions) -> dict[int, CountRecord]:
+def _counts(g: Multigraph, primes: Sequence[int]) -> dict[int, CountRecord]:
     """count_graph at each prime, ascending, after checking every prime's
     budget: a count the budget refuses fails before any sweep runs. The
     counts share one shared_counts() block, so psi is built once."""
     qs = sorted(require_primes(primes))
     for q in qs:
-        check_count_budget(g, q, opts)
+        check_count_budget(g, q)
     with shared_counts():
-        return {q: count_graph(g, q, opts=opts) for q in qs}
+        return {q: count_graph(g, q) for q in qs}
 
 
 def _name(g: Multigraph, graph_name: str | None) -> str:
@@ -200,7 +202,6 @@ def check_modL_congruence(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """|Y_G(F_q)| mod q against the predicted constant, at every prime."""
     constant = predicted_sb_constant(g)
@@ -210,7 +211,7 @@ def check_modL_congruence(
         expected=f"{constant} mod q",
         observed=tuple(
             (q, rec.complement_count % q, constant % q)
-            for q, rec in _counts(g, primes, opts).items()
+            for q, rec in _counts(g, primes).items()
         ),
     )
 
@@ -220,16 +221,16 @@ def check_projective_congruence(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """|X_G(F_q)| = 1 mod q for non-forests with a non-looping edge.
 
     Outside those hypotheses the verdict is inapplicable (vacuously true):
     forests have no projective hypersurface, and pure loop bouquets
-    genuinely violate the congruence.
+    genuinely violate the congruence. The primes are validated either way.
     """
+    primes = require_primes(primes)
     applicable = not is_forest(g) and has_non_loop_edge(g)
-    counts = _counts(g, primes, opts) if applicable else {}
+    counts = _counts(g, primes) if applicable else {}
     return CongruenceVerdict(
         graph=_name(g, graph_name),
         tag="Lrat",
@@ -253,7 +254,6 @@ def dc_identity_check(
     q: int,
     *,
     graph_name: str | None = None,
-    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> CongruenceVerdict:
     """Exact integer deletion-contraction identity for one edge, one prime.
 
@@ -265,14 +265,14 @@ def dc_identity_check(
     """
     kind = classify_edge(g, edge_label)
     n = g.edge_count
-    lhs = count_graph(g, q, opts=opts).complement_count
-    y_del = count_graph(delete_edge(g, edge_label), q, opts=opts).complement_count
+    lhs = count_graph(g, q).complement_count
+    y_del = count_graph(delete_edge(g, edge_label), q).complement_count
     if kind is EdgeKind.BRIDGE:
         rhs = q * y_del
     elif kind is EdgeKind.LOOP:
         rhs = (q - 1) * y_del
     else:
-        z = count_Z(g, edge_label, q, opts=opts)
+        z = count_Z(g, edge_label, q)
         rhs = q * (q ** (n - 1) - z) - y_del
     tag, expected = _DC_IDENTITY[kind]
     return CongruenceVerdict(
@@ -286,12 +286,11 @@ def dc_identity_matrix(
     primes: Sequence[int],
     *,
     graph_name: str | None = None,
-    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
     name = _name(g, graph_name)
-    qs = list(_counts(g, primes, opts))  # every prime's budget before any sweep
-    rows = [[dc_identity_check(g, e, q, graph_name=name, opts=opts) for q in qs] for e in g.labels]
+    qs = list(_counts(g, primes))  # every prime's budget before any sweep
+    rows = [[dc_identity_check(g, e, q, graph_name=name) for q in qs] for e in g.labels]
     return [replace(r[0], observed=tuple(v.observed[0] for v in r)) for r in rows]
 
 
@@ -323,7 +322,6 @@ def interpolate_class(
     primes: Sequence[int] | None = None,
     *,
     graph_name: str | None = None,
-    opts: CountOptions = DEFAULT_OPTIONS,
 ) -> ClassPoly | NotPolynomiallyConsistent:
     """Candidate class in Z[L] from complement counts at several primes.
 
@@ -342,7 +340,7 @@ def interpolate_class(
         raise InsufficientPrimesError(
             f"need at least {n + 3} primes for {n} edges, got {len(qs)}"
         )
-    counts = [(q, rec.complement_count) for q, rec in _counts(g, qs, opts).items()]
+    counts = [(q, rec.complement_count) for q, rec in _counts(g, qs).items()]
     fitted = _lagrange_coefficients(counts[: n + 1])
     if any(c.denominator != 1 for c in fitted):
         return NotPolynomiallyConsistent(

@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .graphs import (
+    MAX_EDGES,
     EdgeKind,
     Multigraph,
     _UnionFind,
@@ -25,7 +26,7 @@ from .graphs import (
 )
 from .primes import require_prime
 
-MAX_VARS = 63  # masks must stay cheap machine ints
+MAX_VARS = MAX_EDGES  # one variable per edge label; masks stay cheap machine ints
 
 
 class NonMultilinearError(ValueError):
@@ -227,7 +228,12 @@ def split_last_var(
 
 
 def _ambient_width(g: Multigraph) -> int:
-    return max((e.label for e in g.edges), default=-1) + 1
+    """psi's variable count for g, one per label up to the highest; refused
+    past MAX_VARS."""
+    width = max((e.label for e in g.edges), default=-1) + 1
+    if width > MAX_VARS:
+        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
+    return width
 
 
 def _full_mask(g: Multigraph) -> int:
@@ -248,8 +254,7 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     term as it arrives, so no forest list is held beside psi; oversized
     graphs are refused as spanning_forests refuses them.
     """
-    if _ambient_width(g) > MAX_VARS:
-        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
+    width = _ambient_width(g)
     full = _full_mask(g)
     terms = {}
     for forest in _iter_spanning_forests(g):
@@ -257,7 +262,7 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
         for label in forest:
             mask |= 1 << label
         terms[full ^ mask] = 1
-    return MultilinearPoly(_ambient_width(g), terms)
+    return MultilinearPoly(width, terms)
 
 
 def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
@@ -270,8 +275,6 @@ def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
     no forest search; an oracle, refused like spanning_forests.
     """
     width = _ambient_width(g)
-    if width > MAX_VARS:
-        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
     edges, size = _forest_candidates(g)
     uf = _UnionFind(g.vertex_count)
     for e in edges:
@@ -340,8 +343,6 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     coincide (141 minors for wheel:10).
     """
     width = _ambient_width(g)
-    if width > MAX_VARS:
-        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
 
     frontier: dict[Multigraph, dict[int, int]] = {g: {0: 1}}
     for label in _sweep_order(g):

@@ -35,6 +35,7 @@ from graphmotive import (
     psi_by_deletion_contraction,
     psi_by_matrix_tree,
     psi_by_trees,
+    shared_counts,
     standard_catalog,
 )
 
@@ -208,9 +209,11 @@ def test_08_class_multiplicativity(capsys):
 def test_09_large_sweep_performance(capsys):
     g = CAT["wheel_4"]
     t0 = time.perf_counter()
-    single = count_graph(g, 11, opts=CountOptions("fibered", workers=1))
+    with shared_counts(CountOptions("fibered", workers=1)):
+        single = count_graph(g, 11)
     elapsed = time.perf_counter() - t0
-    parallel = count_graph(g, 11, opts=CountOptions("fibered", workers=4))
+    with shared_counts(CountOptions("fibered", workers=4)):  # a sibling block: no memo hit
+        parallel = count_graph(g, 11)
     expected = CountRecord(11, 8, 19887681, 194471200, projective_count=1988768)
     ok = elapsed < 60.0 and single == parallel == expected
     announce(capsys, 9, "8-edge fibered count at q=11, parallel identical", ok, elapsed)

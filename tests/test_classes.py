@@ -23,7 +23,6 @@ from graphmotive import (
     require_primes,
 )
 from graphmotive import motive
-from graphmotive.counting import DEFAULT_OPTIONS
 
 CAT = catalog_by_name()
 
@@ -61,6 +60,9 @@ def test_classpoly_normalization():
 def test_classpoly_arithmetic():
     L = ClassPoly.lefschetz()
     assert L**3 == ClassPoly((0, 0, 0, 1))
+    assert L**0 == ClassPoly.one()
+    with pytest.raises(ValueError, match="negative power"):
+        L**-1
     assert ClassPoly((-1, 1)) * ClassPoly((-1, 1)) == ClassPoly((1, -2, 1))
     assert L + ClassPoly((1,)) == ClassPoly((1, 1))
     assert L * ClassPoly.zero() == ClassPoly.zero()
@@ -116,9 +118,13 @@ def test_modL_examples():
 
 
 def test_modL_rejects_duplicate_primes():
-    for primes in ((3, 3), (), (3, 9)):
-        with pytest.raises(ValueError):
-            check_modL_congruence(CAT["cycle_3"], primes)
+    # path_2 and bouquet_2 are inapplicable to the projective verdict,
+    # which must still refuse the list before it decides that
+    for verdict in (check_modL_congruence, check_projective_congruence):
+        for name in ("cycle_3", "path_2", "bouquet_2"):
+            for primes in ((3, 3), (), (3, 9)):
+                with pytest.raises(ValueError):
+                    verdict(CAT[name], primes)
     assert require_primes((5, 3)) == (5, 3)
 
 
@@ -213,7 +219,7 @@ def test_class_multiplicative_over_disjoint_union():
 
 
 def _fake_counter(values):
-    def fake(g, q, *, opts=DEFAULT_OPTIONS):
+    def fake(g, q):
         return SimpleNamespace(complement_count=values[q])
 
     return fake

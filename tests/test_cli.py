@@ -430,8 +430,7 @@ def test_verify_skips_over_budget(capsys):
 
 def test_verify_counts_each_graph_prime_once(sweeps):
     g = catalog_by_name()["cycle_4"]
-    opts = CountOptions(budget=10**7)
-    _, ok = run_verify([("cycle_4", g)], (3, 5, 7), opts)
+    _, ok = run_verify([("cycle_4", g)], (3, 5, 7), CountOptions(budget=10**7))
     # One sweep per prime of the class fit (3..19). Z at every edge reads
     # it, as all four edges are one orbit, and the deletions, paths, have
     # constant psi and sweep nothing. 28 with the memo keyed by labelled
@@ -439,7 +438,7 @@ def test_verify_counts_each_graph_prime_once(sweeps):
     assert ok and len(sweeps) == 7
     # The memo ends with the run: a later count sweeps again.
     sweeps.clear()
-    counting.count_graph(g, 3, opts=opts)
+    counting.count_graph(g, 3)
     assert sweeps == [3]
 
 

@@ -173,13 +173,15 @@ def test_record_json_shape():
 
 def test_brute_counts_match_frozen_q3_grid():
     for name, (zeros, complement) in Q3_GRID.items():
-        rec = count_graph(CAT[name], 3, opts=CountOptions("brute"))
+        with counting.shared_counts(CountOptions("brute")):
+            rec = count_graph(CAT[name], 3)
         assert (rec.affine_zero_count, rec.complement_count) == (zeros, complement), name
 
 
 def test_both_methods_match_frozen_q5_grid():
     for name, (zeros, complement) in Q5_GRID.items():
-        rec = count_graph(CAT[name], 5, opts=CountOptions("both"))
+        with counting.shared_counts(CountOptions("both")):
+            rec = count_graph(CAT[name], 5)
         assert (rec.affine_zero_count, rec.complement_count) == (zeros, complement), name
 
 
@@ -191,7 +193,8 @@ def test_projective_counts_match_frozen():
 
 
 def test_worked_examples():
-    rec = count_graph(CAT["cycle_3"], 3, opts=CountOptions("both"))
+    with counting.shared_counts(CountOptions("both")):
+        rec = count_graph(CAT["cycle_3"], 3)
     assert rec == CountRecord(3, 3, 9, 18, projective_count=4)
     # trees never vanish: psi is the constant 1
     assert count_graph(CAT["path_5"], 3).complement_count == 3**5
@@ -236,7 +239,8 @@ def test_fibered_matches_brute_on_catalog():
         for q in (2, 3, 5, 7, 11, 13):
             if q**g.edge_count > 10**6:
                 continue
-            rec = count_graph(g, q, opts=CountOptions("both"))
+            with counting.shared_counts(CountOptions("both")):
+                rec = count_graph(g, q)
             for e in range(p.var_count):
                 assert count_fibered(p, e, q) == rec, (name, q, e)
 
@@ -458,7 +462,8 @@ def test_projective_requires_hypersurface():
 
 def _refusal(count, *args, budget, method="fibered"):
     with pytest.raises(BudgetExceededError) as refused:
-        count(*args, opts=CountOptions(method, budget=budget))
+        with counting.shared_counts(CountOptions(method, budget=budget)):
+            count(*args)
     return str(refused.value)
 
 
@@ -468,7 +473,8 @@ def test_budget_guards():
     assert _refusal(count_brute, p, 3, budget=728) == (
         "brute count over F_3^6 needs 729 point evaluations, budget is 728"
     )
-    count_brute(p, 3, opts=CountOptions(budget=729))
+    with counting.shared_counts(CountOptions(budget=729)):
+        count_brute(p, 3)
     assert _refusal(count_fibered, p, 5, 3, budget=485) == (
         "fibered count over F_3^5 needs 486 point evaluations, budget is 485"
     )
@@ -486,9 +492,9 @@ def test_budget_never_undercharges(monkeypatch):
     charged, swept = [], []
     check, sweep = counting._check_budget, counting.sweep_zero_patterns
 
-    def charge(cost, opts, what):
+    def charge(cost, what):
         charged.append(cost)
-        return check(cost, opts, what)
+        return check(cost, what)
 
     def spy(polys, q, **kw):
         swept.append(len(polys) * q ** polys[0].var_count)
@@ -525,11 +531,12 @@ def test_budget_never_undercharges(monkeypatch):
     ],
 )
 def test_check_count_budget_matches_count_graph(sweeps, method, budget, graph, message):
-    g, opts = CAT[graph], CountOptions(method, budget=budget)
-    with pytest.raises(BudgetExceededError) as counted:
-        count_graph(g, 3, opts=opts)
-    with pytest.raises(BudgetExceededError) as planned:
-        counting.check_count_budget(g, 3, opts)
+    g = CAT[graph]
+    with counting.shared_counts(CountOptions(method, budget=budget)):
+        with pytest.raises(BudgetExceededError) as counted:
+            count_graph(g, 3)
+        with pytest.raises(BudgetExceededError) as planned:
+            counting.check_count_budget(g, 3)
     expected = f"{message} point evaluations, budget is {budget}"
     assert str(planned.value) == str(counted.value) == expected
     assert sweeps == []
@@ -539,11 +546,12 @@ def test_check_count_budget_matches_count_graph(sweeps, method, budget, graph, m
 def test_check_count_budget_passes_edgeless(sweeps, method):
     # (edgeless, cycle_4) sweeps: one per level, and none for level 1 on 0 edges
     edgeless_sweeps, cycle_sweeps = {"brute": (1, 1), "fibered": (0, 1), "both": (1, 2)}[method]
-    opts = CountOptions(method, budget=1)
-    counting.check_count_budget(CAT["edgeless"], 3, opts)
-    assert count_graph(CAT["edgeless"], 3, opts=opts) == CountRecord(3, 0, 0, 1)
+    with counting.shared_counts(CountOptions(method, budget=1)):
+        counting.check_count_budget(CAT["edgeless"], 3)
+        assert count_graph(CAT["edgeless"], 3) == CountRecord(3, 0, 0, 1)
     assert len(sweeps) == edgeless_sweeps
-    count_graph(CAT["cycle_4"], 3, opts=CountOptions(method))
+    with counting.shared_counts(CountOptions(method)):
+        count_graph(CAT["cycle_4"], 3)
     assert len(sweeps) == edgeless_sweeps + cycle_sweeps
 
 
@@ -553,8 +561,10 @@ def test_fibered_count_of_a_forest_sweeps_nothing(sweeps):
     path = CAT["path_3"]
     assert count_graph(path, 5) == CountRecord(5, 3, 0, 125) and sweeps == []
     with pytest.raises(BudgetExceededError, match=r"^fibered count over F_5\^2 needs 50 "):
-        count_graph(path, 5, opts=CountOptions(budget=49))
-    assert count_graph(path, 5, opts=CountOptions("both")) == CountRecord(5, 3, 0, 125)
+        with counting.shared_counts(CountOptions(budget=49)):
+            count_graph(path, 5)
+    with counting.shared_counts(CountOptions("both")):
+        assert count_graph(path, 5) == CountRecord(5, 3, 0, 125)
     assert sweeps == [5]
 
 
@@ -563,9 +573,37 @@ def test_shared_counts_memoizes_only_inside_the_block(sweeps):
     with counting.shared_counts():
         rec = count_graph(g, 5)
         assert count_graph(g, 5) == rec and sweeps == [5]
-        count_graph(g, 5, opts=CountOptions("brute"))  # brute sweeps psi itself
-        assert sweeps == [5, 5]
+        with counting.shared_counts(CountOptions("brute")):  # joins the memo
+            count_graph(g, 5)  # brute sweeps psi itself
+            assert count_graph(g, 5) == rec and sweeps == [5, 5]
+        assert count_graph(g, 5) == rec and sweeps == [5, 5]
     assert count_graph(g, 5) == rec and sweeps == [5, 5, 5]
+
+
+def test_memo_hit_never_passes_a_stricter_nested_budget(sweeps):
+    # wheel_4 at q=11 is charged 2*11^7 per count; a nested block's budget
+    # refuses it before the memo is read, with a cold count's message.
+    g, strict = CAT["wheel_4"], CountOptions(budget=10**6)
+    counts = (lambda: count_graph(g, 11), lambda: count_Z(g, 7, 11))
+
+    def refusals():
+        messages = []
+        for count in counts:
+            with pytest.raises(BudgetExceededError) as refused:
+                count()
+            messages.append(str(refused.value))
+        return messages
+
+    with counting.shared_counts(strict):
+        cold = refusals()
+    assert cold[0].startswith("fibered count over F_11^7 needs 38974342 ") and sweeps == []
+    with counting.shared_counts():
+        warm = [count() for count in counts]
+        assert len(sweeps) == 1  # Z at edge 7 reads the count's sweep
+        with counting.shared_counts(strict):
+            assert refusals() == cold
+        assert [count() for count in counts] == warm  # the outer budget again
+    assert len(sweeps) == 1
 
 
 def test_repeated_count_finds_its_sweep_before_any_work(monkeypatch, sweeps):
@@ -651,7 +689,9 @@ def _counts_and_Z(g, q):
     """count_graph by both levels, which insists that they agree, and
     count_Z at every regular edge."""
     regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
-    return count_graph(g, q, opts=CountOptions("both")), [count_Z(g, e, q) for e in regular]
+    with counting.shared_counts(CountOptions("both")):
+        rec = count_graph(g, q)
+    return rec, [count_Z(g, e, q) for e in regular]
 
 
 def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
@@ -685,7 +725,8 @@ def test_fibered_wheel_4_sweeps_one_block_per_line(monkeypatch):
     rec = count_graph(CAT["wheel_4"], 11)
     assert len(grids) == 13 and rec.affine_zero_count == 19887681
     grids.clear()
-    assert count_graph(CAT["wheel_4"], 11, opts=CountOptions("both")) == rec
+    with counting.shared_counts(CountOptions("both")):
+        assert count_graph(CAT["wheel_4"], 11) == rec
     assert len(grids) == 13 + 11**3  # brute force: 11^8 points in blocks of 11^5
 
 
@@ -734,10 +775,13 @@ def test_sweep_memory_is_bounded_by_chunk(polys, q, cross):
 
 
 def test_counts_identical_with_workers(monkeypatch):
-    rec1 = count_graph(CAT["wheel_4"], 3, opts=CountOptions("fibered", workers=1))
+    # sibling blocks: in one memo the second count would sweep nothing
+    with counting.shared_counts(CountOptions("fibered", workers=1)):
+        rec1 = count_graph(CAT["wheel_4"], 3)
     small_chunks = functools.partial(counting.sweep_zero_patterns, chunk_points=100)
     monkeypatch.setattr(counting, "sweep_zero_patterns", small_chunks)
-    rec4 = count_graph(CAT["wheel_4"], 3, opts=CountOptions("fibered", workers=4))
+    with counting.shared_counts(CountOptions("fibered", workers=4)):
+        rec4 = count_graph(CAT["wheel_4"], 3)
     assert rec1 == rec4 == CountRecord(3, 8, 2529, 4032, projective_count=1264)
 
 
@@ -785,7 +829,7 @@ def test_prime_and_size_limits():
 def test_count_graph_method_validation():
     too_many = {"workers": counting.MAX_WORKERS + 1}
     for bad in ({"method": "magic"}, {"budget": 0}, {"workers": 0}, too_many):
-        with pytest.raises(ValueError):
-            count_graph(CAT["cycle_3"], 3, opts=CountOptions(**bad))
+        with pytest.raises(ValueError), counting.shared_counts(CountOptions(**bad)):
+            count_graph(CAT["cycle_3"], 3)
     rec = count_graph(Multigraph(2, ()), 7)
     assert rec == CountRecord(7, 0, 0, 1)
