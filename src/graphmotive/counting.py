@@ -51,7 +51,6 @@ from .symanzik import (
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
 DEFAULT_CHUNK = 1 << 19  # polynomial values per sweep block
 MAX_WORKERS = 64  # a sweep opens one pool of this many threads at most
-_MAX_Q = 1 << 31  # keep products of two residues inside int64
 
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
@@ -91,9 +90,9 @@ class CountOptions:
 
     method: "brute", "fibered" (split at the last two edge variables), or
     "both" (run both, insist on exact agreement). budget caps the
-    single-polynomial point evaluations charged to one count (see
-    _check_sweep_budget). workers is the sweep thread count,
-    1..MAX_WORKERS; counts are identical for any value.
+    single-polynomial point evaluations charged to one count (see _admit).
+    workers is the sweep thread count, 1..MAX_WORKERS; counts are identical
+    for any value.
     """
 
     method: str = "fibered"
@@ -296,8 +295,6 @@ def sweep_zero_patterns(
     """
     _check_workers(workers)
     require_prime(q)
-    if q >= _MAX_Q:
-        raise ValueError(f"modulus {q} too large for 64-bit sweep arithmetic")
     if not 1 <= len(polys) <= 8:
         raise ValueError("a sweep's zero-pattern holds 1 to 8 polynomials")
     width = polys[0].var_count
@@ -350,8 +347,9 @@ def _check_budget(cost: int, what: str) -> None:
         raise BudgetExceededError(f"{what} needs {cost} point evaluations, budget is {budget}")
 
 
-def _check_sweep_budget(what: str, level: int, q: int, n: int) -> None:
-    """Charge the sweep of an n-variable count at fibration level `level`.
+def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> None:
+    """require_prime(q), then charge each level's sweep of an n-variable count
+    under `what`, else the level's name; once per count, before any search.
 
     Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
     level is charged as 2 polynomials over F_q^{n-1}: that is the exact
@@ -362,25 +360,25 @@ def _check_sweep_budget(what: str, level: int, q: int, n: int) -> None:
     values a cone-reduced level-2 sweep evaluates, so that no budget
     refusal changed when the sweep began to visit one block per line.
     """
-    charged = min(level, 1)
-    if charged <= n:
-        _check_budget(2**charged * q ** (n - charged), f"{what} over F_{q}^{n - charged}")
+    require_prime(q)
+    for level in levels:
+        if (charged := min(level, 1)) <= n:
+            name = what or _LEVEL_NAMES[level]
+            _check_budget(2**charged * q ** (n - charged), f"{name} over F_{q}^{n - charged}")
 
 
 def check_count_budget(g: Multigraph, q: int) -> None:
     """Raise what count_graph(g, q) would raise before its first sweep,
     without building psi: too many edges for one polynomial, then the
-    budget of each level of the block's method in turn."""
-    require_prime(q)
-    n = g.edge_count
-    if n > MAX_VARS:
+    modulus and the budget of each level of the block's method in turn."""
+    if g.edge_count > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
-    for level in METHODS[_options().method]:
-        _check_sweep_budget(_LEVEL_NAMES[level], level, q, n)
+    _admit(q, g.edge_count, METHODS[_options().method])
 
 
 def count_brute(p: MultilinearPoly, q: int) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
+    _admit(q, p.var_count, (0,))
     return _count_level(p, q, 0)
 
 
@@ -497,14 +495,10 @@ def _count_level(p: MultilinearPoly, q: int, level: int, e: int = 0, key=None) -
     splits A and B at f, the highest variable other than t_e, then sweeps
     (A1, A0, B1, B0) over F_q^{n-2} with the cross bit. With one variable
     it splits t_e alone (level 1) and sweeps A and B. A constant p (psi
-    of a forest) is charged like any other, but its fibered levels sweep
-    nothing: it vanishes everywhere or nowhere.
+    of a forest) sweeps nothing at a fibered level: it vanishes everywhere
+    or nowhere. The caller has admitted the count (_admit).
     """
-    require_prime(q)
     n = p.var_count
-    if level and n and not 0 <= e < n:
-        raise ValueError(f"split variable {e} outside 0..{n - 1}")
-    _check_sweep_budget(_LEVEL_NAMES[level], level, q, n)
     if level and p.degree() == 0:
         return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else q**n)
     if level == 0:
@@ -520,6 +514,9 @@ def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
     highest variable other than t_e: 4*q^(n-2) polynomial values, or about
     4*q^(n-2)/(q-1) for homogeneous p once the sweep spans several blocks,
     against q^n for brute force. One-variable p is fibered over t_e alone."""
+    _admit(q, p.var_count, (2,))
+    if p.var_count and not 0 <= e < p.var_count:
+        raise ValueError(f"split variable {e} outside 0..{p.var_count - 1}")
     return _count_level(p, q, 2, e)
 
 
@@ -536,10 +533,9 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     Inside shared_counts(), isomorphic (graph, edge) pairs share k, and
     so one psi build and one sweep per prime.
     """
-    require_prime(q)
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
-    _check_sweep_budget("Z-locus sweep", 2, q, g.edge_count)
+    _admit(q, g.edge_count, (2,), "Z-locus sweep")
     k = _memoized(("canonical", g, label), canonical_relabel, g, label)
     p = _memoized(k, psi_by_deletion_contraction, k)
     return _sweep_fibers(

@@ -64,9 +64,10 @@ def _numbered_lines(text: str) -> Iterator[tuple[int, str]]:
 
 def _json_int_counter():
     """A json.loads parse_int hook that refuses, before the document is
-    built, more integers than the largest accepted graph holds: its
-    vertex_count plus two endpoints and a label per edge."""
-    limit = 1 + 3 * MAX_EDGES
+    built, more integers than the largest graph document the package
+    writes holds: `family`'s schema number and vertex_count plus two
+    endpoints and a label per edge."""
+    limit = 2 + 3 * MAX_EDGES
     seen = 0
 
     def parse_int(text: str) -> int:
@@ -224,9 +225,11 @@ class Multigraph:
             vc, n = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(f"line {num}: header entries must be integers")
+        if vc < 0 or n < 0:
+            raise GraphParseError(f"line {num}: header entries must be non-negative")
         _check_vertex_count(vc)
         _check_edge_count(n)
-        edge_rows = list(islice(rows, max(n, 0) + 1))
+        edge_rows = list(islice(rows, n + 1))
         if len(edge_rows) != n:
             found = len(edge_rows) + sum(1 for _ in rows)
             raise GraphParseError(f"expected {n} edge lines, found {found}")

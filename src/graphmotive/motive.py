@@ -175,10 +175,10 @@ class CongruenceVerdict:
 
 
 def _counts(g: Multigraph, primes: Sequence[int]) -> dict[int, CountRecord]:
-    """count_graph at each prime, ascending, after checking every prime's
-    budget: a count the budget refuses fails before any sweep runs. The
-    counts share one shared_counts() block, so psi is built once."""
-    qs = sorted(require_primes(primes))
+    """count_graph at each validated prime, ascending, after checking every
+    prime's budget: a count the budget refuses fails before any sweep runs.
+    The counts share one shared_counts() block, so psi is built once."""
+    qs = sorted(primes)
     for q in qs:
         check_count_budget(g, q)
     with shared_counts():
@@ -211,7 +211,7 @@ def check_modL_congruence(
         expected=f"{constant} mod q",
         observed=tuple(
             (q, rec.complement_count % q, constant % q)
-            for q, rec in _counts(g, primes).items()
+            for q, rec in _counts(g, require_primes(primes)).items()
         ),
     )
 
@@ -289,7 +289,7 @@ def dc_identity_matrix(
 ) -> list[CongruenceVerdict]:
     """One merged verdict per edge, observations across all primes."""
     name = _name(g, graph_name)
-    qs = list(_counts(g, primes))  # every prime's budget before any sweep
+    qs = list(_counts(g, require_primes(primes)))  # every prime's budget before any sweep
     rows = [[dc_identity_check(g, e, q, graph_name=name) for q in qs] for e in g.labels]
     return [replace(r[0], observed=tuple(v.observed[0] for v in r)) for r in rows]
 

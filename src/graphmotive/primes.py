@@ -10,6 +10,7 @@ from typing import Sequence
 # 798330580441. is_prime refuses moduli from PSI_13 up.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PSI_13 = 3317044064679887385961981
+MAX_MODULUS = 1 << 31  # a sweep keeps products of two residues inside int64
 
 
 class NotPrimeError(ValueError):
@@ -17,8 +18,11 @@ class NotPrimeError(ValueError):
 
 
 def require_prime(q: int) -> int:
+    """q, if it is a prime below MAX_MODULUS: the rule every modulus meets."""
     if not is_prime(q):
         raise NotPrimeError(f"modulus {q} is not prime")
+    if q >= MAX_MODULUS:
+        raise ValueError(f"modulus {q} too large for 64-bit sweep arithmetic")
     return q
 
 

@@ -25,6 +25,7 @@ from graphmotive import (
     interpolate_class,
 )
 from graphmotive.cli import main, run_verify
+from graphmotive.families import FamilySpec, generate_family
 from graphmotive.graphs import MAX_EDGES, MAX_VERTICES, Edge, GraphParseError
 
 TRIANGLE_TEXT = "# a triangle\n3 3\n0 1\n1 2\n2 0\n"
@@ -192,7 +193,7 @@ def test_million_edge_file_refused_in_little_memory(src_env, tmp_path):
 
 
 def test_million_edge_json_stops_parsing_early(src_env, tmp_path):
-    # json.loads refuses the 191st integer, so the document is never built:
+    # json.loads refuses the 192nd integer, so the document is never built:
     # what is left is the import (about 38 MB) and the 8 MB of text.
     path = tmp_path / "banana.json"
     path.write_text(json.dumps({"vertex_count": 2, "edges": [[0, 1]] * 1_000_000}))
@@ -201,12 +202,27 @@ def test_million_edge_json_stops_parsing_early(src_env, tmp_path):
 
 
 def test_json_integer_cap_admits_the_largest_graph():
-    # 63 labelled edges are 1 + 3 * 63 integers, the most the parser reads
+    # `family` writes a schema number and 63 labelled edges: 2 + 3 * 63
+    # integers, the most the parser reads
     edges = [[0, 1]] * MAX_EDGES
-    largest = {"vertex_count": 2, "edges": edges, "edge_labels": list(range(MAX_EDGES))}
+    largest = {
+        "schema": 1, "vertex_count": 2, "edges": edges, "edge_labels": list(range(MAX_EDGES)),
+    }
     assert Multigraph.parse(json.dumps(largest)).edge_count == MAX_EDGES
     with pytest.raises(GraphParseError, match="edge labels exceed 62"):
         Multigraph.parse(json.dumps({**largest, "extra": [0]}))
+
+
+@pytest.mark.parametrize(
+    "name,m",
+    [("cycle", 63), ("banana", 63), ("tree_path", 63), ("bouquet", 63),
+     ("complete", 11), ("wheel", 31), ("dumbbell", 62)],
+)
+def test_family_json_at_its_largest_size_parses_back(capsys, name, m):
+    assert run(capsys, "family", f"{name}:{m + 1}")[0] == 2  # m is the largest
+    code, out, _ = run(capsys, "family", f"{name}:{m}")
+    assert code == 0
+    assert Multigraph.parse(out) == generate_family(FamilySpec(name, m))
 
 
 def test_sparse_json_labels_still_count(capsys, tmp_path):
@@ -638,3 +654,4 @@ def test_benchmark_hooks_selftest(src_env):
         capture_output=True, text=True, env=src_env, cwd=root, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "selftest: ok" in proc.stdout

@@ -34,12 +34,14 @@ from graphmotive import (
     count_projective,
     is_prime,
     psi_by_trees,
+    require_primes,
     sweep_zero_patterns,
 )
 from graphmotive import counting
+from graphmotive.cli import main
 from graphmotive.families import FamilySpec, generate_family
 from graphmotive.graphs import Edge, EdgeKind, classify_edge, contract_edge, delete_edge
-from graphmotive.symanzik import psi_by_deletion_contraction, split_last_var
+from graphmotive.symanzik import evaluate, psi_by_deletion_contraction, split_last_var
 
 CAT = catalog_by_name()
 
@@ -519,6 +521,15 @@ def test_budget_never_undercharges(monkeypatch):
                 swept.clear()
                 count()
                 assert len(charged) <= 1 and sum(swept) <= sum(charged), (name, q)
+            # count_graph charges each level of its method once (an edgeless
+            # graph's fibered level sweeps nothing and is not charged)
+            for method, levels in counting.METHODS.items():
+                charged.clear()
+                swept.clear()
+                with counting.shared_counts(CountOptions(method=method)):
+                    count_graph(g, q)
+                assert len(charged) <= len(levels), (name, q, method)
+                assert sum(swept) <= sum(charged), (name, q, method)
 
 
 @pytest.mark.parametrize(
@@ -805,7 +816,7 @@ def test_sweep_rejects_bad_workers(monkeypatch, workers):
         sweep_zero_patterns([p], 3, chunk_points=3, workers=workers)
 
 
-def test_prime_and_size_limits():
+def test_prime_and_size_limits(capsys, sweeps):
     p = psi_by_trees(CAT["cycle_3"])
     with pytest.raises(NotPrimeError):
         count_brute(p, 4)
@@ -824,6 +835,28 @@ def test_prime_and_size_limits():
     assert sweep_zero_patterns([one], (1 << 31) - 1) == [1, 0]
     with pytest.raises(ValueError):
         sweep_zero_patterns([one], (1 << 61) - 1)
+    # the least prime above 2^31 is refused as a modulus by every entry
+    # point, before any budget check or sweep
+    big = 2147483659
+    too_large = "modulus 2147483659 too large for 64-bit sweep arithmetic"
+    refusals = [
+        lambda: require_primes((3, 5, big)),
+        lambda: count_graph(CAT["single_edge"], big),
+        lambda: count_Z(CAT["cycle_3"], 0, big),
+        lambda: count_brute(p, big),
+        lambda: evaluate(p, [1, 2, 3], big),
+    ]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=too_large):
+            refuse()
+    for argv in (
+        ["verify", "--primes", f"3,5,{big}"],
+        ["verify", "--family", "tree_path:2", "--primes", f"3,5,{big}"],
+        ["count", "--family", "tree_path:1", "--primes", str(big)],
+    ):
+        assert main(argv) == 2, argv
+        assert too_large in capsys.readouterr().err, argv
+    assert sweeps == []
 
 
 def test_count_graph_method_validation():

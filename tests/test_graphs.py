@@ -114,6 +114,8 @@ def test_parse_triangle_with_comments_and_blanks():
         ("2 1\n0 1 2", "line 2"),
         ("2 1\n0 5", "line 2"),
         ("2 1\na b", "line 2"),
+        ("2 -1\n", "line 1"),
+        ("-1 0", "line 1"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment):
