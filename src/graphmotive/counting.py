@@ -9,6 +9,12 @@ psi = t_e*A + B, splits A and B again at a second variable f, and sweeps
 the four parts (A1, A0, B1, B0) over F_q^{n-2}; their zero-pattern and
 whether D = A1*B0 - A0*B1 vanishes fix the zeros on each (t_e, f) plane.
 The Z-locus at an edge is read off the same sweep, fibered at that edge.
+The fibered count_graph and count_Z take a graph apart first: psi is
+the product of psi over its 2-connected loopless blocks, times t_l per
+loop, and two edges in series at a vertex of degree 2 count as one edge,
+times q. So only the blocks left once every such pair is merged are
+swept, each once per prime inside a shared_counts() block, whatever
+graphs hold it.
 The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
 each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
 block costs about q^k multiply-adds per polynomial whatever the term
@@ -34,11 +40,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import EdgeKind, GraphError, Multigraph, canonical_relabel, classify_edge
+from .graphs import Edge, EdgeKind, GraphError, Multigraph, canonical_relabel, classify_edge
 from .primes import require_prime
 from .symanzik import (
     MAX_VARS,
@@ -523,24 +529,44 @@ def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
 def count_Z(g: Multigraph, label: int, q: int) -> int:
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
-    With k = canonical_relabel(g, label), psi(k) = t*A + B at its last
-    variable t, label's image, where A and B are psi of the deletion and
-    the contraction in the same n-1 variables. So Z is read off the sweep
-    of (A1, A0, B1, B0), A and B split at their highest variable f, over
-    F_q^{n-2}: the very sweep count_graph makes when it fibers k. That
+    Let B be the block of g (_reduce) that holds the edge, with n_B edges,
+    and R the rest of g. The deletion's and the contraction's psi are each
+    that of B's minor times psi_R, in disjoint variables, so
+    |Z| = q^(n_B-1)*(q^(n_R) - |Y_R|) + |Y_R|*|Z_B|, with |Y_R| factorised
+    as in count_graph. Z_B is 0 when B is a cycle: B minus the edge is a
+    path, with psi = 1. Otherwise it is q per series merge of B times Z of
+    the reduced block at the edge the label merged into. Along the edge's
+    own path through degree-2 vertices, the deletion's psi holds none of
+    the path's other variables, and the contraction's holds only their sum,
+    times the deletion's psi: so they are free on Z. Every other merge is
+    a q-to-1 linear substitution in both.
+
+    With k = canonical_relabel(reduced block, that edge), psi(k) = t*A + B
+    at its last variable t, where A and B are psi of the deletion and the
+    contraction in the same variables. So Z of it is read off the sweep of
+    (A1, A0, B1, B0), A and B split at their highest variable f, over
+    F_q^{|k|-2}: the very sweep count_graph makes when it fibers k. That
     sweep's histogram depends on which variable is f; its total of
-    _common_zeros does not. The budget charges it as a level-1 count.
-    Inside shared_counts(), isomorphic (graph, edge) pairs share k, and
-    so one psi build and one sweep per prime.
+    _common_zeros does not. The budget charges g as a level-1 count.
+    Inside shared_counts(), (graph, edge) pairs with isomorphic marked
+    reduced blocks share k, and so one psi build and one sweep per prime.
     """
     if classify_edge(g, label) is not EdgeKind.REGULAR:
         raise NotRegularEdgeError(f"edge {label} is not regular")
     _admit(q, g.edge_count, (2,), "Z-locus sweep")
-    k = _memoized(("canonical", g, label), canonical_relabel, g, label)
+    reduction = _memoized(("reduce", g), _reduce, g)
+    i, mark = reduction.home[label]
+    block = reduction.blocks[i]
+    y_rest = _complement(reduction, q, skip=i)
+    z = q ** (block.edges - 1) * (q ** (g.edge_count - block.edges) - y_rest)
+    if block.reduced is None:
+        return z
+    k = _memoized(("canonical", block.reduced, mark), canonical_relabel, block.reduced, mark)
     p = _memoized(k, psi_by_deletion_contraction, k)
-    return _sweep_fibers(
+    z_block = _sweep_fibers(
         lambda: _fiber_parts(p, k.edge_count - 1), q, _common_zeros, (k, 2, q), cone=True
     )
+    return z + y_rest * q**block.merges * z_block
 
 
 _shared: ContextVar[tuple | None] = ContextVar("graphmotive_shared_counts", default=None)
@@ -550,19 +576,24 @@ _shared: ContextVar[tuple | None] = ContextVar("graphmotive_shared_counts", defa
 def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     """Within this block every count takes its method, budget and workers
     from opts (if None, from the enclosing block, or DEFAULT_OPTIONS), and
-    each psi is built and each sweep run once for all isomorphic graphs.
+    each graph is reduced, each psi built and each sweep run once.
 
     A nested block joins the enclosing memo whatever its options, as no
     entry depends on them: workers changes no count, a sweep's key holds
     its level, and every budget is checked before the memo is read.
-    Counts are keyed by canonical forms (graphs.canonical_relabel), whose
-    psi variables are their labels: psi by the canonical graph itself, and
-    a sweep's zero-pattern histogram by the canonical graph, level and q.
-    The fibered edge is the canonical graph's last label, so the key fixes
-    the swept polynomials: two requests share a sweep only when they would
-    sweep the same thing, and a form that is not canonical can cost a memo
-    hit, never a wrong count. The canonical form of each labelled request
-    is kept too, so a repeated request runs no search. Outside any block
+    The memo keys:
+    - ("reduce", g): g's blocks after series reduction (_reduce);
+    - ("count", h): _count_form(h), for each reduced block h, and for a
+      whole graph that brute force counts;
+    - ("canonical", h, label): canonical_relabel(h, label);
+    - a canonical graph k: psi(k), whose variables are k's labels;
+    - (k, level, q): the zero-pattern histogram of k's level-`level` sweep
+      at q. A fibered sweep splits k's last label.
+    The key fixes the swept polynomials: two requests share a sweep only
+    when they would sweep the same thing, and a form that is not canonical
+    can cost a memo hit, never a wrong count. So the fibered level sweeps
+    each reduced block once per prime, whatever graphs of the run it is
+    found in, and a repeated request runs no search. Outside any block
     nothing is memoized.
     """
     outer = _shared.get()
@@ -591,8 +622,163 @@ def _memoized(key, build: Callable, *args):
     return value
 
 
+# -- blocks and series reduction ----------------------------------------------
+#
+# psi_G is the product of psi over G's 2-connected loopless blocks, times
+# t_l for each loop; a bridge's variable does not occur in it (Aluffi and
+# Marcolli, "Algebro-geometric Feynman rules", arXiv:0811.2514). Two edges
+# e, f at a vertex of degree 2 with no loop are in series: psi_G is psi of
+# G', G with e and f merged into one edge g, under t_g -> t_e + t_f, a
+# q-to-1 linear map (Stembridge 1998), so |Y_G| = q*|Y_G'|. In all, |Y_G|
+# is q per bridge and per merge, q-1 per loop, times |Y| of each block once
+# no vertex of degree 2 is left; a cycle merges down to a loop.
+
+
+class _Block(NamedTuple):
+    """A 2-connected loopless block of `edges` edges, which `merges` series
+    merges take to `reduced`, with no vertex of degree 2; reduced is None
+    for a cycle, whose merges leave a loop."""
+
+    edges: int
+    merges: int
+    reduced: Multigraph | None
+
+
+class _Reduction(NamedTuple):
+    """What count_graph and count_Z count a graph by: its bridges, its loops
+    and its blocks of two or more edges, and for each edge of such a block
+    (block index, label of the reduced edge it merged into, None in a
+    cycle)."""
+
+    bridges: int
+    loops: int
+    blocks: tuple[_Block, ...]
+    home: dict[int, tuple[int, int | None]]
+
+
+def _block_labels(g: Multigraph) -> dict[int, int]:
+    """Each non-loop edge's label -> index of its 2-connected component.
+
+    One iterative depth-first search with an edge stack (Hopcroft and
+    Tarjan). Each edge goes on the stack once: a tree edge when the search
+    walks down it, a back edge when it is walked from its deeper end.
+    When the search backs out of v to its parent u and no edge below v
+    reaches above u, the edges down to (u, v) are one block. The edge
+    walked down is skipped by label, not by endpoint, so a parallel edge
+    back to the parent is a back edge.
+    """
+    adjacent: dict[int, list[tuple[int, int]]] = {}
+    for e in g.edges:
+        if not e.is_loop:
+            adjacent.setdefault(e.u, []).append((e.v, e.label))
+            adjacent.setdefault(e.v, []).append((e.u, e.label))
+    depth: dict[int, int] = {}
+    low: dict[int, int] = {}
+    block: dict[int, int] = {}
+    pending: list[int] = []
+    found = 0
+    for root in adjacent:
+        if root in depth:
+            continue
+        depth[root] = low[root] = 0
+        path = [(root, None, iter(adjacent[root]))]
+        while path:
+            v, via, todo = path[-1]
+            for w, label in todo:
+                if label == via:
+                    continue
+                if w not in depth:
+                    depth[w] = low[w] = depth[v] + 1
+                    pending.append(label)
+                    path.append((w, label, iter(adjacent[w])))
+                    break
+                if depth[w] < depth[v]:  # back to an ancestor
+                    pending.append(label)
+                    low[v] = min(low[v], depth[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= depth[u]:
+                        while (top := pending.pop()) != via:
+                            block[top] = found
+                        block[via] = found
+                        found += 1
+    return block
+
+
+def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | None, dict[int, int]]:
+    """A 2-connected loopless block with each maximal path through vertices
+    of degree 2 merged into one edge between its ends, labelled as the
+    path's first edge in `edges`, and each label -> the label it merged
+    into; (None, {}) for a cycle. With nothing to merge, the graph holds
+    `edges` themselves, in order."""
+    at: dict[int, list[Edge]] = {}
+    for e in edges:
+        at.setdefault(e.u, []).append(e)
+        at.setdefault(e.v, []).append(e)
+    if all(len(incident) == 2 for incident in at.values()):
+        return None, {}
+    into: dict[int, int] = {}
+    kept = []
+    for e in edges:
+        if e.label in into:
+            continue
+        ends = []
+        for w in (e.u, e.v):
+            f = e
+            while len(at[w]) == 2:  # ends at a vertex of degree 3 or more
+                f = at[w][at[w][0].label == f.label]
+                into[f.label] = e.label
+                w = f.u + f.v - w
+            ends.append(w)
+        into[e.label] = e.label
+        kept.append(Edge(e.label, *ends))
+    return Multigraph(vertex_count, tuple(kept)), into
+
+
+def _reduce(g: Multigraph) -> _Reduction:
+    """g's loops, bridges and series-reduced blocks of two or more edges."""
+    block_of = _block_labels(g)
+    members: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if not e.is_loop:
+            members.setdefault(block_of[e.label], []).append(e)
+    bridges, blocks, home = 0, [], {}
+    for edges in members.values():
+        if len(edges) == 1:
+            bridges += 1
+            continue
+        reduced, into = _merge_series(g.vertex_count, edges)
+        for e in edges:
+            home[e.label] = (len(blocks), into.get(e.label))
+        kept = 1 if reduced is None else reduced.edge_count
+        blocks.append(_Block(len(edges), len(edges) - kept, reduced))
+    loops = g.edge_count - len(block_of)
+    return _Reduction(bridges, loops, tuple(blocks), home)
+
+
+def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:
+    """|Y| of the reduced graph, without its block number `skip` if given:
+    q per bridge and per merge, q-1 per loop and per cycle, and each
+    reduced block's fibered count of psi of its count form."""
+    y = q**reduction.bridges * (q - 1) ** reduction.loops
+    for i, block in enumerate(reduction.blocks):
+        if i == skip:
+            continue
+        y *= q**block.merges
+        if block.reduced is None:
+            y *= q - 1
+        else:
+            k = _memoized(("count", block.reduced), _count_form, block.reduced)
+            p = _memoized(k, psi_by_deletion_contraction, k)
+            y *= _count_level(p, q, 2, k.edge_count - 1, (k, 2, q)).complement_count
+    return y
+
+
 def _count_form(g: Multigraph) -> Multigraph:
-    """The canonical graph count_graph fibers at its last label:
+    """The canonical graph a count fibers at its last label:
     canonical_relabel(g) with its highest regular label marked, if it has a
     regular edge, else canonical_relabel(g) itself. The choice depends on
     g's isomorphism class alone, so edge labels cannot change the sweeps."""
@@ -603,24 +789,38 @@ def _count_form(g: Multigraph) -> Multigraph:
     return h
 
 
+def _count_at(g: Multigraph, q: int, level: int) -> CountRecord:
+    """count_graph's record at one fibration level, admitted by the caller.
+
+    Level 0 sweeps psi of _count_form(g) over F_q^n. The fibered level
+    multiplies |Y| over g's reduction (_reduce): each reduced block is
+    counted at level 2 on psi of its count form, and g's psi has positive
+    degree, so a projective count, when g has a loop or a block."""
+    if level == 0:
+        k = _memoized(("count", g), _count_form, g)
+        p = _memoized(k, psi_by_deletion_contraction, k)
+        return _count_level(p, q, 0, key=(k, 0, q))
+    reduction = _memoized(("reduce", g), _reduce, g)
+    n = g.edge_count
+    zeros = q**n - _complement(reduction, q)
+    has_cycle = reduction.loops or reduction.blocks
+    return CountRecord(q, n, zeros, q**n - zeros, (zeros - 1) // (q - 1) if has_cycle else None)
+
+
 def count_graph(g: Multigraph, q: int) -> CountRecord:
     """Counts for a graph's polynomial over A^n, n = edge count, by the
-    block's method.
+    method of the enclosing shared_counts() block.
 
-    The budget is checked before psi is built. The count runs on psi of
-    k = _count_form(g), and the fibered level splits at k's last label,
-    the image of a regular edge if g has one. Inside shared_counts() every
-    count of a graph isomorphic to g, and count_Z at every edge that
-    corresponds to k's last label, read that sweep instead of sweeping,
-    and a repeated request runs no canonical search.
+    The budget of the whole graph is checked before anything is built.
+    The fibered level factorises over g's series-reduced blocks, so inside
+    shared_counts() each reduced block is swept once per prime, whatever
+    graph it comes from, and count_Z at every edge that reduces to the
+    block's fibered edge reads that sweep. Brute force still sweeps psi of
+    the whole graph, so "both" checks the factorisation against it. A
+    repeated request runs no DFS and no canonical search.
     """
     check_count_budget(g, q)
-    k = _memoized(("count", g), _count_form, g)
-    p = _memoized(k, psi_by_deletion_contraction, k)
-    rec, *others = [
-        _count_level(p, q, level, k.edge_count - 1, (k, level, q))
-        for level in METHODS[_options().method]
-    ]
+    rec, *others = [_count_at(g, q, level) for level in METHODS[_options().method]]
     for rec_f in others:
         if rec != rec_f:
             raise ConsistencyError(f"brute {rec} != fibered {rec_f}")

@@ -445,13 +445,13 @@ def test_verify_skips_over_budget(capsys):
 
 
 def test_verify_counts_each_graph_prime_once(sweeps):
-    g = catalog_by_name()["cycle_4"]
-    _, ok = run_verify([("cycle_4", g)], (3, 5, 7), CountOptions(budget=10**7))
-    # One sweep per prime of the class fit (3..19). Z at every edge reads
-    # it, as all four edges are one orbit, and the deletions, paths, have
-    # constant psi and sweep nothing. 28 with the memo keyed by labelled
-    # graphs, 40 with no memo.
-    assert ok and len(sweeps) == 7
+    g = catalog_by_name()["diamond"]
+    _, ok = run_verify([("diamond", g)], (3, 5, 7), CountOptions(budget=10**7))
+    # One sweep per prime of the class fit (3..23): the diamond's series
+    # merges leave banana_3, whose three edges are one orbit, so Z at every
+    # edge reads that sweep, and the deletions, a 4-cycle and a triangle
+    # with a tail, reduce to a loop and sweep nothing.
+    assert ok and len(sweeps) == 8
     # The memo ends with the run: a later count sweeps again.
     sweeps.clear()
     counting.count_graph(g, 3)
@@ -539,7 +539,7 @@ def test_dc_check_builds_each_psi_once(capsys, monkeypatch):
     "argv",
     [
         ("count", "--family", "wheel:4", "--primes", "3,5,7,11"),
-        ("class", "--family", "cycle:4"),  # the first 7 primes
+        ("class", "--family", "complete:4"),  # the first 9 primes
     ],
     ids=["count", "class"],
 )
@@ -548,7 +548,7 @@ def test_count_and_class_build_psi_once(capsys, monkeypatch, argv):
     build = counting.psi_by_deletion_contraction
     monkeypatch.setattr(counting, "psi_by_deletion_contraction", lambda g: built.append(g) or build(g))
     assert run(capsys, *argv)[0] == 0 and len(built) == 1
-    interpolate_class(catalog_by_name()["cycle_4"])  # library callers share one block too
+    interpolate_class(catalog_by_name()["complete_4"])  # library callers share one block too
     assert len(built) == 2
 
 

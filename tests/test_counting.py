@@ -555,15 +555,15 @@ def test_check_count_budget_matches_count_graph(sweeps, method, budget, graph, m
 
 @pytest.mark.parametrize("method", ["brute", "fibered", "both"])
 def test_check_count_budget_passes_edgeless(sweeps, method):
-    # (edgeless, cycle_4) sweeps: one per level, and none for level 1 on 0 edges
-    edgeless_sweeps, cycle_sweeps = {"brute": (1, 1), "fibered": (0, 1), "both": (1, 2)}[method]
+    # (edgeless, complete_4) sweeps: one per level, and none for level 1 on 0 edges
+    edgeless_sweeps, k4_sweeps = {"brute": (1, 1), "fibered": (0, 1), "both": (1, 2)}[method]
     with counting.shared_counts(CountOptions(method, budget=1)):
         counting.check_count_budget(CAT["edgeless"], 3)
         assert count_graph(CAT["edgeless"], 3) == CountRecord(3, 0, 0, 1)
     assert len(sweeps) == edgeless_sweeps
     with counting.shared_counts(CountOptions(method)):
-        count_graph(CAT["cycle_4"], 3)
-    assert len(sweeps) == edgeless_sweeps + cycle_sweeps
+        count_graph(CAT["complete_4"], 3)
+    assert len(sweeps) == edgeless_sweeps + k4_sweeps
 
 
 def test_fibered_count_of_a_forest_sweeps_nothing(sweeps):
@@ -580,7 +580,7 @@ def test_fibered_count_of_a_forest_sweeps_nothing(sweeps):
 
 
 def test_shared_counts_memoizes_only_inside_the_block(sweeps):
-    g = CAT["cycle_4"]
+    g = CAT["complete_4"]
     with counting.shared_counts():
         rec = count_graph(g, 5)
         assert count_graph(g, 5) == rec and sweeps == [5]
@@ -656,12 +656,16 @@ def test_shared_counts_builds_each_psi_once(monkeypatch):
 
 
 def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
-    # triangle_tail's top label is the tail's bridge: count_graph fibers at
-    # a regular edge instead, one of the two triangle edges at the tail's
-    # vertex. count_Z at either reads the count's sweep; the third
-    # triangle edge lies in another orbit and sweeps once per prime.
-    g = CAT["triangle_tail"]
+    # A triangle with two sides doubled, its third side a path of two
+    # edges, and a tail. The top label is the tail's bridge, so count_graph
+    # fibers the reduced block (the path merged into one edge) at a regular
+    # edge instead. Its edges form two orbits, the four doubled edges and
+    # the merged one: count_Z at every edge of the fibered edge's orbit,
+    # or of the path that merged into it, reads the count's sweep, and the
+    # other orbit sweeps once per prime.
+    g = Multigraph.from_pairs(5, [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (3, 0), (2, 4)])
     regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
+    assert regular == [0, 1, 2, 3, 4, 5]
     zs = [count_Z(g, e, 5) for e in regular]
     with counting.shared_counts():
         count_graph(g, 5)
@@ -669,22 +673,135 @@ def test_Z_at_the_fibered_edge_reads_the_count_sweep(sweeps):
         assert [count_Z(g, e, 5) for e in regular] == zs
         assert len(sweeps) == 1
         # an isomorphic copy under other vertex names and labels sweeps nothing
-        copy = Multigraph(4, tuple(Edge(9 - e.label, 3 - e.u, 3 - e.v) for e in g.edges))
+        copy = Multigraph(5, tuple(Edge(9 - e.label, 4 - e.u, 4 - e.v) for e in g.edges))
         count_graph(copy, 5)
         assert [count_Z(copy, 9 - e, 5) for e in regular] == zs and len(sweeps) == 1
+
+
+# -- blocks and series reduction ----------------------------------------------
+
+
+@st.composite
+def glued_graphs(draw):
+    """Random multigraphs of at most 7 edges made of what count_graph takes
+    apart: cycles, bundles of parallel edges, random multigraphs on three
+    vertices (with loops), loops and single edges, each glued to the graph
+    so far at one vertex or set beside it, then edges subdivided into
+    paths of degree-2 vertices."""
+    vertex_count, pairs = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["cycle", "bundle", "random", "loop", "edge"]))
+        size = draw(st.integers(2, 4))
+        if kind == "cycle":
+            piece = [(i, (i + 1) % size) for i in range(size)]
+        elif kind == "bundle":
+            piece = [(0, 1)] * size
+        elif kind == "random":
+            piece = [(draw(st.integers(0, 2)), draw(st.integers(0, 2))) for _ in range(size)]
+        else:
+            piece = [(0, 0)] if kind == "loop" else [(0, 1)]
+        if len(pairs) + len(piece) > 7:
+            continue
+        inner = max(w for pair in piece for w in pair) + 1
+        names = list(range(vertex_count, vertex_count + inner))
+        if vertex_count and draw(st.booleans()):  # glue at a cut vertex
+            names = [draw(st.integers(0, vertex_count - 1))] + names[:-1]
+        vertex_count = max(vertex_count, *(w + 1 for w in names))
+        pairs += [(names[u], names[v]) for u, v in piece]
+    for _ in range(draw(st.integers(0, 7 - len(pairs)))):
+        i = draw(st.integers(0, len(pairs) - 1))
+        u, v = pairs[i]
+        pairs[i] = (u, vertex_count)
+        pairs.append((vertex_count, v))
+        vertex_count += 1
+    return Multigraph.from_pairs(vertex_count, draw(st.permutations(pairs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_graphs(), st.sampled_from([3, 5, 7]))
+@example(CAT["banana_2"], 5)  # one block of two edges: one merge leaves a loop
+@example(CAT["cycle_5"], 7)  # merges to banana_2, then to a loop
+# two triangles at a cut vertex, and a loop beside them
+@example(Multigraph.from_pairs(6, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (5, 5)]), 3)
+# a diamond, which merges twice to banana_3, with a bridge and a loop
+@example(Multigraph.from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 4), (4, 4)]), 5)
+def test_block_factorisation_matches_whole_graph_counts(g, q):
+    # The fibered count multiplies over g's series-reduced blocks; level 2
+    # and brute force of g's own psi count the whole graph. Z at each
+    # regular edge, by the block formula, against a pure-Python count of
+    # the unreduced minors, at q=3 to keep that enumeration small.
+    p = psi_by_deletion_contraction(g)
+    rec = count_graph(g, q)
+    assert rec == count_brute(p, q)
+    if p.var_count:
+        assert rec == count_fibered(p, p.var_count - 1, q)
+    for e in g.labels:
+        if classify_edge(g, e) is EdgeKind.REGULAR:
+            minors = [delete_edge(g, e), contract_edge(g, e)]
+            terms = [_without_var(_oracles.psi_term_masks(m), e) for m in minors]
+            assert count_Z(g, e, 3) == _oracles.zero_patterns(terms, g.edge_count - 1, 3)[3], e
+
+
+def test_blocks_glued_anywhere_share_their_sweeps(monkeypatch, sweeps):
+    # Graphs with the same blocks, glued at other vertices or set apart,
+    # share every sweep and psi build: the second of each pair sweeps
+    # nothing. A Whitney twist inside one block (a 2-separation {a, b} of
+    # a block, one side flipped) keeps the cycle matroid, so psi, but not
+    # the isomorphism class, and sweeps again: blocks are keyed as graphs,
+    # not as matroids.
+    built = []
+    build = counting.psi_by_deletion_contraction
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", lambda g: built.append(g) or build(g))
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    glued = Multigraph.from_pairs(7, k4 + [(0 if w == 0 else w + 3, v + 3) for w, v in k4])
+    apart = Multigraph.from_pairs(8, k4 + [(u + 4, v + 4) for u, v in k4])
+    pendant = Multigraph.from_pairs(5, k4 + [(0, 4)])
+    beside = Multigraph.from_pairs(6, k4 + [(4, 5)])
+    twisted = [(0, 2), (0, 2), (1, 2), (0, 1), (0, 3), (0, 3), (1, 3)]  # degrees 5, 3, 3, 3
+    untwisted = [(0, 2), (0, 2), (1, 2), (0, 1), (1, 3), (1, 3), (0, 3)]  # degrees 4, 4, 3, 3
+    with counting.shared_counts():
+        for first, second in ((glued, apart), (pendant, beside)):
+            rec = count_graph(first, 3)
+            work = (len(sweeps), len(built))
+            assert count_graph(second, 3).complement_count == rec.complement_count
+            assert (len(sweeps), len(built)) == work
+        sweeps.clear()
+        built.clear()
+        rec = count_graph(Multigraph.from_pairs(4, twisted), 3)
+        assert count_graph(Multigraph.from_pairs(4, untwisted), 3) == rec
+        assert build(Multigraph.from_pairs(4, twisted)) == build(Multigraph.from_pairs(4, untwisted))
+        assert len(sweeps) == len(built) == 2
+
+
+def test_forests_count_with_no_search(monkeypatch, sweeps):
+    # Every block of star:18 and of a 9-leg spider with 2-edge legs is a
+    # bridge, so psi = 1 and the complement is q^18: no canonical search
+    # (the spider's would visit CANON_LEAF_BOUND leaves), no psi, no sweep.
+    calls = []
+    for name in ("canonical_relabel", "psi_by_deletion_contraction"):
+        fn = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    star = Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)])
+    spider = Multigraph.from_pairs(19, [(0, i) for i in range(1, 10)] + [(i, i + 9) for i in range(1, 10)])
+    for g in (star, spider):
+        assert count_graph(g, 3) == CountRecord(3, 18, 0, 3**18)
+    assert calls == [] and sweeps == []
 
 
 # -- cone reduction ------------------------------------------------------------
 
 
-def _one_point_blocks(monkeypatch) -> list:
+def _one_point_blocks(monkeypatch) -> tuple[list, list]:
     """From here on fibered sweeps take one-point blocks (chunk_points
     below 4*q), so every one of positive width has outer blocks; brute
-    force sweeps as usual. Returns what _scales_alike answers."""
+    force sweeps as usual. Returns what _scales_alike answers, and the
+    width of each fibered sweep."""
     sweep, scales_alike = counting.sweep_zero_patterns, counting._scales_alike
-    answers = []
+    answers, widths = [], []
 
     def one_point_blocks(polys, q, **kw):
+        if kw["cone"]:
+            widths.append(polys[0].var_count)
         return sweep(polys, q, **kw, **({"chunk_points": 4 * q - 1} if kw["cone"] else {}))
 
     def spy(*args):
@@ -693,7 +810,7 @@ def _one_point_blocks(monkeypatch) -> list:
 
     monkeypatch.setattr(counting, "sweep_zero_patterns", one_point_blocks)
     monkeypatch.setattr(counting, "_scales_alike", spy)
-    return answers
+    return answers, widths
 
 
 def _counts_and_Z(g, q):
@@ -712,9 +829,11 @@ def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
     full = [_counts_and_Z(CAT[name], q) for name, q, _ in cases]
     for (name, q, frozen), (rec, _) in zip(cases, full):
         assert (rec.affine_zero_count, rec.complement_count) == frozen, (name, q)
-    answers = _one_point_blocks(monkeypatch)
+    answers, widths = _one_point_blocks(monkeypatch)
     assert [_counts_and_Z(CAT[name], q) for name, q, _ in cases] == full
-    assert len(answers) > 100 and all(answers)
+    # every fibered sweep (each of a reduced block, so of positive width)
+    # had outer blocks, and each took one block per line
+    assert len(answers) == len(widths) > 50 and all(answers) and min(widths) > 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -722,7 +841,7 @@ def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
 def test_cone_reduced_counts_match_brute_on_random_graphs(g, q):
     full = _counts_and_Z(g, q)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        answers = _one_point_blocks(monkeypatch)
+        answers, _ = _one_point_blocks(monkeypatch)
         assert _counts_and_Z(g, q) == full
     assert all(answers)
 
