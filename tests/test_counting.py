@@ -566,17 +566,29 @@ def test_check_count_budget_passes_edgeless(sweeps, method):
     assert len(sweeps) == edgeless_sweeps + k4_sweeps
 
 
-def test_fibered_count_of_a_forest_sweeps_nothing(sweeps):
+def test_fibered_count_of_a_forest_sweeps_nothing(monkeypatch, sweeps):
     # psi of a forest is the constant 1: charged as any fibered count, but
-    # it vanishes nowhere, so nothing is swept. Brute force still sweeps.
-    path = CAT["path_3"]
-    assert count_graph(path, 5) == CountRecord(5, 3, 0, 125) and sweeps == []
-    with pytest.raises(BudgetExceededError, match=r"^fibered count over F_5\^2 needs 50 "):
-        with counting.shared_counts(CountOptions(budget=49)):
-            count_graph(path, 5)
-    with counting.shared_counts(CountOptions("both")):
-        assert count_graph(path, 5) == CountRecord(5, 3, 0, 125)
-    assert sweeps == [5]
+    # it vanishes nowhere, so nothing is swept. Every block is a bridge, so
+    # no canonical search (a 9-leg spider's would visit CANON_LEAF_BOUND
+    # leaves) and no psi build runs either. Brute force still sweeps.
+    calls = []
+    for name in ("canonical_relabel", "psi_by_deletion_contraction"):
+        fn = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    star = Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)])
+    spider = Multigraph.from_pairs(19, [(0, i) for i in range(1, 10)] + [(i, i + 9) for i in range(1, 10)])
+    for g, q in ((CAT["path_3"], 5), (star, 2), (spider, 2)):
+        sweeps.clear()
+        calls.clear()
+        n, cost = g.edge_count, 2 * q ** (g.edge_count - 1)
+        assert count_graph(g, q) == CountRecord(q, n, 0, q**n)
+        assert calls == [] and sweeps == [], g
+        with pytest.raises(BudgetExceededError, match=rf"^fibered count over F_{q}\^{n - 1} needs {cost} "):
+            with counting.shared_counts(CountOptions(budget=cost - 1)):
+                count_graph(g, q)
+        with counting.shared_counts(CountOptions("both")):
+            assert count_graph(g, q) == CountRecord(q, n, 0, q**n)
+        assert sweeps == [q]
 
 
 def test_shared_counts_memoizes_only_inside_the_block(sweeps):
@@ -773,21 +785,6 @@ def test_blocks_glued_anywhere_share_their_sweeps(monkeypatch, sweeps):
         assert len(sweeps) == len(built) == 2
 
 
-def test_forests_count_with_no_search(monkeypatch, sweeps):
-    # Every block of star:18 and of a 9-leg spider with 2-edge legs is a
-    # bridge, so psi = 1 and the complement is q^18: no canonical search
-    # (the spider's would visit CANON_LEAF_BOUND leaves), no psi, no sweep.
-    calls = []
-    for name in ("canonical_relabel", "psi_by_deletion_contraction"):
-        fn = getattr(counting, name)
-        monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
-    star = Multigraph.from_pairs(19, [(0, i) for i in range(1, 19)])
-    spider = Multigraph.from_pairs(19, [(0, i) for i in range(1, 10)] + [(i, i + 9) for i in range(1, 10)])
-    for g in (star, spider):
-        assert count_graph(g, 3) == CountRecord(3, 18, 0, 3**18)
-    assert calls == [] and sweeps == []
-
-
 # -- cone reduction ------------------------------------------------------------
 
 
@@ -822,18 +819,29 @@ def _counts_and_Z(g, q):
     return rec, [count_Z(g, e, q) for e in regular]
 
 
+def _whole_psi_count(g, q):
+    """count_fibered of g's own unreduced psi at its last variable: bridge
+    variables left out of psi and series paths kept whole."""
+    p = psi_by_deletion_contraction(g)
+    return count_fibered(p, p.var_count - 1, q)
+
+
 def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
     # At the default chunk no catalog sweep has outer blocks, so the
-    # reference Z values come from full sweeps.
+    # reference Z values come from full sweeps. count_graph and count_Z
+    # sweep series-reduced blocks; count_fibered of each whole psi also
+    # puts unreduced psi through the cone path.
     cases = [(name, q, grid[name]) for q, grid in ((3, Q3_GRID), (5, Q5_GRID)) for name in grid]
     full = [_counts_and_Z(CAT[name], q) for name, q, _ in cases]
     for (name, q, frozen), (rec, _) in zip(cases, full):
         assert (rec.affine_zero_count, rec.complement_count) == frozen, (name, q)
+        assert _whole_psi_count(CAT[name], q) == rec, (name, q)
     answers, widths = _one_point_blocks(monkeypatch)
     assert [_counts_and_Z(CAT[name], q) for name, q, _ in cases] == full
-    # every fibered sweep (each of a reduced block, so of positive width)
-    # had outer blocks, and each took one block per line
-    assert len(answers) == len(widths) > 50 and all(answers) and min(widths) > 0
+    assert [_whole_psi_count(CAT[name], q) for name, q, _ in cases] == [rec for rec, _ in full]
+    # every fibered sweep of positive width had outer blocks and took one
+    # block per line
+    assert len(answers) == sum(w > 0 for w in widths) > 100 and all(answers)
 
 
 @settings(max_examples=40, deadline=None)
