@@ -343,29 +343,35 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
     """All maximal spanning forests as sorted label tuples, lexicographic.
 
     A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear. The list form of
-    _iter_spanning_forests, which finds them by pruned backtracking and
-    refuses oversized graphs when called.
+    size is vertex_count - #components; loops never appear. Decodes, in the
+    order found, the label masks of _iter_spanning_forests, which finds the
+    forests by pruned backtracking and refuses oversized graphs when called.
     """
-    return list(_iter_spanning_forests(g))
+    labels = sorted(e.label for e in g.edges)
+    return [
+        tuple(label for label in labels if mask >> label & 1)
+        for mask in _iter_spanning_forests(g)
+    ]
 
 
-def _iter_spanning_forests(g: Multigraph) -> Iterator[tuple[int, ...]]:
-    """The maximal spanning forests of spanning_forests, one at a time.
+def _iter_spanning_forests(g: Multigraph) -> Iterator[int]:
+    """The maximal spanning forests of spanning_forests, one at a time,
+    each as the bitmask of its labels (bit l set for label l).
 
     A depth-first search over the non-loop edges in ascending label order
-    (Read and Tarjan's backtracking listing). An edge is taken only when
-    its endpoints lie in different components, so no prefix holding a cycle
-    is extended. Read and Tarjan's dead-end rule bounds the skips: an edge
-    is passed over only while the edges after it can still join all the
-    components the branch must join, so every node the search enters
+    (Read and Tarjan's backtracking listing), so the masks come in the
+    lexicographic order of their sorted label tuples. An edge is taken only
+    when its endpoints lie in different components, so no prefix holding a
+    cycle is extended. Read and Tarjan's dead-end rule bounds the skips: an
+    edge is passed over only while the edges after it can still join all
+    the components the branch must join, so every node the search enters
     yields a forest. Each level keeps its own component array of length V.
     Refused here, before any edge is tried, when C(non-loop edges, forest size)
     exceeds MAX_FOREST_SUBSETS (_forest_candidates); this function is not
     itself a generator, so the refusal does not wait for the first next().
     """
     edges, target = _forest_candidates(g)
-    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, ())
+    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, 0)
 
 
 def _forest_candidates(g: Multigraph) -> tuple[list[Edge], int]:
@@ -383,17 +389,26 @@ def _forest_candidates(g: Multigraph) -> tuple[list[Edge], int]:
 
 
 def _extend_forest(
-    edges: list[Edge], comp: list[int], start: int, need: int, chosen: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
-    """Forests extending chosen by `need` edges of edges[start:], in
-    lexicographic order; comp names each vertex's component under chosen.
+    edges: list[Edge], comp: list[int], start: int, need: int, chosen: int
+) -> Iterator[int]:
+    """Forests extending the label mask chosen by `need` edges of
+    edges[start:], in lexicographic order; comp names each vertex's
+    component under chosen.
 
     The branch on edges[i] is the forests whose next edge is edges[i]; it
     is tried only up to the last i from which edges[i:] still have forest
     rank `need` over comp (_last_branch), because every forest past that
     point would be short. Each child inherits that rank less one, so no
-    call returns empty. The last edge of a forest is yielded here, with no
-    call of its own."""
+    call returns empty. At need == 1 every later edge that joins two
+    components completes a forest, and the last of them is where that
+    pass would stop, so the loop runs to the end without it; the last edge
+    of a forest is yielded here, with no call of its own."""
+    if need == 1:
+        for i in range(start, len(edges)):
+            label, u, v = edges[i]
+            if comp[u] != comp[v]:
+                yield chosen | 1 << label
+        return
     if need == 0:
         yield chosen
         return
@@ -402,11 +417,8 @@ def _extend_forest(
         a, b = comp[u], comp[v]
         if a == b:
             continue
-        if need == 1:
-            yield (*chosen, label)
-        else:
-            merged = [a if c == b else c for c in comp]
-            yield from _extend_forest(edges, merged, i + 1, need - 1, (*chosen, label))
+        merged = [a if c == b else c for c in comp]
+        yield from _extend_forest(edges, merged, i + 1, need - 1, chosen | 1 << label)
 
 
 def _last_branch(edges: list[Edge], comp: list[int], start: int, need: int) -> int:

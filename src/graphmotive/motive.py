@@ -11,7 +11,6 @@ counting.shared_counts(opts) block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Sequence
 
 from .counting import (
@@ -294,26 +293,32 @@ def dc_identity_matrix(
     return [replace(r[0], observed=tuple(v.observed[0] for v in r)) for r in rows]
 
 
-def _lagrange_coefficients(points: list[tuple[int, int]]) -> list[Fraction]:
+def _integer_fit(points: list[tuple[int, int]]) -> list[int] | None:
     """Coefficients (ascending) of the unique degree < len(points) polynomial
-    through the given (x, y) pairs, over exact rationals."""
-    k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        num = [Fraction(1)]
-        denom = 1
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            longer = [Fraction(0)] * (len(num) + 1)
-            for d, c in enumerate(num):
-                longer[d + 1] += c
-                longer[d] -= c * xj
-            num = longer
-            denom *= xi - xj
-        weight = Fraction(yi, denom)
-        for d, c in enumerate(num):
-            coeffs[d] += c * weight
+    through the given (x, y) pairs, or None when one is not an integer.
+
+    Newton's divided differences in integers: those of a polynomial with
+    integer coefficients at integer points are integers, and integer
+    differences expand to integer coefficients, so the first inexact
+    division shows exactly that the interpolant is not in Z[x]."""
+    xs = [x for x, _ in points]
+    column = [y for _, y in points]
+    newton = column[:1]
+    for k in range(1, len(xs)):
+        higher = []
+        for i in range(len(column) - 1):
+            quotient, rest = divmod(column[i + 1] - column[i], xs[i + k] - xs[i])
+            if rest:
+                return None
+            higher.append(quotient)
+        column = higher
+        newton.append(column[0])
+    coeffs: list[int] = []
+    for c, x in zip(reversed(newton), reversed(xs)):  # coeffs * (t - x) + c
+        coeffs = [0, *coeffs]
+        for d in range(1, len(coeffs)):
+            coeffs[d - 1] -= x * coeffs[d]
+        coeffs[0] += c
     return coeffs
 
 
@@ -325,10 +330,11 @@ def interpolate_class(
 ) -> ClassPoly | NotPolynomiallyConsistent:
     """Candidate class in Z[L] from complement counts at several primes.
 
-    Interpolates a degree <= n polynomial through the first n+1 counts over
-    exact rationals, then demands integer coefficients and agreement at at
-    least two held-out primes. Any miss returns NotPolynomiallyConsistent
-    with the evidence; a returned polynomial is a candidate, not a proof.
+    Interpolates a degree <= n polynomial through the first n+1 counts in
+    exact integers (_integer_fit), demanding integer coefficients, then
+    agreement at at least two held-out primes. Any miss returns
+    NotPolynomiallyConsistent with the evidence; a returned polynomial is
+    a candidate, not a proof.
 
     With primes=None the first n+3 primes >= 3 are used.
     """
@@ -341,14 +347,14 @@ def interpolate_class(
             f"need at least {n + 3} primes for {n} edges, got {len(qs)}"
         )
     counts = [(q, rec.complement_count) for q, rec in _counts(g, qs).items()]
-    fitted = _lagrange_coefficients(counts[: n + 1])
-    if any(c.denominator != 1 for c in fitted):
+    fitted = _integer_fit(counts[: n + 1])
+    if fitted is None:
         return NotPolynomiallyConsistent(
             graph=_name(g, graph_name),
             reason="interpolant has non-integer coefficients",
             data=tuple(counts),
         )
-    candidate = ClassPoly(tuple(int(c) for c in fitted))
+    candidate = ClassPoly(tuple(fitted))
     for q, y in counts[n + 1 :]:
         predicted = candidate.evaluate(q)
         if predicted != y:

@@ -10,7 +10,8 @@ holds no more terms than psi itself.
 
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 from typing import Iterator, Sequence
 
 from .graphs import (
@@ -249,20 +250,15 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     The defining formula. Homogeneous of degree betti_1(g), every
     coefficient 1, and psi(1,..,1) counts the forests. Edgeless graphs
     (and forests generally, whose only maximal forest is everything)
-    give the constant 1. The forests come one at a time from the pruned
-    backtracking search behind graphs.spanning_forests, and each becomes a
-    term as it arrives, so no forest list is held beside psi; oversized
-    graphs are refused as spanning_forests refuses them.
+    give the constant 1. The forests come one at a time, as label masks,
+    from the pruned backtracking search behind graphs.spanning_forests,
+    and each becomes the term full ^ mask as it arrives, so no forest list
+    is held beside psi; oversized graphs are refused as spanning_forests
+    refuses them.
     """
     width = _ambient_width(g)
     full = _full_mask(g)
-    terms = {}
-    for forest in _iter_spanning_forests(g):
-        mask = 0
-        for label in forest:
-            mask |= 1 << label
-        terms[full ^ mask] = 1
-    return MultilinearPoly(width, terms)
+    return MultilinearPoly(width, {full ^ mask: 1 for mask in _iter_spanning_forests(g)})
 
 
 def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
@@ -318,15 +314,17 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     one edge label at a time with no recursion, in vertex-frontier order.
 
     The frontier maps each minor reached so far to its multiplier, the
-    terms psi(g) gains per term of psi(minor). Each step classifies every
-    minor's edge once: a loop is deleted and its multiplier gains t_e, a
-    bridge is contracted, and a regular edge gives both children
-    (t_e * deletion + contraction). After k steps every minor has the same
-    remaining labels, and contract_edge names each merged vertex by the
-    rank of its class minimum, so minors reached along different paths
-    are usually equal Multigraphs; equal children are merged by adding
-    their multipliers and are built on once. The edgeless minors left at
-    the end carry psi as the sum of their multipliers.
+    list of monomial masks psi(g) gains per term of psi(minor), one entry
+    per path that reached the minor. Each step classifies every minor's
+    edge once: a loop is deleted and each of its masks gains t_e, a bridge
+    is contracted, and a regular edge gives both children (t_e * deletion
+    + contraction). After k steps every minor has the same remaining
+    labels, and contract_edge names each merged vertex by the rank of its
+    class minimum, so minors reached along different paths are usually
+    equal Multigraphs; equal children are merged by joining their lists
+    and are built on once. The edgeless minors left at the end carry psi:
+    each coefficient is the number of times its mask occurs over all the
+    lists, counted, never assumed to be 1.
 
     A (minor, monomial) pair fixes which swept edges were deleted, so it
     extends to exactly one maximal forest of g. The frontier therefore
@@ -344,22 +342,18 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     """
     width = _ambient_width(g)
 
-    frontier: dict[Multigraph, dict[int, int]] = {g: {0: 1}}
+    frontier: dict[Multigraph, list[int]] = {g: [0]}
     for label in _sweep_order(g):
         bit = 1 << label
-        children: dict[Multigraph, dict[int, int]] = {}
-        for h, terms in frontier.items():
+        children: dict[Multigraph, list[int]] = {}
+        for h, masks in frontier.items():
             kind = classify_edge(h, label)
             if kind is not EdgeKind.BRIDGE:
-                _merge(children, delete_edge(h, label), {m | bit: c for m, c in terms.items()})
+                _merge(children, delete_edge(h, label), [m | bit for m in masks])
             if kind is not EdgeKind.LOOP:
-                _merge(children, contract_edge(h, label), terms)
+                _merge(children, contract_edge(h, label), masks)
         frontier = children
-
-    total: dict[int, int] = {}
-    for terms in frontier.values():
-        _add_terms(total, terms)
-    return MultilinearPoly(width, total)
+    return MultilinearPoly(width, Counter(chain.from_iterable(frontier.values())))
 
 
 def _sweep_order(g: Multigraph) -> list[int]:
@@ -388,16 +382,13 @@ def _sweep_order(g: Multigraph) -> list[int]:
     return order
 
 
-def _merge(frontier: dict, h: Multigraph, terms: dict[int, int]) -> None:
-    """Add terms to minor h's multiplier. The first dict h gets is kept,
-    not copied: each dict passed in has one owner, whose step is done."""
+def _merge(frontier: dict, h: Multigraph, masks: list[int]) -> None:
+    """Add masks to minor h's multiplier. The first list h gets is kept,
+    not copied, and later ones extend it: each list passed in has one
+    owner, whose step is done. Equal masks stay separate entries, so the
+    final count adds their coefficients."""
     held = frontier.get(h)
     if held is None:
-        frontier[h] = terms
+        frontier[h] = masks
     else:
-        _add_terms(held, terms)
-
-
-def _add_terms(into: dict[int, int], terms: dict[int, int]) -> None:
-    for mask, coeff in terms.items():
-        into[mask] = into.get(mask, 0) + coeff
+        held.extend(masks)

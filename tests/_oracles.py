@@ -8,6 +8,7 @@ Only usable on small inputs, which is the point.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def component_count(vertex_count, pairs):
@@ -155,3 +156,27 @@ def least_form(g, mark=None):
         if best is None or form < best:
             best = form
     return len(touched), best
+
+
+def lagrange_coefficients(points):
+    """Coefficients (ascending) of the unique degree < len(points) polynomial
+    through the given (x, y) pairs, by Lagrange's formula over exact
+    rationals."""
+    k = len(points)
+    coeffs = [Fraction(0)] * k
+    for i, (xi, yi) in enumerate(points):
+        num = [Fraction(1)]
+        denom = 1
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            longer = [Fraction(0)] * (len(num) + 1)
+            for d, c in enumerate(num):
+                longer[d + 1] += c
+                longer[d] -= c * xj
+            num = longer
+            denom *= xi - xj
+        weight = Fraction(yi, denom)
+        for d, c in enumerate(num):
+            coeffs[d] += c * weight
+    return coeffs

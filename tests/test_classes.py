@@ -5,7 +5,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import _oracles
 from graphmotive import (
     ClassPoly,
     CongruenceVerdict,
@@ -17,6 +19,7 @@ from graphmotive import (
     dc_identity_check,
     dc_identity_matrix,
     disjoint_union,
+    first_primes,
     hodge_form,
     interpolate_class,
     predicted_sb_constant,
@@ -246,6 +249,33 @@ def test_interpolation_refuses_non_integer_fit(monkeypatch):
     got = interpolate_class(CAT["single_edge"], (3, 5, 7, 11))
     assert isinstance(got, NotPolynomiallyConsistent)
     assert "non-integer" in got.reason
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(0, 9),
+    from_poly=st.booleans(),
+    values=st.lists(st.integers(-(10**6), 10**6), max_size=9),
+)
+@example(k=3, from_poly=False, values=[1, 2, 0])  # the non-integer fit above
+@example(k=9, from_poly=True, values=[0] * 8 + [1])
+def test_integer_fit_matches_rational_lagrange(k, from_poly, values):
+    # points at the first k primes, either on an integer polynomial of
+    # degree < k (integral by construction) or arbitrary integers (most
+    # are not); the integer Newton fit must agree with the Fraction
+    # Lagrange fit on integrality and on every coefficient
+    xs = first_primes(k)
+    if from_poly:
+        ys = [sum(c * x**d for d, c in enumerate(values[:k])) for x in xs]
+    else:
+        ys = (values + [0] * k)[:k]
+    points = list(zip(xs, ys))
+    oracle = _oracles.lagrange_coefficients(points)
+    got = motive._integer_fit(points)
+    if all(c.denominator == 1 for c in oracle):
+        assert got == [int(c) for c in oracle]
+    else:
+        assert got is None
 
 
 def test_verdict_json_row_shape():

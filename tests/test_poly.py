@@ -297,6 +297,46 @@ def test_forest_search_has_no_dead_ends(monkeypatch, spec):
     assert yields and 0 not in yields
 
 
+def test_forest_search_work_on_wheel_10(monkeypatch):
+    # 22,429 search nodes, as README states; the dead-end pass runs only at
+    # the 13,089 nodes that still need two or more edges, since at the
+    # last level every later edge joining two components is a forest
+    nodes, passes = [], []
+    extend, last_branch = graphs._extend_forest, graphs._last_branch
+
+    def counted_extend(*args):
+        nodes.append(args[3])
+        return extend(*args)
+
+    def counted_last_branch(*args):
+        passes.append(args[3])
+        return last_branch(*args)
+
+    monkeypatch.setattr(graphs, "_extend_forest", counted_extend)
+    monkeypatch.setattr(graphs, "_last_branch", counted_last_branch)
+    assert len(spanning_forests(generate_family(FamilySpec.parse("wheel:10")))) == 15125
+    assert len(nodes) == 22429
+    assert len(passes) == 13089
+    assert 1 not in passes
+
+
+def test_deletion_contraction_counts_a_mask_reached_twice(monkeypatch):
+    # a real sweep reaches each (minor, mask) pair along one path, so psi's
+    # coefficients are all 1; the frontier must still count, never dedupe.
+    # Stubbed minors sweep edge 0 twice: regular in g (deleted to a,
+    # contracted to b), then a loop in both a and b, each deleted to c, so
+    # t0 reaches c along two paths and two merges
+    g = Multigraph.from_pairs(2, [(0, 1)])
+    a, b, c = (Multigraph(n, ()) for n in (3, 4, 5))
+    monkeypatch.setattr(symanzik, "_sweep_order", lambda h: [0, 0])
+    monkeypatch.setattr(
+        symanzik, "classify_edge", lambda h, label: EdgeKind.REGULAR if h is g else EdgeKind.LOOP
+    )
+    monkeypatch.setattr(symanzik, "delete_edge", lambda h, label: a if h is g else c)
+    monkeypatch.setattr(symanzik, "contract_edge", lambda h, label: b)
+    assert psi_by_deletion_contraction(g) == MultilinearPoly(1, {0b1: 2})
+
+
 def test_deletion_contraction_memory_is_output_sized():
     # the frontier holds at most psi's own 15,125 terms (about 3.3 MB traced);
     # a memo of every minor's psi peaks near 16 MB
