@@ -60,7 +60,6 @@ from .symanzik import (
     evaluate,
     evaluate_int,
     psi_by_deletion_contraction,
-    psi_by_matrix_tree,
     psi_by_trees,
     split_last_var,
 )

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 
 MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
@@ -139,6 +139,19 @@ class Multigraph:
             for w in (e.u, e.v):
                 if not 0 <= w < vc:
                     raise GraphError(f"edge {e.label} endpoint {w} outside 0..{vc - 1}")
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Multigraph":
+        """A Multigraph with no __post_init__ check, for the minors that
+        delete_edge and contract_edge build from a graph already checked.
+        Their input is valid by construction: the edges are a subset of
+        g's, so the labels stay distinct and non-negative and every edge
+        is an Edge in a tuple; deletion keeps every vertex, and contraction
+        maps 0..vertex_count-1 onto 0..vertex_count-2."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "vertex_count", vertex_count)
+        object.__setattr__(g, "edges", edges)
+        return g
 
     @classmethod
     def from_pairs(cls, vertex_count: int, pairs: Iterable[tuple[int, int]]) -> "Multigraph":
@@ -267,55 +280,55 @@ class Multigraph:
         return cls.from_text(text)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
+def _join_ends(g: Multigraph, skip: int | None = None) -> tuple[list[int], int]:
+    """A union-find forest over g's vertices after joining the ends of every
+    edge except the one labelled skip, and how many joins merged two
+    classes. One inline pass with path halving, no object and no method
+    calls: classify_edge runs it once per minor of deletion-contraction."""
+    root = list(range(g.vertex_count))
+    merges = 0
+    for label, u, v in g.edges:
+        if label == skip:
+            continue
+        while u != root[u]:
+            root[u] = root[root[u]]
+            u = root[u]
+        while v != root[v]:
+            root[v] = root[root[v]]
+            v = root[v]
+        if u != v:
+            root[u] = v
+            merges += 1
+    return root, merges
 
 
 def component_count(g: Multigraph) -> int:
-    uf = _UnionFind(g.vertex_count)
-    merges = 0
-    for e in g.edges:
-        if uf.union(e.u, e.v):
-            merges += 1
-    return g.vertex_count - merges
+    return g.vertex_count - _join_ends(g)[1]
 
 
 def classify_edge(g: Multigraph, label: int) -> EdgeKind:
     """Bridge, loop, or regular, the trichotomy driving every recursion.
     A non-loop edge is a bridge exactly when its endpoints stay apart in
-    g minus the edge: one union-find pass."""
-    e = g.edge_by_label(label)
-    if e.is_loop:
+    g minus the edge: one union-find pass over the other edges
+    (_join_ends), then the root of each endpoint. An unknown label is
+    refused (UnknownLabelError)."""
+    _, u, v = g.edge_by_label(label)
+    if u == v:
         return EdgeKind.LOOP
-    uf = _UnionFind(g.vertex_count)
-    for f in g.edges:
-        if f.label != label:
-            uf.union(f.u, f.v)
-    if uf.find(e.u) != uf.find(e.v):
-        return EdgeKind.BRIDGE
-    return EdgeKind.REGULAR
+    root, _ = _join_ends(g, label)
+    while u != root[u]:
+        u = root[u]
+    while v != root[v]:
+        v = root[v]
+    return EdgeKind.BRIDGE if u != v else EdgeKind.REGULAR
 
 
 def delete_edge(g: Multigraph, label: int) -> Multigraph:
-    g.edge_by_label(label)
-    return Multigraph(g.vertex_count, tuple(e for e in g.edges if e.label != label))
+    """g without the edge labelled `label` (UnknownLabelError if there is
+    none); every other edge, label and vertex is kept."""
+    edges = g.edges
+    i = edges.index(g.edge_by_label(label))
+    return Multigraph._trusted(g.vertex_count, edges[:i] + edges[i + 1 :])
 
 
 def contract_edge(g: Multigraph, label: int) -> Multigraph:
@@ -323,15 +336,19 @@ def contract_edge(g: Multigraph, label: int) -> Multigraph:
 
     Edges parallel to the contracted one become loops; surviving labels are
     untouched.  Contracting a loop is rejected: it is never needed and the
-    deletion alias would change graph polynomials.
+    deletion alias would change graph polynomials, and an unknown label is
+    refused (UnknownLabelError). The higher endpoint folds into the lower
+    and the vertices above it move down by one, so the minor's vertices
+    are again 0..vertex_count-2.
     """
     e = g.edge_by_label(label)
     if e.is_loop:
         raise LoopContractionError(f"cannot contract looping edge {label}")
     lo, hi = min(e.u, e.v), max(e.u, e.v)
     to = [*range(hi), lo, *range(hi, g.vertex_count - 1)]  # hi folds into lo
-    edges = tuple(Edge(f.label, to[f.u], to[f.v]) for f in g.edges if f.label != label)
-    return Multigraph(g.vertex_count - 1, edges)
+    edge = tuple.__new__  # Edge(...) without namedtuple's Python-level __new__
+    edges = tuple(edge(Edge, (f, to[u], to[v])) for f, u, v in g.edges if f != label)
+    return Multigraph._trusted(g.vertex_count - 1, edges)
 
 
 def betti_1(g: Multigraph) -> int:
@@ -343,92 +360,119 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
     """All maximal spanning forests as sorted label tuples, lexicographic.
 
     A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear. Decodes, in the
-    order found, the label masks of _iter_spanning_forests, which finds the
-    forests by pruned backtracking and refuses oversized graphs when called.
+    size is vertex_count - #components; loops never appear. Decodes the
+    keys of _forest_masks(g, 0), the forests' label masks in the order the
+    search found them, which is this order. Oversized graphs are refused
+    when called, before any edge is tried (_forest_candidates).
     """
     labels = sorted(e.label for e in g.edges)
     return [
         tuple(label for label in labels if mask >> label & 1)
-        for mask in _iter_spanning_forests(g)
+        for mask in _forest_masks(g, 0)
     ]
 
 
-def _iter_spanning_forests(g: Multigraph) -> Iterator[int]:
-    """The maximal spanning forests of spanning_forests, one at a time,
-    each as the bitmask of its labels (bit l set for label l).
+def _forest_masks(g: Multigraph, base: int) -> dict[int, int]:
+    """{base ^ mask: 1} for the label mask of every maximal spanning forest
+    of g (bit l set for label l), in the lexicographic order of the forests'
+    sorted label tuples. base 0 gives the forests themselves; base the mask
+    of every label gives psi's terms, the complements of the forests.
 
-    A depth-first search over the non-loop edges in ascending label order
-    (Read and Tarjan's backtracking listing), so the masks come in the
-    lexicographic order of their sorted label tuples. An edge is taken only
-    when its endpoints lie in different components, so no prefix holding a
-    cycle is extended. Read and Tarjan's dead-end rule bounds the skips: an
-    edge is passed over only while the edges after it can still join all
-    the components the branch must join, so every node the search enters
-    yields a forest. Each level keeps its own component array of length V.
-    Refused here, before any edge is tried, when C(non-loop edges, forest size)
-    exceeds MAX_FOREST_SUBSETS (_forest_candidates); this function is not
-    itself a generator, so the refusal does not wait for the first next().
+    Refused here, before any edge is tried, by _forest_candidates. The
+    search itself is _collect_forests, started on a component string that
+    names each of the k vertices it sees by its own byte.
     """
-    edges, target = _forest_candidates(g)
-    return _extend_forest(edges, list(range(g.vertex_count)), 0, target, 0)
+    edges, k, need = _forest_candidates(g)
+    if need == 0:
+        return {base: 1}
+    out: dict[int, int] = {}
+    _collect_forests(edges, bytes(range(k)), 0, need, base, out)
+    return out
 
 
-def _forest_candidates(g: Multigraph) -> tuple[list[Edge], int]:
-    """The non-loop edges in ascending label order and the size of a maximal
-    spanning forest, refused when C(edges, size) exceeds MAX_FOREST_SUBSETS:
-    a bound on the forests searched and the subsets psi_by_matrix_tree expands."""
-    target = g.vertex_count - component_count(g)
+def _forest_candidates(g: Multigraph) -> tuple[list[tuple[int, int, int]], int, int]:
+    """(edges, k, size): the non-loop edges as (label, u, v) in ascending
+    label order with their endpoints renamed 0..k-1, and the size of a
+    maximal spanning forest.
+
+    Refused when there are more than MAX_EDGES non-loop edges, so that
+    k <= 2 * MAX_EDGES < 256 and each vertex fits in one byte of the
+    search's component string, and when C(edges, size) exceeds
+    MAX_FOREST_SUBSETS, a bound on the forests the search can reach.
+    Vertices that no non-loop edge touches are dropped: each is a
+    component of its own in every forest, so it never changes the search.
+    """
     edges = sorted(e for e in g.edges if not e.is_loop)
-    subsets = comb(len(edges), target)
+    if len(edges) > MAX_EDGES:
+        raise GraphError(
+            f"spanning forests: {len(edges)} non-loop edges exceed the limit {MAX_EDGES}"
+        )
+    size = g.vertex_count - component_count(g)
+    subsets = comb(len(edges), size)
     if subsets > MAX_FOREST_SUBSETS:
         raise GraphError(
             f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
         )
-    return edges, target
+    index: dict[int, int] = {}
+    compact = [
+        (label, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+        for label, u, v in edges
+    ]
+    return compact, len(index), size
 
 
-def _extend_forest(
-    edges: list[Edge], comp: list[int], start: int, need: int, chosen: int
-) -> Iterator[int]:
-    """Forests extending the label mask chosen by `need` edges of
-    edges[start:], in lexicographic order; comp names each vertex's
-    component under chosen.
+_BYTE = [bytes((i,)) for i in range(256)]  # _BYTE[c] is the one-byte string of c
 
-    The branch on edges[i] is the forests whose next edge is edges[i]; it
-    is tried only up to the last i from which edges[i:] still have forest
-    rank `need` over comp (_last_branch), because every forest past that
-    point would be short. Each child inherits that rank less one, so no
-    call returns empty. At need == 1 every later edge that joins two
-    components completes a forest, and the last of them is where that
-    pass would stop, so the loop runs to the end without it; the last edge
-    of a forest is yielded here, with no call of its own."""
+
+def _collect_forests(
+    edges: list[tuple[int, int, int]], comp: bytes, start: int, need: int, chosen: int, out: dict
+) -> None:
+    """Set out[chosen ^ mask] = 1 for the label mask of every way to extend
+    the forest `chosen` by `need` edges of edges[start:], in lexicographic
+    order; comp[w] names vertex w's component under chosen.
+
+    A depth-first search in ascending label order (Read and Tarjan's
+    backtracking listing) that recurses straight into the result: an edge
+    is taken only when its endpoints lie in different components, so no
+    prefix holding a cycle is extended. The branch on edges[i] is the
+    forests whose next edge is edges[i]; it is tried only up to the last i
+    from which edges[i:] still have forest rank `need` over comp
+    (_last_branch, Read and Tarjan's dead-end rule), because every forest
+    past that point would be short. Each child inherits that rank less
+    one, so every call adds a term. At need == 1 every later edge that
+    joins two components completes a forest, and the last of them is where
+    that pass would stop, so the loop runs to the end without it; the last
+    edge of a forest is written here, with no call of its own.
+
+    comp is a bytes string, one byte per vertex, so a child's components
+    are one C-level replace of b's byte by a's. The dead-end pass pays for
+    itself: without it the search over psi_build's 8 graphs took
+    0.070-0.081 s in-process against 0.059-0.066 s with it (best of 5 in
+    each of 4 alternating interpreters, 2-core shared VM)."""
     if need == 1:
         for i in range(start, len(edges)):
             label, u, v = edges[i]
             if comp[u] != comp[v]:
-                yield chosen | 1 << label
-        return
-    if need == 0:
-        yield chosen
+                out[chosen ^ 1 << label] = 1
         return
     for i in range(start, _last_branch(edges, comp, start, need) + 1):
         label, u, v = edges[i]
         a, b = comp[u], comp[v]
-        if a == b:
-            continue
-        merged = [a if c == b else c for c in comp]
-        yield from _extend_forest(edges, merged, i + 1, need - 1, chosen | 1 << label)
+        if a != b:
+            _collect_forests(
+                edges, comp.replace(_BYTE[b], _BYTE[a]), i + 1, need - 1, chosen ^ 1 << label, out
+            )
 
 
-def _last_branch(edges: list[Edge], comp: list[int], start: int, need: int) -> int:
+def _last_branch(edges: list[tuple[int, int, int]], comp: bytes, start: int, need: int) -> int:
     """The last i >= start at which edges[i:] still join `need` pairs of
     comp's components, by one union-find pass from the end; start - 1 when
     no such i exists. Skipping edges[i] there would leave too few.
 
-    The union-find is inlined rather than _UnionFind: this runs once per
-    search node, and the method calls cost psi_build about 11% wall_ref
-    (six alternating perfbench pairs, median 6.26 against 6.95)."""
+    The union-find is inlined rather than an object with methods: this
+    runs once per search node, and the method calls cost psi_build about
+    11% wall_ref (six alternating perfbench pairs, median 6.26 against
+    6.95)."""
     root = list(range(len(comp)))
     for i in range(len(edges) - 1, start - 1, -1):
         _, u, v = edges[i]

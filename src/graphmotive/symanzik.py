@@ -1,26 +1,24 @@
 """Multilinear polynomials keyed by edge-subset bitmasks, and the graph
-polynomial built three independent ways.
+polynomial built two independent ways.
 
-The constructions (forest enumeration, the matrix-tree theorem as a sum
-of squared integer incidence minors, deletion-contraction swept one edge
-label at a time) must agree term-for-term; each acts as an oracle for the
-others. The sweep merges equal minors, so it builds each minor once and
-holds no more terms than psi itself.
+The constructions (forest enumeration, and deletion-contraction swept one
+edge label at a time) must agree term-for-term with each other and with
+the matrix-tree theorem, which the tests keep as an oracle. The sweep
+merges equal minors, so it builds each minor once and holds no more terms
+than psi itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .graphs import (
     MAX_EDGES,
     EdgeKind,
     Multigraph,
-    _UnionFind,
-    _forest_candidates,
-    _iter_spanning_forests,
+    _forest_masks,
     classify_edge,
     contract_edge,
     delete_edge,
@@ -67,6 +65,20 @@ class MultilinearPoly:
             clean[mask] = coeff
         self.var_count = var_count
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, var_count: int, terms: dict[int, int]) -> "MultilinearPoly":
+        """A polynomial that keeps `terms` as given, with no per-term check,
+        for the two psi builders only. Their terms are valid by
+        construction: var_count comes from _ambient_width, which refuses
+        labels past MAX_VARS; every mask is a set of g's labels, so it lies
+        below 1 << var_count; and every coefficient is 1 (one per forest)
+        or a count of at least 1 (deletion-contraction), never 0. terms
+        must be a plain dict."""
+        p = object.__new__(cls)
+        p.var_count = var_count
+        p.terms = terms
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -225,7 +237,7 @@ def split_last_var(
     return MultilinearPoly(width, a_terms), MultilinearPoly(width, b_terms)
 
 
-# -- the graph polynomial, three ways ---------------------------------------
+# -- the graph polynomial, two ways -----------------------------------------
 
 
 def _ambient_width(g: Multigraph) -> int:
@@ -250,63 +262,14 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     The defining formula. Homogeneous of degree betti_1(g), every
     coefficient 1, and psi(1,..,1) counts the forests. Edgeless graphs
     (and forests generally, whose only maximal forest is everything)
-    give the constant 1. The forests come one at a time, as label masks,
-    from the pruned backtracking search behind graphs.spanning_forests,
-    and each becomes the term full ^ mask as it arrives, so no forest list
-    is held beside psi; oversized graphs are refused as spanning_forests
-    refuses them.
+    give the constant 1. The pruned backtracking search behind
+    graphs.spanning_forests starts from the mask of every label and
+    writes full ^ forest into psi's own dict as it finds each forest, so
+    the keys are psi's terms and no forest list is held beside psi;
+    oversized graphs are refused as spanning_forests refuses them.
     """
     width = _ambient_width(g)
-    full = _full_mask(g)
-    return MultilinearPoly(width, {full ^ mask: 1 for mask in _iter_spanning_forests(g)})
-
-
-def psi_by_matrix_tree(g: Multigraph) -> MultilinearPoly:
-    """Kirchhoff route, the matrix-tree theorem in Cauchy-Binet form.
-
-    B is the signed incidence matrix of the non-loop edges, one vertex row
-    removed per component. For each edge set S of forest size, det(B_S)^2
-    is added to the term t^(E minus S) as computed, never assumed 0 or 1,
-    so a sign or row slip shows as a wrong coefficient. Exact integers and
-    no forest search; an oracle, refused like spanning_forests.
-    """
-    width = _ambient_width(g)
-    edges, size = _forest_candidates(g)
-    uf = _UnionFind(g.vertex_count)
-    for e in edges:
-        uf.union(e.u, e.v)
-    kept = (v for v in range(g.vertex_count) if uf.find(v) != v)  # each root's row removed
-    row = {v: i for i, v in enumerate(kept)}
-    full = _full_mask(g)
-    terms: dict[int, int] = {}
-    for subset in combinations(edges, size):  # each subset is its own term
-        b = [[0] * size for _ in range(size)]
-        for j, (_, u, v) in enumerate(subset):
-            for w, sign in ((u, 1), (v, -1)):
-                if w in row:
-                    b[row[w]][j] = sign
-        if det := _integer_det(b):
-            terms[full ^ sum(1 << e.label for e in subset)] = det * det
-    return MultilinearPoly(width, terms)
-
-
-def _integer_det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix by Bareiss elimination:
-    each division by the previous pivot is exact. Zero pivots swap rows."""
-    a = [list(r) for r in m]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1] if n else 1
+    return MultilinearPoly._trusted(width, _forest_masks(g, _full_mask(g)))
 
 
 def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
@@ -353,7 +316,7 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
             if kind is not EdgeKind.LOOP:
                 _merge(children, contract_edge(h, label), masks)
         frontier = children
-    return MultilinearPoly(width, Counter(chain.from_iterable(frontier.values())))
+    return MultilinearPoly._trusted(width, dict(Counter(chain.from_iterable(frontier.values()))))
 
 
 def _sweep_order(g: Multigraph) -> list[int]:

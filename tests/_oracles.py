@@ -2,16 +2,23 @@
 
 Everything recomputes from first principles on the raw graph data (vertex
 count, labeled endpoint pairs); nothing calls the package's algorithm code.
-Only usable on small inputs, which is the point.
+Only usable on small inputs, which is the point. The package's types wrap
+results (psi_by_matrix_tree returns a MultilinearPoly) and its refusal
+limit bounds the matrix-tree oracle, nothing more.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb
+
+from graphmotive import GraphError, MultilinearPoly
+from graphmotive.graphs import MAX_FOREST_SUBSETS
 
 
-def component_count(vertex_count, pairs):
+def components(vertex_count, pairs):
+    """Each vertex's component, named by its least vertex."""
     comp = list(range(vertex_count))
     changed = True
     while changed:
@@ -22,7 +29,11 @@ def component_count(vertex_count, pairs):
                 hi = max(comp[u], comp[v])
                 comp = [lo if c == hi else c for c in comp]
                 changed = True
-    return len(set(comp))
+    return comp
+
+
+def component_count(vertex_count, pairs):
+    return len(set(components(vertex_count, pairs)))
 
 
 def graph_refusal(vertex_count, edges):
@@ -71,6 +82,59 @@ def psi_term_masks(g):
             mask ^= 1 << lab
         terms[mask] = terms.get(mask, 0) + 1
     return terms
+
+
+def psi_by_matrix_tree(g):
+    """psi by the matrix-tree theorem in Cauchy-Binet form, a MultilinearPoly.
+
+    B is the signed incidence matrix of the non-loop edges, one vertex row
+    removed per component (its least vertex). For each edge set S of
+    forest size, det(B_S)^2 is added to the term t^(E minus S) as
+    computed, never assumed 0 or 1, so a sign or row slip shows as a wrong
+    coefficient. Exact integers and no forest search. Refused, with the
+    package's message, past MAX_FOREST_SUBSETS subsets, so that a test
+    handing it a large graph fails at once instead of running for hours."""
+    width = max((e.label for e in g.edges), default=-1) + 1
+    edges = sorted((e.label, e.u, e.v) for e in g.edges if e.u != e.v)
+    comp = components(g.vertex_count, [(u, v) for _, u, v in edges])
+    kept = [v for v in range(g.vertex_count) if comp[v] != v]
+    size = len(kept)
+    subsets = comb(len(edges), size)
+    if subsets > MAX_FOREST_SUBSETS:
+        raise GraphError(
+            f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
+        )
+    row = {v: i for i, v in enumerate(kept)}
+    full = sum(1 << e.label for e in g.edges)
+    terms = {}
+    for subset in itertools.combinations(edges, size):  # each subset is its own term
+        b = [[0] * size for _ in range(size)]
+        for j, (_, u, v) in enumerate(subset):
+            for w, sign in ((u, 1), (v, -1)):
+                if w in row:
+                    b[row[w]][j] = sign
+        if det := integer_det(b):
+            terms[full ^ sum(1 << label for label, _, _ in subset)] = det * det
+    return MultilinearPoly(width, terms)
+
+
+def integer_det(m):
+    """Exact determinant of a square integer matrix by Bareiss elimination:
+    each division by the previous pivot is exact. Zero pivots swap rows."""
+    a = [list(r) for r in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def leibniz_det(matrix):

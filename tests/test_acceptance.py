@@ -33,7 +33,6 @@ from graphmotive import (
     is_forest,
     predicted_sb_constant,
     psi_by_deletion_contraction,
-    psi_by_matrix_tree,
     psi_by_trees,
     shared_counts,
     standard_catalog,
@@ -53,7 +52,7 @@ def test_01_three_route_equality(capsys):
     mismatched = []
     for name, g in CATALOG:
         p = psi_by_trees(g)
-        if psi_by_matrix_tree(g) != p or psi_by_deletion_contraction(g) != p:
+        if _oracles.psi_by_matrix_tree(g) != p or psi_by_deletion_contraction(g) != p:
             mismatched.append(name)
     elapsed = time.perf_counter() - t0
     ok = not mismatched and elapsed < 10.0

@@ -28,7 +28,6 @@ from graphmotive import (
     generate_family,
     graphs,
     graph_id,
-    psi_by_matrix_tree,
     psi_by_trees,
     spanning_forests,
     standard_catalog,
@@ -272,10 +271,9 @@ def test_spanning_forests_order_fixed_cases(g):
 
 
 def test_forest_refusal_is_raised_on_call():
-    # C(55, 10) candidates: refused when called, before any edge is tried;
-    # the forest iterator too, not at its first next()
+    # C(55, 10) candidates: refused when called, before any edge is tried
     k11 = generate_family(FamilySpec.parse("complete:11"))
-    for build in (spanning_forests, psi_by_trees, graphs._iter_spanning_forests, psi_by_matrix_tree):
+    for build in (spanning_forests, psi_by_trees, _oracles.psi_by_matrix_tree):
         with pytest.raises(GraphError, match="29248649430 edge subsets exceed the limit 10000000"):
             build(k11)
 

@@ -12,6 +12,7 @@ from graphmotive import (
     Edge,
     EdgeKind,
     FamilySpec,
+    GraphError,
     Multigraph,
     MultilinearPoly,
     NonMultilinearError,
@@ -26,7 +27,6 @@ from graphmotive import (
     generate_family,
     graphs,
     psi_by_deletion_contraction,
-    psi_by_matrix_tree,
     psi_by_trees,
     spanning_forests,
     split_last_var,
@@ -204,9 +204,9 @@ def test_route_examples():
     loop = Multigraph.from_pairs(1, [(0, 0)])
     assert psi_by_trees(loop).terms == {1: 1}
     bouquet2 = Multigraph.from_pairs(1, [(0, 0), (0, 0)])
-    assert psi_by_matrix_tree(bouquet2).terms == {3: 1}
+    assert _oracles.psi_by_matrix_tree(bouquet2).terms == {3: 1}
     tree = Multigraph.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
-    assert psi_by_matrix_tree(tree) == MultilinearPoly.constant(1, 3)
+    assert _oracles.psi_by_matrix_tree(tree) == MultilinearPoly.constant(1, 3)
     bouquet4 = Multigraph.from_pairs(1, [(0, 0)] * 4)
     assert psi_by_deletion_contraction(bouquet4).terms == {15: 1}
     assert psi_by_deletion_contraction(single_edge) == MultilinearPoly.constant(1, 1)
@@ -218,7 +218,7 @@ def test_route_examples():
 @given(small_graphs())
 def test_routes_agree_on_random_graphs(g):
     p = psi_by_trees(g)
-    assert p == psi_by_matrix_tree(g)
+    assert p == _oracles.psi_by_matrix_tree(g)
     assert p == psi_by_deletion_contraction(g)
 
 
@@ -228,8 +228,50 @@ def test_routes_agree_on_relabelled_graphs(g):
     # the sweep merges minors by Multigraph equality, which sees vertex
     # names, edge order and vertex count, not only the edge labels
     p = psi_by_trees(g)
-    assert p == psi_by_matrix_tree(g)
+    assert p == _oracles.psi_by_matrix_tree(g)
     assert p == psi_by_deletion_contraction(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs() | relabelled_graphs())
+def test_trusted_results_equal_checked_construction(g):
+    # the minors and both builders skip their constructors' checks: each
+    # result must be what the checked constructor makes of the same data
+    for e in g.edges:
+        minors = [delete_edge(g, e.label)] + ([] if e.is_loop else [contract_edge(g, e.label)])
+        for h in minors:
+            checked = Multigraph(h.vertex_count, h.edges)
+            assert type(h.edges) is tuple and all(type(f) is Edge for f in h.edges)
+            assert h == checked and hash(h) == hash(checked)
+    for p in (psi_by_trees(g), psi_by_deletion_contraction(g)):
+        checked = MultilinearPoly(p.var_count, dict(p.terms))
+        assert type(p.terms) is dict
+        assert p == checked and hash(p) == hash(checked)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Multigraph.from_pairs(400, [(300 + i, 300 + (i + 1) % 6) for i in range(6)]),
+        Multigraph.from_pairs(graphs.MAX_VERTICES, [(i, graphs.MAX_VERTICES - 1 - i) for i in range(63)]),
+    ],
+    ids=["cycle_6_at_300", "matching_63"],
+)
+def test_forest_search_renames_vertices_past_one_byte(g):
+    # the search names each vertex an edge touches by one byte; these
+    # vertex ids pass 255, and the matching touches 126 vertices, the most
+    # that MAX_EDGES non-loop edges can
+    p = psi_by_trees(g)
+    assert p.terms == _oracles.psi_term_masks(g)
+    assert p == psi_by_deletion_contraction(g)
+
+
+def test_forest_search_refuses_more_non_loop_edges_than_variables():
+    # 64 edges touch 128 vertices, past one byte each; only a graph built
+    # in code, not parsed, can hold them
+    g = Multigraph.from_pairs(128, [(2 * i, 2 * i + 1) for i in range(64)])
+    with pytest.raises(GraphError, match="64 non-loop edges exceed the limit 63"):
+        spanning_forests(g)
 
 
 def square_int_matrices():
@@ -252,7 +294,7 @@ def square_int_matrices():
 @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 @example([[2, 1, 1], [4, 2, 5], [1, 3, 0]])
 def test_integer_det_matches_leibniz(m):
-    assert symanzik._integer_det(m) == _oracles.leibniz_det(m)
+    assert _oracles.integer_det(m) == _oracles.leibniz_det(m)
 
 
 def test_deletion_contraction_builds_few_minors(monkeypatch):
@@ -278,23 +320,21 @@ def test_deletion_contraction_builds_few_minors(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["wheel:10", "complete:7"])
 def test_forest_search_has_no_dead_ends(monkeypatch, spec):
-    # every search node yields a forest; pruning only on edges remaining
+    # every search node adds a forest; pruning only on edges remaining
     # left 45,687 of wheel:10's nodes and 5,993 of complete:7's barren
-    extend = graphs._extend_forest
-    yields = []
+    collect = graphs._collect_forests
+    added = []
 
-    def counted(*args):
-        yields.append(0)
-        node = len(yields) - 1
-        for forest in extend(*args):
-            yields[node] += 1
-            yield forest
+    def counted(edges, comp, start, need, chosen, out):
+        before = len(out)
+        collect(edges, comp, start, need, chosen, out)
+        added.append(len(out) - before)
 
-    monkeypatch.setattr(graphs, "_extend_forest", counted)
+    monkeypatch.setattr(graphs, "_collect_forests", counted)
     g = generate_family(FamilySpec.parse(spec))
     forests = spanning_forests(g)
     assert len(forests) == psi_by_trees(g).term_count()
-    assert yields and 0 not in yields
+    assert len(added) > 1 and min(added) >= 1
 
 
 def test_forest_search_work_on_wheel_10(monkeypatch):
@@ -302,17 +342,17 @@ def test_forest_search_work_on_wheel_10(monkeypatch):
     # the 13,089 nodes that still need two or more edges, since at the
     # last level every later edge joining two components is a forest
     nodes, passes = [], []
-    extend, last_branch = graphs._extend_forest, graphs._last_branch
+    collect, last_branch = graphs._collect_forests, graphs._last_branch
 
-    def counted_extend(*args):
+    def counted_collect(*args):
         nodes.append(args[3])
-        return extend(*args)
+        return collect(*args)
 
     def counted_last_branch(*args):
         passes.append(args[3])
         return last_branch(*args)
 
-    monkeypatch.setattr(graphs, "_extend_forest", counted_extend)
+    monkeypatch.setattr(graphs, "_collect_forests", counted_collect)
     monkeypatch.setattr(graphs, "_last_branch", counted_last_branch)
     assert len(spanning_forests(generate_family(FamilySpec.parse("wheel:10")))) == 15125
     assert len(nodes) == 22429
