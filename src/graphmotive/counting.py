@@ -61,7 +61,7 @@ MAX_WORKERS = 64  # a sweep opens one pool of this many threads at most
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
 # brute force over all of F_q^n, level 2 splits off one edge variable (the
-# highest regular edge's, in count_graph) and the highest other one.
+# last label of a block's count form, in count_graph) and the highest other one.
 METHODS = {"brute": (0,), "fibered": (2,), "both": (0, 2)}
 _LEVEL_NAMES = {0: "brute count", 2: "fibered count"}
 
@@ -561,8 +561,7 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     z = q ** (block.edges - 1) * (q ** (g.edge_count - block.edges) - y_rest)
     if block.reduced is None:
         return z
-    k = _memoized(("canonical", block.reduced, mark), canonical_relabel, block.reduced, mark)
-    p = _memoized(k, psi_by_deletion_contraction, k)
+    k, p = _form(block.reduced, mark)
     z_block = _sweep_fibers(
         lambda: _fiber_parts(p, k.edge_count - 1), q, _common_zeros, (k, 2, q), cone=True
     )
@@ -581,11 +580,10 @@ def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     A nested block joins the enclosing memo whatever its options, as no
     entry depends on them: workers changes no count, a sweep's key holds
     its level, and every budget is checked before the memo is read.
-    The memo keys:
+    The memo's four kinds of key:
     - ("reduce", g): g's blocks after series reduction (_reduce);
-    - ("count", h): _count_form(h), for each reduced block h, and for a
-      whole graph that brute force counts;
-    - ("canonical", h, label): canonical_relabel(h, label);
+    - ("canonical", h, label): canonical_relabel(h, label), label None
+      for the unmarked form; _form chains two of them into a count form;
     - a canonical graph k: psi(k), whose variables are k's labels;
     - (k, level, q): the zero-pattern histogram of k's level-`level` sweep
       at q. A fibered sweep splits k's last label.
@@ -656,86 +654,68 @@ class _Reduction(NamedTuple):
     home: dict[int, tuple[int, int | None]]
 
 
-def _block_labels(g: Multigraph) -> dict[int, int]:
-    """Each non-loop edge's label -> index of its 2-connected component.
+def _find(parent: dict[int, int], x: int) -> int:
+    """The root of x's class in the union-find forest `parent`, in which a
+    root maps to itself or is absent; each step skips a level (path
+    halving). parent[_find(parent, a)] = _find(parent, b) joins two classes."""
+    while (up := parent.get(x, x)) != x:
+        parent[x] = x = parent.get(up, up)
+    return x
 
-    One iterative depth-first search with an edge stack (Hopcroft and
-    Tarjan). Each edge goes on the stack once: a tree edge when the search
-    walks down it, a back edge when it is walked from its deeper end.
-    When the search backs out of v to its parent u and no edge below v
-    reaches above u, the edges down to (u, v) are one block. The edge
-    walked down is skipped by label, not by endpoint, so a parallel edge
-    back to the parent is a back edge.
+
+def _block_labels(g: Multigraph) -> dict[int, int]:
+    """Each non-loop edge's label -> a label naming its 2-connected block.
+
+    Two edges at a vertex v share a block exactly when their far ends stay
+    joined in g - v, as a path between them that misses v closes a cycle
+    through both. So for each vertex v an edge touches, one union-find
+    pass over the edges that miss v joins, at v, the edges whose far ends
+    it joins; a bridge stays alone. That is quadratic in the edges, which
+    MAX_EDGES bounds, and isolated vertices are never visited.
     """
-    adjacent: dict[int, list[tuple[int, int]]] = {}
-    for e in g.edges:
-        if not e.is_loop:
-            adjacent.setdefault(e.u, []).append((e.v, e.label))
-            adjacent.setdefault(e.v, []).append((e.u, e.label))
-    depth: dict[int, int] = {}
-    low: dict[int, int] = {}
+    edges = [e for e in g.edges if not e.is_loop]
+    at: dict[int, list[Edge]] = {}
+    for e in edges:
+        at.setdefault(e.u, []).append(e)
+        at.setdefault(e.v, []).append(e)
     block: dict[int, int] = {}
-    pending: list[int] = []
-    found = 0
-    for root in adjacent:
-        if root in depth:
-            continue
-        depth[root] = low[root] = 0
-        path = [(root, None, iter(adjacent[root]))]
-        while path:
-            v, via, todo = path[-1]
-            for w, label in todo:
-                if label == via:
-                    continue
-                if w not in depth:
-                    depth[w] = low[w] = depth[v] + 1
-                    pending.append(label)
-                    path.append((w, label, iter(adjacent[w])))
-                    break
-                if depth[w] < depth[v]:  # back to an ancestor
-                    pending.append(label)
-                    low[v] = min(low[v], depth[w])
-            else:
-                path.pop()
-                if path:
-                    u = path[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= depth[u]:
-                        while (top := pending.pop()) != via:
-                            block[top] = found
-                        block[via] = found
-                        found += 1
-    return block
+    for v, incident in at.items():
+        rest: dict[int, int] = {}
+        for _, a, b in edges:
+            if v != a and v != b:
+                rest[_find(rest, a)] = _find(rest, b)
+        first: dict[int, int] = {}  # class of a far end in g - v -> a label at v
+        for label, a, b in incident:
+            joined = first.setdefault(_find(rest, a + b - v), label)
+            block[_find(block, label)] = _find(block, joined)
+    return {e.label: _find(block, e.label) for e in edges}
 
 
 def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | None, dict[int, int]]:
     """A 2-connected loopless block with each maximal path through vertices
     of degree 2 merged into one edge between its ends, labelled as the
     path's first edge in `edges`, and each label -> the label it merged
-    into; (None, {}) for a cycle. With nothing to merge, the graph holds
-    `edges` themselves, in order."""
-    at: dict[int, list[Edge]] = {}
+    into; (None, {}) for a cycle. A path is the union-find class that joins
+    the two edges at each vertex of degree 2, and its ends are its
+    endpoints of other degree, in the order `edges` meets them. With
+    nothing to merge, the graph holds `edges` themselves, in order."""
+    at: dict[int, list[int]] = {}
     for e in edges:
-        at.setdefault(e.u, []).append(e)
-        at.setdefault(e.v, []).append(e)
-    if all(len(incident) == 2 for incident in at.values()):
+        at.setdefault(e.u, []).append(e.label)
+        at.setdefault(e.v, []).append(e.label)
+    if all(len(labels) == 2 for labels in at.values()):
         return None, {}
+    path: dict[int, int] = {}
+    for labels in at.values():
+        if len(labels) == 2:
+            path[_find(path, labels[0])] = _find(path, labels[1])
+    first: dict[int, int] = {}  # path -> its first label
     into: dict[int, int] = {}
-    kept = []
-    for e in edges:
-        if e.label in into:
-            continue
-        ends = []
-        for w in (e.u, e.v):
-            f = e
-            while len(at[w]) == 2:  # ends at a vertex of degree 3 or more
-                f = at[w][at[w][0].label == f.label]
-                into[f.label] = e.label
-                w = f.u + f.v - w
-            ends.append(w)
-        into[e.label] = e.label
-        kept.append(Edge(e.label, *ends))
-    return Multigraph(vertex_count, tuple(kept)), into
+    ends: dict[int, list[int]] = {}  # first label of a path -> its ends
+    for label, u, v in edges:
+        into[label] = head = first.setdefault(_find(path, label), label)
+        ends.setdefault(head, []).extend(w for w in (u, v) if len(at[w]) != 2)
+    return Multigraph(vertex_count, tuple(Edge(label, *w) for label, w in ends.items())), into
 
 
 def _reduce(g: Multigraph) -> _Reduction:
@@ -762,7 +742,8 @@ def _reduce(g: Multigraph) -> _Reduction:
 def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:
     """|Y| of the reduced graph, without its block number `skip` if given:
     q per bridge and per merge, q-1 per loop and per cycle, and each
-    reduced block's fibered count of psi of its count form."""
+    reduced block's fibered count of psi of its count form (_form),
+    split at that form's last label."""
     y = q**reduction.bridges * (q - 1) ** reduction.loops
     for i, block in enumerate(reduction.blocks):
         if i == skip:
@@ -771,34 +752,34 @@ def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:
         if block.reduced is None:
             y *= q - 1
         else:
-            k = _memoized(("count", block.reduced), _count_form, block.reduced)
-            p = _memoized(k, psi_by_deletion_contraction, k)
+            k, p = _form(block.reduced)
             y *= _count_level(p, q, 2, k.edge_count - 1, (k, 2, q)).complement_count
     return y
 
 
-def _count_form(g: Multigraph) -> Multigraph:
-    """The canonical graph a count fibers at its last label:
-    canonical_relabel(g) with its highest regular label marked, if it has a
-    regular edge, else canonical_relabel(g) itself. The choice depends on
-    g's isomorphism class alone, so edge labels cannot change the sweeps."""
-    h = canonical_relabel(g)
-    for label in reversed(h.labels):
-        if classify_edge(h, label) is EdgeKind.REGULAR:
-            return _memoized(("canonical", h, label), canonical_relabel, h, label)
-    return h
+def _form(g: Multigraph, mark: int | None = None) -> tuple[Multigraph, MultilinearPoly]:
+    """(k, psi(k)) for k = canonical_relabel(g, mark), both memoized. With
+    no mark, k is the count form of g: canonical_relabel(g) marked at its
+    own last label, which a fibered count splits. It depends on g's
+    isomorphism class alone, so edge labels cannot change the sweeps.
+    Every edge of a reduced block is regular, and brute force needs no
+    regular mark, so no edge is classified."""
+    if mark is None:
+        g = _memoized(("canonical", g, None), canonical_relabel, g)
+        mark = g.labels[-1] if g.edges else None
+    k = _memoized(("canonical", g, mark), canonical_relabel, g, mark)
+    return k, _memoized(k, psi_by_deletion_contraction, k)
 
 
 def _count_at(g: Multigraph, q: int, level: int) -> CountRecord:
     """count_graph's record at one fibration level, admitted by the caller.
 
-    Level 0 sweeps psi of _count_form(g) over F_q^n. The fibered level
+    Level 0 sweeps psi of g's count form (_form) over F_q^n. The fibered level
     multiplies |Y| over g's reduction (_reduce): each reduced block is
     counted at level 2 on psi of its count form, and g's psi has positive
     degree, so a projective count, when g has a loop or a block."""
     if level == 0:
-        k = _memoized(("count", g), _count_form, g)
-        p = _memoized(k, psi_by_deletion_contraction, k)
+        k, p = _form(g)
         return _count_level(p, q, 0, key=(k, 0, q))
     reduction = _memoized(("reduce", g), _reduce, g)
     n = g.edge_count
@@ -816,8 +797,9 @@ def count_graph(g: Multigraph, q: int) -> CountRecord:
     shared_counts() each reduced block is swept once per prime, whatever
     graph it comes from, and count_Z at every edge that reduces to the
     block's fibered edge reads that sweep. Brute force still sweeps psi of
-    the whole graph, so "both" checks the factorisation against it. A
-    repeated request runs no DFS and no canonical search.
+    the whole graph's count form, so "both" checks the factorisation
+    against it. No edge is classified, and a repeated request splits no
+    block and runs no canonical search.
     """
     check_count_budget(g, q)
     rec, *others = [_count_at(g, q, level) for level in METHODS[_options().method]]

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 
-MAX_VERTICES = 1 << 16  # parse-time cap; union-find and minors are O(V)
+MAX_VERTICES = 1 << 16  # parse-time cap; a union-find pass is O(V), minors are edge-sized
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's variables (symanzik.MAX_VARS)
 MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), checked by _forest_candidates
 CANON_LEAF_BOUND = 720  # leaves a canonical form searches per component; 6! covers <= 6 vertices

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     MAX_EDGES,
+    Edge,
     EdgeKind,
     Multigraph,
     _forest_masks,
@@ -302,9 +303,16 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     merged vertices; the fewer vertices touch both kinds of edge, the fewer
     of those mergings the unswept edges can see, and the more minors
     coincide (141 minors for wheel:10).
+
+    The sweep starts from g on the vertices its edges touch, renamed
+    0..k-1 in increasing order (g itself when no vertex is isolated), so
+    every minor is edge-sized; psi keeps its labels.
     """
     width = _ambient_width(g)
-
+    touched = sorted({w for e in g.edges for w in (e.u, e.v)})
+    if len(touched) < g.vertex_count:
+        name = {w: i for i, w in enumerate(touched)}
+        g = Multigraph(len(touched), tuple(Edge(f, name[u], name[v]) for f, u, v in g.edges))
     frontier: dict[Multigraph, list[int]] = {g: [0]}
     for label in _sweep_order(g):
         bit = 1 << label

@@ -55,6 +55,23 @@ def graph_refusal(vertex_count, edges):
     return None
 
 
+def blocks_by_cycles(g):
+    """g's non-loop edge labels split into 2-connected blocks, as a set of
+    frozensets: two edges share a block exactly when some cycle holds
+    both. A cycle is an edge subset that is connected and meets each
+    vertex it touches exactly twice; every subset is tried."""
+    edges = [(e.label, e.u, e.v) for e in g.edges if e.u != e.v]
+    together = {label: {label} for label, _, _ in edges}
+    for size in range(2, len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            ends = [w for _, u, v in subset for w in (u, v)]
+            comp = components(g.vertex_count, [(u, v) for _, u, v in subset])
+            if all(ends.count(w) == 2 for w in ends) and len({comp[w] for w in ends}) == 1:
+                for label, _, _ in subset:
+                    together[label].update(f for f, _, _ in subset)
+    return {frozenset(labels) for labels in together.values()}
+
+
 def forest_label_sets(g):
     """All maximal spanning forests as frozensets of edge labels."""
     labeled = [(e.label, e.u, e.v) for e in g.edges]

@@ -458,6 +458,36 @@ def test_verify_counts_each_graph_prime_once(sweeps):
     assert sweeps == [3]
 
 
+def test_catalog_verify_work_is_pinned(monkeypatch):
+    # The catalog verify at primes 3,5,7 and budget 10^7: 35 sweeps, 7 psi
+    # builds and 61 canonical searches, and 8 budget refusals, the class
+    # fits refused after the small primes were counted.
+    names = ("sweep_zero_patterns", "psi_by_deletion_contraction", "canonical_relabel")
+    work = dict.fromkeys(names, 0)
+    for name in work:
+        fn = getattr(counting, name)
+
+        def spy(*args, fn=fn, name=name, **kw):
+            work[name] += 1
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(counting, name, spy)
+    refused = []
+    check = counting._check_budget
+
+    def spy_check(cost, what):
+        try:
+            check(cost, what)
+        except counting.BudgetExceededError:
+            refused.append(what)
+            raise
+
+    monkeypatch.setattr(counting, "_check_budget", spy_check)
+    _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
+    assert ok and len(refused) == 8
+    assert list(work.values()) == [35, 7, 61]
+
+
 def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):
     # The memo keys sweeps by canonical forms, so renaming the vertices and
     # relabelling the edges of every graph of one verify run adds or

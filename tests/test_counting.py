@@ -785,6 +785,68 @@ def test_blocks_glued_anywhere_share_their_sweeps(monkeypatch, sweeps):
         assert len(sweeps) == len(built) == 2
 
 
+@st.composite
+def spread_graphs(draw):
+    """small_graphs() with up to three isolated vertices among the others."""
+    g = draw(small_graphs())
+    vertex_count = g.vertex_count + draw(st.integers(0, 3))
+    place = draw(st.permutations(range(vertex_count)))
+    return Multigraph(vertex_count, tuple(Edge(e.label, place[e.u], place[e.v]) for e in g.edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(glued_graphs(), spread_graphs()))
+# K4 with a pendant path and a loop, on vertices spread apart
+@example(Multigraph.from_pairs(9, [(0, 2), (0, 4), (0, 6), (2, 4), (2, 6), (4, 6), (6, 8), (8, 8)]))
+def test_block_split_matches_cycle_oracle(g):
+    # _block_labels joins two edges at a vertex whose far ends stay joined
+    # without it; the oracle joins the edges of every cycle it enumerates.
+    # The bridges are exactly the classes of one edge.
+    classes: dict[int, set[int]] = {}
+    for label, block in counting._block_labels(g).items():
+        classes.setdefault(block, set()).add(label)
+    partition = {frozenset(labels) for labels in classes.values()}
+    assert partition == _oracles.blocks_by_cycles(g)
+    bridges = {label for label in g.labels if classify_edge(g, label) is EdgeKind.BRIDGE}
+    assert {label for labels in partition if len(labels) == 1 for label in labels} == bridges
+
+
+def test_reduction_stays_edge_sized():
+    # wheel_4, and wheel_4 with a subdivided spoke, a tail and a loop, each
+    # spread over 65,536 vertices, reduce as on their own vertices; a pass
+    # per vertex or a list of vertex_count entries (its 65,536 pointers
+    # alone are 0.5 MB) would show in the traced peak.
+    wheel = CAT["wheel_4"]
+    pairs = [(e.u, e.v) for e in wheel.edges] + [(0, 5), (5, 1), (4, 6), (6, 7), (7, 7)]
+    extra = Multigraph.from_pairs(8, pairs)
+    for small in (wheel, extra):
+        step = ((1 << 16) - 1) // (small.vertex_count - 1)
+        big = Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
+        tracemalloc.start()
+        try:
+            spread = counting._reduce(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        compact = counting._reduce(small)
+        assert spread[:2] == compact[:2] and spread.home == compact.home
+        assert [b[:2] for b in spread.blocks] == [b[:2] for b in compact.blocks]
+        assert peak < 2**17, peak
+
+
+@pytest.mark.parametrize("method", sorted(counting.METHODS))
+def test_count_graph_classifies_no_edge(monkeypatch, method):
+    # every edge of a reduced block is regular, and brute force needs no
+    # regular mark, so a count form is found without classifying any edge
+    calls = []
+    classify = counting.classify_edge
+    monkeypatch.setattr(counting, "classify_edge", lambda *a: calls.append(a) or classify(*a))
+    with counting.shared_counts(CountOptions(method)):
+        for g in CAT.values():
+            count_graph(g, 3)
+    assert calls == []
+
+
 # -- cone reduction ------------------------------------------------------------
 
 

@@ -377,6 +377,20 @@ def test_deletion_contraction_counts_a_mask_reached_twice(monkeypatch):
     assert psi_by_deletion_contraction(g) == MultilinearPoly(1, {0b1: 2})
 
 
+def test_deletion_contraction_minors_are_edge_sized(monkeypatch):
+    # wheel:5 spread over 65,536 vertices: the sweep starts from the 6
+    # vertices its edges touch, so no minor pays for the isolated ones
+    wheel = generate_family(FamilySpec.parse("wheel:5"))
+    g = Multigraph(1 << 16, tuple(Edge(e.label, e.u * 13107, e.v * 13107) for e in wheel.edges))
+    sizes = []
+    contract = symanzik.contract_edge
+    monkeypatch.setattr(
+        symanzik, "contract_edge", lambda h, label: sizes.append(h.vertex_count) or contract(h, label)
+    )
+    assert psi_by_deletion_contraction(g) == psi_by_trees(g) == psi_by_trees(wheel)
+    assert sizes and max(sizes) <= 6
+
+
 def test_deletion_contraction_memory_is_output_sized():
     # the frontier holds at most psi's own 15,125 terms (about 3.3 MB traced);
     # a memo of every minor's psi peaks near 16 MB
