@@ -10,7 +10,7 @@ counting.shared_counts(opts) block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import (
@@ -247,6 +247,29 @@ _DC_IDENTITY = {
 }
 
 
+def _dc_verdict(
+    g: Multigraph, label: int, counts: dict[int, CountRecord], name: str
+) -> CongruenceVerdict:
+    """The deletion-contraction verdict of one edge, one row per prime of
+    counts, the table {q: count_graph(g, q)} that gives each row's left
+    side. The edge is classified and deleted once for all the rows."""
+    kind = classify_edge(g, label)
+    minor = delete_edge(g, label)
+    n = g.edge_count
+    rows = []
+    for q, rec in counts.items():
+        y_del = count_graph(minor, q).complement_count
+        if kind is EdgeKind.BRIDGE:
+            rhs = q * y_del
+        elif kind is EdgeKind.LOOP:
+            rhs = (q - 1) * y_del
+        else:
+            rhs = q * (q ** (n - 1) - count_Z(g, label, q)) - y_del
+        rows.append((q, rec.complement_count, rhs))
+    tag, expected = _DC_IDENTITY[kind]
+    return CongruenceVerdict(name, tag, expected, observed=tuple(rows), edge=label)
+
+
 def dc_identity_check(
     g: Multigraph,
     edge_label: int,
@@ -258,25 +281,13 @@ def dc_identity_check(
 
     Bridge: |Y_G| = q*|Y_del|. Loop: (q-1)*|Y_del|. Regular:
     q*(q^(n-1) - |Z|) - |Y_del|, with Z the common zero locus of the two
-    minor polynomials. Inside shared_counts() a count of any graph
+    minor polynomials. An unknown label is refused (UnknownLabelError)
+    before any count. Inside shared_counts() a count of any graph
     isomorphic to one counted before, and Z at any edge that corresponds
     to the one G's count is fibered at, are memo hits, not new sweeps.
     """
-    kind = classify_edge(g, edge_label)
-    n = g.edge_count
-    lhs = count_graph(g, q).complement_count
-    y_del = count_graph(delete_edge(g, edge_label), q).complement_count
-    if kind is EdgeKind.BRIDGE:
-        rhs = q * y_del
-    elif kind is EdgeKind.LOOP:
-        rhs = (q - 1) * y_del
-    else:
-        z = count_Z(g, edge_label, q)
-        rhs = q * (q ** (n - 1) - z) - y_del
-    tag, expected = _DC_IDENTITY[kind]
-    return CongruenceVerdict(
-        _name(g, graph_name), tag, expected, observed=((q, lhs, rhs),), edge=edge_label
-    )
+    g.edge_by_label(edge_label)  # UnknownLabelError before any count
+    return _dc_verdict(g, edge_label, {q: count_graph(g, q)}, _name(g, graph_name))
 
 
 @shared_counts()
@@ -286,11 +297,12 @@ def dc_identity_matrix(
     *,
     graph_name: str | None = None,
 ) -> list[CongruenceVerdict]:
-    """One merged verdict per edge, observations across all primes."""
+    """One verdict per edge, a row per prime, every row's left side read
+    from one table of g's counts (_counts), whose budget checks come
+    before any sweep. Each edge is classified and deleted once."""
     name = _name(g, graph_name)
-    qs = list(_counts(g, require_primes(primes)))  # every prime's budget before any sweep
-    rows = [[dc_identity_check(g, e, q, graph_name=name) for q in qs] for e in g.labels]
-    return [replace(r[0], observed=tuple(v.observed[0] for v in r)) for r in rows]
+    counts = _counts(g, require_primes(primes))
+    return [_dc_verdict(g, e, counts, name) for e in g.labels]
 
 
 def _integer_fit(points: list[tuple[int, int]]) -> list[int] | None:

@@ -13,6 +13,7 @@ from graphmotive import (
     CongruenceVerdict,
     InsufficientPrimesError,
     NotPolynomiallyConsistent,
+    UnknownLabelError,
     catalog_by_name,
     check_modL_congruence,
     check_projective_congruence,
@@ -179,6 +180,12 @@ def test_dc_matrix_merges_per_edge():
         for q, lhs, rhs in v.observed:
             single = dc_identity_check(g, v.edge, q)
             assert single.observed == ((q, lhs, rhs),)
+
+
+def test_dc_check_refuses_an_unknown_label_before_any_sweep(sweeps):
+    with pytest.raises(UnknownLabelError):
+        dc_identity_check(CAT["cycle_3"], 9, 3)
+    assert sweeps == []
 
 
 # -- interpolation ----------------------------------------------------------------

@@ -23,6 +23,7 @@ from graphmotive import (
     cli,
     counting,
     interpolate_class,
+    motive,
 )
 from graphmotive.cli import main, run_verify
 from graphmotive.families import FamilySpec, generate_family
@@ -461,17 +462,28 @@ def test_verify_counts_each_graph_prime_once(sweeps):
 def test_catalog_verify_work_is_pinned(monkeypatch):
     # The catalog verify at primes 3,5,7 and budget 10^7: 35 sweeps, 7 psi
     # builds and 61 canonical searches, and 8 budget refusals, the class
-    # fits refused after the small primes were counted.
-    names = ("sweep_zero_patterns", "psi_by_deletion_contraction", "canonical_relabel")
-    work = dict.fromkeys(names, 0)
-    for name in work:
-        fn = getattr(counting, name)
+    # fits refused after the small primes were counted. Each DC verdict
+    # classifies and deletes its edge once (145 edges in all) and reads its
+    # left sides from the table of the graph's counts: 912 count requests.
+    # count_Z reads regularity from the reduction and classifies nothing.
+    spied = (
+        (counting, "sweep_zero_patterns"),
+        (counting, "psi_by_deletion_contraction"),
+        (counting, "canonical_relabel"),
+        (motive, "count_graph"),
+        (motive, "classify_edge"),
+        (motive, "delete_edge"),
+        (counting, "classify_edge"),
+    )
+    work = dict.fromkeys(spied, 0)
+    for module, name in spied:
+        fn = getattr(module, name)
 
-        def spy(*args, fn=fn, name=name, **kw):
-            work[name] += 1
+        def spy(*args, fn=fn, key=(module, name), **kw):
+            work[key] += 1
             return fn(*args, **kw)
 
-        monkeypatch.setattr(counting, name, spy)
+        monkeypatch.setattr(module, name, spy)
     refused = []
     check = counting._check_budget
 
@@ -485,7 +497,7 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     monkeypatch.setattr(counting, "_check_budget", spy_check)
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
-    assert list(work.values()) == [35, 7, 61]
+    assert list(work.values()) == [35, 7, 61, 912, 145, 145, 0]
 
 
 def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):

@@ -26,6 +26,7 @@ from graphmotive import (
     NoProjectiveHypersurfaceError,
     NotPrimeError,
     NotRegularEdgeError,
+    UnknownLabelError,
     catalog_by_name,
     count_Z,
     count_brute,
@@ -449,6 +450,27 @@ def test_Z_requires_regular_edge():
         count_Z(CAT["path_2"], 0, 3)  # bridge
 
 
+def test_Z_admits_before_it_reads_the_edge(monkeypatch, sweeps):
+    # As in every counter, the modulus and the budget come first: under a
+    # budget that refuses the count, a loop, a bridge and an unknown label
+    # are all refused on the budget, before any reduction or sweep.
+    reduced = []
+    reduce = counting._reduce
+    monkeypatch.setattr(counting, "_reduce", lambda g: reduced.append(g) or reduce(g))
+    cases = [
+        (CAT["dumbbell_3"], 3, NotRegularEdgeError),  # loop
+        (CAT["path_2"], 0, NotRegularEdgeError),  # bridge
+        (CAT["cycle_3"], 9, UnknownLabelError),
+    ]
+    for g, label, error in cases:
+        with pytest.raises(error):
+            count_Z(g, label, 3)
+        with pytest.raises(NotPrimeError):
+            count_Z(g, label, 9)
+        assert _refusal(count_Z, g, label, 3, budget=1).startswith("Z-locus sweep over F_3^")
+    assert len(reduced) == 3 and sweeps == []
+
+
 # -- projective access ---------------------------------------------------------
 
 
@@ -832,6 +854,27 @@ def test_reduction_stays_edge_sized():
         assert spread[:2] == compact[:2] and spread.home == compact.home
         assert [b[:2] for b in spread.blocks] == [b[:2] for b in compact.blocks]
         assert peak < 2**17, peak
+
+
+def test_Z_stays_edge_sized(monkeypatch):
+    # wheel_4 spread over 65,536 vertices: a repeat count_Z reads the
+    # memoized reduction and classifies no edge, so no list of vertex_count
+    # entries (its 65,536 pointers alone are 0.5 MB) shows in its peak.
+    calls = []
+    classify = counting.classify_edge
+    monkeypatch.setattr(counting, "classify_edge", lambda *a: calls.append(a) or classify(*a))
+    small = CAT["wheel_4"]
+    step = ((1 << 16) - 1) // (small.vertex_count - 1)
+    big = Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
+    with counting.shared_counts():
+        assert count_Z(big, 7, 3) == count_Z(small, 7, 3) == 375
+        tracemalloc.start()
+        try:
+            z = count_Z(big, 7, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert z == 375 and calls == [] and peak < 2**17, peak
 
 
 @pytest.mark.parametrize("method", sorted(counting.METHODS))
