@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 1 << 16  # parse-time cap; a union-find pass is O(V), minors are edge-sized
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's variables (symanzik.MAX_VARS)
-MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), checked by _forest_candidates
+MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), so on psi's terms (_forest_candidates)
 CANON_LEAF_BOUND = 720  # leaves a canonical form searches per component; 6! covers <= 6 vertices
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
@@ -143,11 +143,13 @@ class Multigraph:
     @classmethod
     def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Multigraph":
         """A Multigraph with no __post_init__ check, for the minors that
-        delete_edge and contract_edge build from a graph already checked.
+        delete_edge and contract_edge build from a graph already checked,
+        and for _forest_candidates' renamed copy of its non-loop edges.
         Their input is valid by construction: the edges are a subset of
         g's, so the labels stay distinct and non-negative and every edge
-        is an Edge in a tuple; deletion keeps every vertex, and contraction
-        maps 0..vertex_count-1 onto 0..vertex_count-2."""
+        is an Edge in a tuple; deletion keeps every vertex, contraction
+        maps 0..vertex_count-1 onto 0..vertex_count-2, and the renamed
+        copy maps the vertices its edges touch onto 0..k-1."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "edges", edges)
@@ -360,49 +362,122 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
     """All maximal spanning forests as sorted label tuples, lexicographic.
 
     A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear. Decodes the
-    keys of _forest_masks(g, 0), the forests' label masks in the order the
-    search found them, which is this order. Oversized graphs are refused
-    when called, before any edge is tried (_forest_candidates).
+    size is vertex_count - #components; loops never appear. Decodes and
+    sorts the keys of _forest_masks(g, 0), the forests' label masks.
+    Oversized graphs are refused when called, before any edge is tried
+    (_forest_candidates).
     """
     labels = sorted(e.label for e in g.edges)
-    return [
+    return sorted(
         tuple(label for label in labels if mask >> label & 1)
         for mask in _forest_masks(g, 0)
-    ]
+    )
 
 
 def _forest_masks(g: Multigraph, base: int) -> dict[int, int]:
     """{base ^ mask: 1} for the label mask of every maximal spanning forest
-    of g (bit l set for label l), in the lexicographic order of the forests'
-    sorted label tuples. base 0 gives the forests themselves; base the mask
-    of every label gives psi's terms, the complements of the forests.
+    of g (bit l set for label l), in no particular order. base 0 gives the
+    forests themselves; base the mask of every label gives psi's terms,
+    the complements of the forests.
 
     Refused here, before any edge is tried, by _forest_candidates. The
-    search itself is _collect_forests, started on a component string that
-    names each of the k vertices it sees by its own byte.
+    search is a frontier sweep (Sekine, Imai and Tani's Tutte polynomial
+    computation; Kawahara et al.'s frontier-based search) over the
+    non-loop edges in vertex-frontier order (_sweep_order). A state is a
+    bytes string with one byte per vertex: a live vertex holds the name of
+    its piece (its component under the partial forest), the lowest live
+    vertex in it, and a retired one, whose edges are all swept, holds 0xff. Each state maps to the masks of the
+    partial forests that leave those pieces, so one step of _forest_step
+    serves them all. When every edge is swept one state is left, and its
+    masks are the forests.
     """
-    edges, k, need = _forest_candidates(g)
-    if need == 0:
-        return {base: 1}
-    out: dict[int, int] = {}
-    _collect_forests(edges, bytes(range(k)), 0, need, base, out)
+    h = _forest_candidates(g)
+    ends = {label: (u, v) for label, u, v in h.edges}
+    order = _sweep_order(h)
+    last = {w: i for i, label in enumerate(order) for w in ends[label]}
+    retiring = [[w for w in ends[label] if last[w] == i] for i, label in enumerate(order)]
+    root, _ = _join_ends(h)
+    final = {}  # each g-component's root -> its last vertex to retire
+    for ws in retiring:
+        for w in ws:
+            r = w
+            while r != root[r]:
+                r = root[r]
+            final[r] = w
+    closing = set(final.values())
+    frontier = {bytes(range(h.vertex_count)): [base]}
+    for label, ws in zip(order, retiring):
+        retire = tuple((w, w in closing) for w in ws)
+        frontier = _forest_step(frontier, 1 << label, *ends[label], retire)
+    (masks,) = frontier.values()
+    return dict.fromkeys(masks, 1)
+
+
+def _forest_step(
+    frontier: dict[bytes, list[int]], bit: int, u: int, v: int, retire: tuple[tuple[int, bool], ...]
+) -> dict[bytes, list[int]]:
+    """The frontier after the edge bit = 1 << label from u to v: each
+    state's partial forests skip the edge, and, when u and v lie in
+    different pieces, also take it (mask ^ bit), merging the two names
+    into the lower. Then each vertex in retire, (w, last) in retirement
+    order, is blanked (_retire); a state that closes a piece which is not
+    the whole of its g-component, a tree that could never grow to span it,
+    is dropped. Equal states are merged by joining their lists: a parent's
+    list passes to its skip child, not copied, once its take child is
+    built, so every list has one owner."""
+    out: dict[bytes, list[int]] = {}
+    for comp, masks in frontier.items():
+        a, b = comp[u], comp[v]
+        if a != b:
+            joined = comp.replace(_BYTE[max(a, b)], _BYTE[min(a, b)])
+            key = _retire(joined, retire)
+            if key is not None:
+                taken = [m ^ bit for m in masks]
+                held = out.get(key)
+                if held is None:
+                    out[key] = taken
+                else:
+                    held.extend(taken)
+        key = _retire(comp, retire)
+        if key is not None:
+            held = out.get(key)
+            if held is None:
+                out[key] = masks
+            else:
+                held.extend(masks)
     return out
 
 
-def _forest_candidates(g: Multigraph) -> tuple[list[tuple[int, int, int]], int, int]:
-    """(edges, k, size): the non-loop edges as (label, u, v) in ascending
-    label order with their endpoints renamed 0..k-1, and the size of a
-    maximal spanning forest.
+def _retire(comp: bytes, retire: tuple[tuple[int, bool], ...]) -> bytes | None:
+    """comp with each vertex w of retire blanked to 0xff, in order, and
+    each piece renamed to its lowest live vertex; None when a piece closes
+    (its last live vertex retires) at a w that is not the last vertex of
+    its g-component to retire. The test is per vertex: both ends of an
+    edge may retire at it, and a piece that closes at the first of two
+    ends of one g-component leaves the second end unspanned."""
+    for w, last in retire:
+        name = comp[w]
+        comp = comp[:w] + b"\xff" + comp[w + 1 :]
+        if name == w:
+            nxt = comp.find(_BYTE[w])
+            if nxt >= 0:
+                comp = comp.replace(_BYTE[w], _BYTE[nxt])
+            elif not last:
+                return None
+    return comp
+
+
+def _forest_candidates(g: Multigraph) -> Multigraph:
+    """g's non-loop edges, labels kept, on their endpoints renamed 0..k-1.
 
     Refused when there are more than MAX_EDGES non-loop edges, so that
-    k <= 2 * MAX_EDGES < 256 and each vertex fits in one byte of the
-    search's component string, and when C(edges, size) exceeds
-    MAX_FOREST_SUBSETS, a bound on the forests the search can reach.
+    k <= 2 * MAX_EDGES < 255 and each vertex fits in one byte of the
+    search's state, below its 0xff blank, and when C(edges, size) exceeds
+    MAX_FOREST_SUBSETS, where size is that of a maximal spanning forest.
     Vertices that no non-loop edge touches are dropped: each is a
     component of its own in every forest, so it never changes the search.
     """
-    edges = sorted(e for e in g.edges if not e.is_loop)
+    edges = [e for e in g.edges if not e.is_loop]
     if len(edges) > MAX_EDGES:
         raise GraphError(
             f"spanning forests: {len(edges)} non-loop edges exceed the limit {MAX_EDGES}"
@@ -414,79 +489,42 @@ def _forest_candidates(g: Multigraph) -> tuple[list[tuple[int, int, int]], int, 
             f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
         )
     index: dict[int, int] = {}
-    compact = [
-        (label, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
+    compact = tuple(
+        Edge(label, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
         for label, u, v in edges
-    ]
-    return compact, len(index), size
+    )
+    return Multigraph._trusted(len(index), compact)
 
 
 _BYTE = [bytes((i,)) for i in range(256)]  # _BYTE[c] is the one-byte string of c
 
 
-def _collect_forests(
-    edges: list[tuple[int, int, int]], comp: bytes, start: int, need: int, chosen: int, out: dict
-) -> None:
-    """Set out[chosen ^ mask] = 1 for the label mask of every way to extend
-    the forest `chosen` by `need` edges of edges[start:], in lexicographic
-    order; comp[w] names vertex w's component under chosen.
-
-    A depth-first search in ascending label order (Read and Tarjan's
-    backtracking listing) that recurses straight into the result: an edge
-    is taken only when its endpoints lie in different components, so no
-    prefix holding a cycle is extended. The branch on edges[i] is the
-    forests whose next edge is edges[i]; it is tried only up to the last i
-    from which edges[i:] still have forest rank `need` over comp
-    (_last_branch, Read and Tarjan's dead-end rule), because every forest
-    past that point would be short. Each child inherits that rank less
-    one, so every call adds a term. At need == 1 every later edge that
-    joins two components completes a forest, and the last of them is where
-    that pass would stop, so the loop runs to the end without it; the last
-    edge of a forest is written here, with no call of its own.
-
-    comp is a bytes string, one byte per vertex, so a child's components
-    are one C-level replace of b's byte by a's. The dead-end pass pays for
-    itself: without it the search over psi_build's 8 graphs took
-    0.070-0.081 s in-process against 0.059-0.066 s with it (best of 5 in
-    each of 4 alternating interpreters, 2-core shared VM)."""
-    if need == 1:
-        for i in range(start, len(edges)):
-            label, u, v = edges[i]
-            if comp[u] != comp[v]:
-                out[chosen ^ 1 << label] = 1
-        return
-    for i in range(start, _last_branch(edges, comp, start, need) + 1):
-        label, u, v = edges[i]
-        a, b = comp[u], comp[v]
-        if a != b:
-            _collect_forests(
-                edges, comp.replace(_BYTE[b], _BYTE[a]), i + 1, need - 1, chosen ^ 1 << label, out
-            )
-
-
-def _last_branch(edges: list[tuple[int, int, int]], comp: bytes, start: int, need: int) -> int:
-    """The last i >= start at which edges[i:] still join `need` pairs of
-    comp's components, by one union-find pass from the end; start - 1 when
-    no such i exists. Skipping edges[i] there would leave too few.
-
-    The union-find is inlined rather than an object with methods: this
-    runs once per search node, and the method calls cost psi_build about
-    11% wall_ref (six alternating perfbench pairs, median 6.26 against
-    6.95)."""
-    root = list(range(len(comp)))
-    for i in range(len(edges) - 1, start - 1, -1):
-        _, u, v = edges[i]
-        a, b = comp[u], comp[v]
-        while a != root[a]:
-            a = root[a]
-        while b != root[b]:
-            b = root[b]
-        if a != b:
-            root[a] = b
-            need -= 1
-            if need == 0:
-                return i
-    return start - 1
+def _sweep_order(g: Multigraph) -> list[int]:
+    """g's labels in vertex-frontier order: each next label is the edge
+    whose sweep leaves the fewest active vertices (touching both swept and
+    unswept edges), ties to the highest label. Only which edges share a
+    vertex is read, so the order does not depend on vertex names. Both psi
+    builders sweep in this order: the fewer vertices are active, the fewer
+    distinct minors or component partitions a step can hold."""
+    ends = {e.label: {e.u, e.v} for e in g.edges}
+    unswept = [0] * g.vertex_count  # unswept edges at each vertex
+    for vs in ends.values():
+        for w in vs:
+            unswept[w] += 1
+    swept = [False] * g.vertex_count  # some swept edge at the vertex
+    order = []
+    while ends:
+        # sweeping an edge activates each end it leaves unfinished and
+        # retires each already active end whose last edge it is
+        label = min(
+            ends,
+            key=lambda lab: (sum((unswept[w] > 1) - swept[w] for w in ends[lab]), -lab),
+        )
+        for w in ends.pop(label):
+            unswept[w] -= 1
+            swept[w] = True
+        order.append(label)
+    return order
 
 
 def is_forest(g: Multigraph) -> bool:

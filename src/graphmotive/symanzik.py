@@ -20,6 +20,7 @@ from .graphs import (
     EdgeKind,
     Multigraph,
     _forest_masks,
+    _sweep_order,
     classify_edge,
     contract_edge,
     delete_edge,
@@ -263,11 +264,12 @@ def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     The defining formula. Homogeneous of degree betti_1(g), every
     coefficient 1, and psi(1,..,1) counts the forests. Edgeless graphs
     (and forests generally, whose only maximal forest is everything)
-    give the constant 1. The pruned backtracking search behind
-    graphs.spanning_forests starts from the mask of every label and
-    writes full ^ forest into psi's own dict as it finds each forest, so
-    the keys are psi's terms and no forest list is held beside psi;
-    oversized graphs are refused as spanning_forests refuses them.
+    give the constant 1. The frontier search behind
+    graphs.spanning_forests starts from the mask of every label, so each
+    partial forest it carries is already psi's term, full ^ forest, and
+    the one list left at the end becomes psi's dict; no forest list is
+    held beside psi, and the terms come in no particular order. Oversized
+    graphs are refused as spanning_forests refuses them.
     """
     width = _ambient_width(g)
     return MultilinearPoly._trusted(width, _forest_masks(g, _full_mask(g)))
@@ -325,32 +327,6 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
                 _merge(children, contract_edge(h, label), masks)
         frontier = children
     return MultilinearPoly._trusted(width, dict(Counter(chain.from_iterable(frontier.values()))))
-
-
-def _sweep_order(g: Multigraph) -> list[int]:
-    """g's labels in vertex-frontier order: each next label is the edge
-    whose sweep leaves the fewest active vertices (touching both swept and
-    unswept edges), ties to the highest label. Only which edges share a
-    vertex is read, so the order does not depend on vertex names."""
-    ends = {e.label: {e.u, e.v} for e in g.edges}
-    unswept = [0] * g.vertex_count  # unswept edges at each vertex
-    for vs in ends.values():
-        for w in vs:
-            unswept[w] += 1
-    swept = [False] * g.vertex_count  # some swept edge at the vertex
-    order = []
-    while ends:
-        # sweeping an edge activates each end it leaves unfinished and
-        # retires each already active end whose last edge it is
-        label = min(
-            ends,
-            key=lambda lab: (sum((unswept[w] > 1) - swept[w] for w in ends[lab]), -lab),
-        )
-        for w in ends.pop(label):
-            unswept[w] -= 1
-            swept[w] = True
-        order.append(label)
-    return order
 
 
 def _merge(frontier: dict, h: Multigraph, masks: list[int]) -> None:

@@ -24,6 +24,7 @@ from graphmotive import (
     counting,
     interpolate_class,
     motive,
+    symanzik,
 )
 from graphmotive.cli import main, run_verify
 from graphmotive.families import FamilySpec, generate_family
@@ -78,6 +79,28 @@ def test_psi_from_file_and_family(capsys, triangle_file):
     assert obj["psi"]["text"] == "t0 + t1 + t2"
     code, out, _ = run(capsys, "psi", "--family", "banana:3", "--format", "table")
     assert code == 0 and out.strip() == "t0*t1 + t0*t2 + t1*t2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--family", "wheel:8"],
+        ["psi", "--family", "wheel:8", "--format", "table"],
+        ["psi", "--family", "complete:6"],
+        ["psi", "--family", "complete:6", "--format", "table"],
+    ],
+    ids=["wheel:8-json", "wheel:8-table", "complete:6-json", "complete:6-table"],
+)
+def test_psi_renders_the_same_from_either_builder(capsys, monkeypatch, argv):
+    # the two builders fill psi's dict in different orders; both
+    # renderings sort by mask, so the bytes cannot tell them apart
+    g = generate_family(FamilySpec.parse(argv[2]))
+    trees, dc = cli.psi_by_trees(g), symanzik.psi_by_deletion_contraction(g)
+    assert trees == dc and list(trees.terms) != list(dc.terms)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(cli, "psi_by_trees", symanzik.psi_by_deletion_contraction)
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_psi_from_stdin(capsys, monkeypatch):

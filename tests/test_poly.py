@@ -318,46 +318,61 @@ def test_deletion_contraction_builds_few_minors(monkeypatch):
         assert len(calls) <= bound, (spec, len(calls))
 
 
-@pytest.mark.parametrize("spec", ["wheel:10", "complete:7"])
-def test_forest_search_has_no_dead_ends(monkeypatch, spec):
-    # every search node adds a forest; pruning only on edges remaining
-    # left 45,687 of wheel:10's nodes and 5,993 of complete:7's barren
-    collect = graphs._collect_forests
-    added = []
+@pytest.mark.parametrize(
+    "spec, states, widest",
+    [("wheel:10", 89, 5), ("complete:7", 1300, 203)],
+    ids=["wheel:10", "complete:7"],
+)
+def test_forest_frontier_never_outgrows_psi(monkeypatch, spec, states, widest):
+    # partial forests that leave equal component partitions share one
+    # state; in vertex-frontier order wheel:10 (15,125 forests) passes
+    # through 89 states and complete:7 (16,807) through 1,300, and no step
+    # holds more masks than psi has terms
+    step = graphs._forest_step
+    sizes = []
 
-    def counted(edges, comp, start, need, chosen, out):
-        before = len(out)
-        collect(edges, comp, start, need, chosen, out)
-        added.append(len(out) - before)
+    def counted(*args):
+        out = step(*args)
+        sizes.append((len(out), sum(map(len, out.values()))))
+        return out
 
-    monkeypatch.setattr(graphs, "_collect_forests", counted)
+    monkeypatch.setattr(graphs, "_forest_step", counted)
     g = generate_family(FamilySpec.parse(spec))
-    forests = spanning_forests(g)
-    assert len(forests) == psi_by_trees(g).term_count()
-    assert len(added) > 1 and min(added) >= 1
+    terms = psi_by_trees(g).term_count()
+    assert len(sizes) == g.edge_count
+    assert sum(n for n, _ in sizes) == states
+    assert max(n for n, _ in sizes) == widest
+    assert max(entries for _, entries in sizes) <= terms
+    assert sizes[-1] == (1, terms)
 
 
-def test_forest_search_work_on_wheel_10(monkeypatch):
-    # 22,429 search nodes, as README states; the dead-end pass runs only at
-    # the 13,089 nodes that still need two or more edges, since at the
-    # last level every later edge joining two components is a forest
-    nodes, passes = [], []
-    collect, last_branch = graphs._collect_forests, graphs._last_branch
-
-    def counted_collect(*args):
-        nodes.append(args[3])
-        return collect(*args)
-
-    def counted_last_branch(*args):
-        passes.append(args[3])
-        return last_branch(*args)
-
-    monkeypatch.setattr(graphs, "_collect_forests", counted_collect)
-    monkeypatch.setattr(graphs, "_last_branch", counted_last_branch)
-    assert len(spanning_forests(generate_family(FamilySpec.parse("wheel:10")))) == 15125
-    assert len(nodes) == 22429
-    assert len(passes) == 13089
-    assert 1 not in passes
+@pytest.mark.parametrize(
+    "g",
+    [
+        Multigraph.from_pairs(2, [(0, 1)]),
+        Multigraph.from_pairs(2, [(0, 1), (0, 1), (1, 1)]),
+        Multigraph.from_pairs(5, [(0, 1), (1, 2), (2, 0), (3, 4)]),
+        Multigraph(
+            9,
+            (
+                Edge(7, 1, 4), Edge(2, 4, 2), Edge(5, 2, 1), Edge(0, 5, 7),
+                Edge(3, 7, 5), Edge(6, 8, 8), Edge(1, 0, 6), Edge(4, 6, 0),
+            ),
+        ),
+    ],
+    ids=["single_edge", "banana_2_loop", "disjoint_c3_edge", "three_components_isolated"],
+)
+def test_forest_frontier_closes_a_piece_only_at_its_last_vertex(g):
+    # a piece whose last live vertex retires is kept only when that vertex
+    # is the last of its whole component to retire, tested per vertex: in
+    # each case both ends of some edge retire at it, and a rule that asks
+    # only whether the component ends at that edge keeps the child that
+    # skips the edge, a forest one tree short
+    oracle = _oracles.forest_label_sets(g)
+    masks = {sum(1 << label for label in forest): 1 for forest in oracle}
+    assert graphs._forest_masks(g, 0) == masks
+    assert spanning_forests(g) == sorted(tuple(sorted(f)) for f in oracle)
+    assert psi_by_trees(g).terms == _oracles.psi_term_masks(g)
 
 
 def test_deletion_contraction_counts_a_mask_reached_twice(monkeypatch):
@@ -406,8 +421,10 @@ def test_deletion_contraction_memory_is_output_sized():
 
 
 def test_forest_enumeration_memory_is_output_sized():
-    # forests become psi's 15,125 terms as the search finds them (about
-    # 1.9 MB traced); holding the forest list beside them peaks near 3.0 MB
+    # the frontier's masks become psi's 15,125 terms, and no step holds
+    # more masks than that: about 1.4 MB traced, where the depth-first
+    # search it replaced read 1.2 MB; holding a forest list beside psi
+    # peaks near 3.0 MB
     g = generate_family(FamilySpec.parse("wheel:10"))
     tracemalloc.start()
     try:
