@@ -44,7 +44,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graphs import Edge, GraphError, Multigraph, canonical_relabel
+from .graphs import Edge, GraphError, Multigraph, _edge_sized, canonical_relabel
 # Not called in this module: perfbench/worker.py's install() patches
 # counting.classify_edge with no hasattr guard, so the name must stay.
 from .graphs import classify_edge  # noqa: F401
@@ -708,8 +708,9 @@ def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | No
     path's first edge in `edges`, and each label -> the label it merged
     into; (None, {}) for a cycle. A path is the union-find class that joins
     the two edges at each vertex of degree 2, and its ends are its
-    endpoints of other degree, in the order `edges` meets them. With
-    nothing to merge, the graph holds `edges` themselves, in order."""
+    endpoints of other degree, in the order `edges` meets them. The graph
+    is on the vertices it touches (_edge_sized), so blocks that differ only
+    in untouched vertices are equal graphs."""
     at: dict[int, list[int]] = {}
     for e in edges:
         at.setdefault(e.u, []).append(e.label)
@@ -726,7 +727,8 @@ def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | No
     for label, u, v in edges:
         into[label] = head = first.setdefault(_find(path, label), label)
         ends.setdefault(head, []).extend(w for w in (u, v) if len(at[w]) != 2)
-    return Multigraph(vertex_count, tuple(Edge(label, *w) for label, w in ends.items())), into
+    reduced = tuple(Edge(label, *w) for label, w in ends.items())
+    return _edge_sized(Multigraph(vertex_count, reduced)), into
 
 
 def _reduce(g: Multigraph) -> _Reduction:

@@ -17,9 +17,9 @@ from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 
-MAX_VERTICES = 1 << 16  # parse-time cap; a union-find pass is O(V), minors are edge-sized
+MAX_VERTICES = 1 << 16  # parse-time cap; every pass over vertices runs on _edge_sized(g)
 MAX_EDGES = 63  # parse-time cap; each edge is one of psi's variables (symanzik.MAX_VARS)
-MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), so on psi's terms (_forest_candidates)
+MAX_FOREST_SUBSETS = 10**7  # cap on C(non-loop edges, forest size), so on psi's terms (_forest_masks)
 CANON_LEAF_BOUND = 720  # leaves a canonical form searches per component; 6! covers <= 6 vertices
 _LINE_BREAK = r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]"  # as str.splitlines; compiled on first parse
 
@@ -142,14 +142,13 @@ class Multigraph:
 
     @classmethod
     def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Multigraph":
-        """A Multigraph with no __post_init__ check, for the minors that
-        delete_edge and contract_edge build from a graph already checked,
-        and for _forest_candidates' renamed copy of its non-loop edges.
-        Their input is valid by construction: the edges are a subset of
-        g's, so the labels stay distinct and non-negative and every edge
-        is an Edge in a tuple; deletion keeps every vertex, contraction
-        maps 0..vertex_count-1 onto 0..vertex_count-2, and the renamed
-        copy maps the vertices its edges touch onto 0..k-1."""
+        """A Multigraph with no __post_init__ check, for the graphs that
+        delete_edge, contract_edge and _edge_sized build from a graph
+        already checked. Their input is valid by construction: the edges
+        are a subset of g's, so the labels stay distinct and non-negative
+        and every edge is an Edge in a tuple; deletion keeps every vertex,
+        contraction maps 0..vertex_count-1 onto 0..vertex_count-2, and
+        _edge_sized maps the vertices the edges touch onto 0..k-1."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "edges", edges)
@@ -304,8 +303,20 @@ def _join_ends(g: Multigraph, skip: int | None = None) -> tuple[list[int], int]:
     return root, merges
 
 
+def _edge_sized(g: Multigraph) -> Multigraph:
+    """g on the vertices its edges touch, renamed 0..k-1 in increasing
+    order, with its labels and edge order; g itself when every vertex is
+    touched. An untouched vertex changes no polynomial, count or edge
+    kind, so every pass over vertices runs on this graph."""
+    touched = {w for _, u, v in g.edges for w in (u, v)}
+    if len(touched) == g.vertex_count:
+        return g
+    name = {w: i for i, w in enumerate(sorted(touched))}
+    return Multigraph._trusted(len(name), tuple(Edge(f, name[u], name[v]) for f, u, v in g.edges))
+
+
 def component_count(g: Multigraph) -> int:
-    return g.vertex_count - _join_ends(g)[1]
+    return g.vertex_count - _join_ends(_edge_sized(g))[1]
 
 
 def classify_edge(g: Multigraph, label: int) -> EdgeKind:
@@ -363,9 +374,8 @@ def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
 
     A maximal forest holds one spanning tree per connected component, so its
     size is vertex_count - #components; loops never appear. Decodes and
-    sorts the keys of _forest_masks(g, 0), the forests' label masks.
-    Oversized graphs are refused when called, before any edge is tried
-    (_forest_candidates).
+    sorts the keys of _forest_masks(g, 0), the forests' label masks, so
+    oversized graphs are refused as _forest_masks refuses them.
     """
     labels = sorted(e.label for e in g.edges)
     return sorted(
@@ -380,23 +390,40 @@ def _forest_masks(g: Multigraph, base: int) -> dict[int, int]:
     forests themselves; base the mask of every label gives psi's terms,
     the complements of the forests.
 
-    Refused here, before any edge is tried, by _forest_candidates. The
-    search is a frontier sweep (Sekine, Imai and Tani's Tutte polynomial
-    computation; Kawahara et al.'s frontier-based search) over the
-    non-loop edges in vertex-frontier order (_sweep_order). A state is a
+    The search runs on g's non-loop edges, on the vertices they touch
+    (_edge_sized). It is refused, before any edge is tried, past MAX_EDGES
+    such edges, so that each of at most 2 * MAX_EDGES < 255 vertices fits
+    in one byte below the 0xff blank, and when C(edges, size) exceeds
+    MAX_FOREST_SUBSETS. One union-find pass (_join_ends) gives size, that
+    of a maximal forest, as its merge count, and the roots that pick the
+    vertex closing each component.
+
+    The search is a frontier sweep (Sekine, Imai and Tani's Tutte
+    polynomial computation; Kawahara et al.'s frontier-based search) over
+    those edges in vertex-frontier order (_sweep_order). A state is a
     bytes string with one byte per vertex: a live vertex holds the name of
     its piece (its component under the partial forest), the lowest live
-    vertex in it, and a retired one, whose edges are all swept, holds 0xff. Each state maps to the masks of the
-    partial forests that leave those pieces, so one step of _forest_step
-    serves them all. When every edge is swept one state is left, and its
-    masks are the forests.
+    vertex in it, and a retired one, whose edges are all swept, holds
+    0xff. Each state maps to the masks of the partial forests that leave
+    those pieces, so one step of _forest_step serves them all. When every
+    edge is swept one state is left, and its masks are the forests.
     """
-    h = _forest_candidates(g)
+    edges = tuple(e for e in g.edges if not e.is_loop)
+    if len(edges) > MAX_EDGES:
+        raise GraphError(
+            f"spanning forests: {len(edges)} non-loop edges exceed the limit {MAX_EDGES}"
+        )
+    h = _edge_sized(Multigraph._trusted(g.vertex_count, edges))
+    root, size = _join_ends(h)
+    subsets = comb(len(edges), size)
+    if subsets > MAX_FOREST_SUBSETS:
+        raise GraphError(
+            f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
+        )
     ends = {label: (u, v) for label, u, v in h.edges}
     order = _sweep_order(h)
     last = {w: i for i, label in enumerate(order) for w in ends[label]}
     retiring = [[w for w in ends[label] if last[w] == i] for i, label in enumerate(order)]
-    root, _ = _join_ends(h)
     final = {}  # each g-component's root -> its last vertex to retire
     for ws in retiring:
         for w in ws:
@@ -422,30 +449,32 @@ def _forest_step(
     into the lower. Then each vertex in retire, (w, last) in retirement
     order, is blanked (_retire); a state that closes a piece which is not
     the whole of its g-component, a tree that could never grow to span it,
-    is dropped. Equal states are merged by joining their lists: a parent's
-    list passes to its skip child, not copied, once its take child is
-    built, so every list has one owner."""
+    is dropped. Equal states are merged by joining their lists (_merge): a
+    parent's list passes to its skip child, not copied, once its take
+    child is built."""
     out: dict[bytes, list[int]] = {}
     for comp, masks in frontier.items():
         a, b = comp[u], comp[v]
         if a != b:
-            joined = comp.replace(_BYTE[max(a, b)], _BYTE[min(a, b)])
-            key = _retire(joined, retire)
+            key = _retire(comp.replace(_BYTE[max(a, b)], _BYTE[min(a, b)]), retire)
             if key is not None:
-                taken = [m ^ bit for m in masks]
-                held = out.get(key)
-                if held is None:
-                    out[key] = taken
-                else:
-                    held.extend(taken)
+                _merge(out, key, [m ^ bit for m in masks])
         key = _retire(comp, retire)
         if key is not None:
-            held = out.get(key)
-            if held is None:
-                out[key] = masks
-            else:
-                held.extend(masks)
+            _merge(out, key, masks)
     return out
+
+
+def _merge(frontier: dict, key, masks: list[int]) -> None:
+    """Add masks to the list of frontier[key]. The first list a key gets
+    is kept, not copied, and later ones extend it: each list passed in
+    has one owner, whose step is done. Equal masks stay separate entries,
+    so a final count adds their coefficients."""
+    held = frontier.get(key)
+    if held is None:
+        frontier[key] = masks
+    else:
+        held.extend(masks)
 
 
 def _retire(comp: bytes, retire: tuple[tuple[int, bool], ...]) -> bytes | None:
@@ -465,35 +494,6 @@ def _retire(comp: bytes, retire: tuple[tuple[int, bool], ...]) -> bytes | None:
             elif not last:
                 return None
     return comp
-
-
-def _forest_candidates(g: Multigraph) -> Multigraph:
-    """g's non-loop edges, labels kept, on their endpoints renamed 0..k-1.
-
-    Refused when there are more than MAX_EDGES non-loop edges, so that
-    k <= 2 * MAX_EDGES < 255 and each vertex fits in one byte of the
-    search's state, below its 0xff blank, and when C(edges, size) exceeds
-    MAX_FOREST_SUBSETS, where size is that of a maximal spanning forest.
-    Vertices that no non-loop edge touches are dropped: each is a
-    component of its own in every forest, so it never changes the search.
-    """
-    edges = [e for e in g.edges if not e.is_loop]
-    if len(edges) > MAX_EDGES:
-        raise GraphError(
-            f"spanning forests: {len(edges)} non-loop edges exceed the limit {MAX_EDGES}"
-        )
-    size = g.vertex_count - component_count(g)
-    subsets = comb(len(edges), size)
-    if subsets > MAX_FOREST_SUBSETS:
-        raise GraphError(
-            f"spanning forests: {subsets} edge subsets exceed the limit {MAX_FOREST_SUBSETS}"
-        )
-    index: dict[int, int] = {}
-    compact = tuple(
-        Edge(label, index.setdefault(u, len(index)), index.setdefault(v, len(index)))
-        for label, u, v in edges
-    )
-    return Multigraph._trusted(len(index), compact)
 
 
 _BYTE = [bytes((i,)) for i in range(256)]  # _BYTE[c] is the one-byte string of c
@@ -692,6 +692,7 @@ def graph_id(g: Multigraph) -> str:
 
 def edge_census(g: Multigraph) -> dict[str, int]:
     census = {"bridge": 0, "loop": 0, "regular": 0}
-    for e in g.edges:
-        census[classify_edge(g, e.label).value] += 1
+    h = _edge_sized(g)
+    for e in h.edges:
+        census[classify_edge(h, e.label).value] += 1
     return census

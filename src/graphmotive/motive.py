@@ -23,6 +23,7 @@ from .counting import (
 from .graphs import (
     EdgeKind,
     Multigraph,
+    _edge_sized,
     classify_edge,
     delete_edge,
     graph_id,
@@ -252,8 +253,9 @@ def _dc_verdict(
 ) -> CongruenceVerdict:
     """The deletion-contraction verdict of one edge, one row per prime of
     counts, the table {q: count_graph(g, q)} that gives each row's left
-    side. The edge is classified and deleted once for all the rows."""
-    kind = classify_edge(g, label)
+    side. The edge is classified, on the vertices g's edges touch, and
+    deleted once for all the rows."""
+    kind = classify_edge(_edge_sized(g), label)
     minor = delete_edge(g, label)
     n = g.edge_count
     rows = []

@@ -16,10 +16,11 @@ from typing import Iterator, Sequence
 
 from .graphs import (
     MAX_EDGES,
-    Edge,
     EdgeKind,
     Multigraph,
+    _edge_sized,
     _forest_masks,
+    _merge,
     _sweep_order,
     classify_edge,
     contract_edge,
@@ -306,15 +307,11 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     of those mergings the unswept edges can see, and the more minors
     coincide (141 minors for wheel:10).
 
-    The sweep starts from g on the vertices its edges touch, renamed
-    0..k-1 in increasing order (g itself when no vertex is isolated), so
-    every minor is edge-sized; psi keeps its labels.
+    The sweep starts from g on the vertices its edges touch (_edge_sized),
+    so every minor is edge-sized; psi keeps its labels.
     """
     width = _ambient_width(g)
-    touched = sorted({w for e in g.edges for w in (e.u, e.v)})
-    if len(touched) < g.vertex_count:
-        name = {w: i for i, w in enumerate(touched)}
-        g = Multigraph(len(touched), tuple(Edge(f, name[u], name[v]) for f, u, v in g.edges))
+    g = _edge_sized(g)
     frontier: dict[Multigraph, list[int]] = {g: [0]}
     for label in _sweep_order(g):
         bit = 1 << label
@@ -328,14 +325,3 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
         frontier = children
     return MultilinearPoly._trusted(width, dict(Counter(chain.from_iterable(frontier.values()))))
 
-
-def _merge(frontier: dict, h: Multigraph, masks: list[int]) -> None:
-    """Add masks to minor h's multiplier. The first list h gets is kept,
-    not copied, and later ones extend it: each list passed in has one
-    owner, whose step is done. Equal masks stay separate entries, so the
-    final count adds their coefficients."""
-    held = frontier.get(h)
-    if held is None:
-        frontier[h] = masks
-    else:
-        held.extend(masks)

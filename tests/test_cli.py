@@ -22,6 +22,7 @@ from graphmotive import (
     catalog_by_name,
     cli,
     counting,
+    graphs,
     interpolate_class,
     motive,
     symanzik,
@@ -484,7 +485,7 @@ def test_verify_counts_each_graph_prime_once(sweeps):
 
 def test_catalog_verify_work_is_pinned(monkeypatch):
     # The catalog verify at primes 3,5,7 and budget 10^7: 35 sweeps, 7 psi
-    # builds and 61 canonical searches, and 8 budget refusals, the class
+    # builds and 54 canonical searches, and 8 budget refusals, the class
     # fits refused after the small primes were counted. Each DC verdict
     # classifies and deletes its edge once (145 edges in all) and reads its
     # left sides from the table of the graph's counts: 912 count requests.
@@ -520,7 +521,26 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     monkeypatch.setattr(counting, "_check_budget", spy_check)
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
-    assert list(work.values()) == [35, 7, 61, 912, 145, 145, 0]
+    assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0]
+
+
+def test_verify_is_edge_sized(monkeypatch):
+    # wheel_4 spread over 65,536 vertices verifies as on its own 5: every
+    # union-find pass (component counts, edge census, each DC verdict's
+    # edge kind) runs on the vertices its edges touch, and the report
+    # differs only in the graph id
+    small = catalog_by_name()["wheel_4"]
+    step = ((1 << 16) - 1) // (small.vertex_count - 1)
+    big = Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
+    passes = []
+    join = graphs._join_ends
+    monkeypatch.setattr(graphs, "_join_ends", lambda g, *a: passes.append(g.vertex_count) or join(g, *a))
+    opts = CountOptions(budget=10**7)
+    (spread,) = run_verify([("wheel_4", big)], (3, 5, 7), opts)[0]["graphs"]
+    assert passes and max(passes) <= small.vertex_count
+    (compact,) = run_verify([("wheel_4", small)], (3, 5, 7), opts)[0]["graphs"]
+    assert spread.pop("id") != compact.pop("id")
+    assert spread == compact
 
 
 def test_verify_sweeps_do_not_depend_on_edge_labels(monkeypatch):

@@ -406,6 +406,37 @@ def test_deletion_contraction_minors_are_edge_sized(monkeypatch):
     assert sizes and max(sizes) <= 6
 
 
+def test_psi_builders_are_edge_sized():
+    # wheel:5 spread over 65,536 vertices builds as on its own 6, and
+    # wheel:4 so spread is classified as on its own 5: a repeat's traced
+    # peak shows no list of vertex_count entries (its 65,536 pointers
+    # alone are 0.5 MB)
+    def spread(small):
+        step = ((1 << 16) - 1) // (small.vertex_count - 1)
+        return Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
+
+    wheel5, wheel4 = (generate_family(FamilySpec.parse(f"wheel:{n}")) for n in (5, 4))
+    cases = [
+        (f, spread(small), f(small))
+        for f, small in (
+            (lambda g: psi_by_trees(g).terms, wheel5),
+            (lambda g: psi_by_deletion_contraction(g).terms, wheel5),
+            (spanning_forests, wheel5),
+            (graphs.is_forest, wheel4),
+            (graphs.edge_census, wheel4),
+        )
+    ]
+    for f, big, expected in cases:
+        assert f(big) == expected
+        tracemalloc.start()
+        try:
+            out = f(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out == expected and peak < 2**17, peak
+
+
 def test_deletion_contraction_memory_is_output_sized():
     # the frontier holds at most psi's own 15,125 terms (about 3.3 MB traced);
     # a memo of every minor's psi peaks near 16 MB
