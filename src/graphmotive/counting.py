@@ -22,16 +22,19 @@ count. The grid is taken in blocks of at most chunk_points polynomial
 values, the outer coordinates of each block folded into the coefficients
 first. psi is homogeneous, and so are A1, A0, B1, B0, with D's two
 products of equal degree: their zero-pattern is the same at x and at l*x
-for every l != 0. So when a fibered sweep spans several blocks it
-transforms one block per line through the origin of outer coordinates
-and weights it by the q-1 points of that line off the origin: about
-4*q^(n-2)/(q-1) values in place of 4*q^(n-2). Brute force, the oracle,
-still evaluates psi at every point of F_q^n. Every value is reduced
-below q after each multiply-add, so it and the product of two residues
-stay below q^2. For q <= 251 (q^4 < 2^32) residues are uint32 and the
-reduce step is a division-free Barrett reduction, exact below q^2; for
-larger q up to 2^31 they are int64 and the step is np.remainder. Integer
-accumulation makes results independent of block size and thread count.
+for every l != 0. So a fibered sweep keeps at least one outer
+coordinate, even where its whole grid would fit one block, transforms
+one block per line through the origin of outer coordinates and weights
+it by the q-1 points of that line off the origin: about 4*q^(n-2)/(q-1)
+values in place of 4*q^(n-2). Brute force, the oracle, still evaluates
+psi at every point of F_q^n. Every value is reduced below q after each
+multiply-add, so it and the product of two residues stay below q^2.
+Residues are held in the narrowest unsigned dtype of width b with
+q^4 < 2^b (uint8 for q <= 3, uint16 for 5 <= q <= 13, uint32 up to 251),
+and the reduce step is a division-free Barrett reduction in it, exact
+below q^2; for larger q up to 2^31 they are int64 and the step is
+np.remainder. Integer accumulation makes results independent of block
+size, dtype and thread count.
 """
 
 from __future__ import annotations
@@ -182,28 +185,43 @@ class CountRecord:
 # -- vectorized sweep core ---------------------------------------------------
 
 
-def _barrett(q: int) -> tuple[int, int]:
-    """(s, m) with m = ceil(2^s / q): for q^4 < 2^32, v - (v*m >> s)*q is
-    v mod q for every v < q^2, since q^3 <= 2^s, and v*m < q^2*m < 2^32."""
-    s = 32 - q.bit_length()
+def _barrett(q: int, bits: int) -> tuple[int, int]:
+    """(s, m) with s = bits - q.bit_length() and m = ceil(2^s / q): where
+    q^3 <= 2^s and q^2*m < 2^bits, v - (v*m >> s)*q is v mod q for every
+    v < q^2 with no intermediate reaching 2^bits. Both bounds hold at the
+    width _residues picks for each prime q <= 251 (q^4 < 2^bits), as the
+    tests check prime by prime."""
+    s = bits - q.bit_length()
     return s, -(-(1 << s) // q)
 
 
 def _residues(q: int) -> tuple[type, Callable[[np.ndarray], np.ndarray]]:
     """The dtype a sweep holds residues mod q in, and its reduce step, which
-    takes each entry v < q^2 of an array of that dtype to v mod q in place."""
-    if q**4 >= 1 << 32:
+    takes each entry v < q^2 of an array of that dtype to v mod q in place.
+
+    The dtype is the narrowest of uint8, uint16 and uint32 whose width b has
+    q^4 < 2^b (uint8 for q <= 3, uint16 for 5 <= q <= 13, uint32 up to 251),
+    and the step is a division-free Barrett reduction in it (_barrett), with
+    the multiplier and every operand of that dtype, so that NumPy's casting
+    keeps the dtype. Above 251 residues are int64 and the step is
+    np.remainder."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        bits = np.iinfo(dtype).bits
+        if q**4 < 1 << bits:
+            break
+    else:
         return np.int64, lambda v: np.remainder(v, q, out=v)
-    s, m = _barrett(q)
+    s, m = (dtype(c) for c in _barrett(q, bits))
+    modulus = dtype(q)
 
     def reduce(v: np.ndarray) -> np.ndarray:
         h = v * m
         h >>= s
-        h *= q
+        h *= modulus
         v -= h
         return v
 
-    return np.uint32, reduce
+    return dtype, reduce
 
 
 def _folder(
@@ -244,8 +262,8 @@ def _grid_values(
     whose 2^k coefficients are the rows of coeffs, one row out per row in.
     One axis at a time, lowest bit first, a coefficient pair (c0, c1)
     becomes the q values c0 + x*c1, as a new leading axis of the row.
-    Each such value is below q^2 in coeffs' dtype (uint32 or int64, see
-    _residues), and `reduce` brings it below q again after each axis."""
+    Each such value is below q^2 in coeffs' dtype (_residues), and
+    `reduce` brings it below q again after each axis."""
     rows = len(coeffs)
     v = coeffs
     for _ in range(k):
@@ -292,13 +310,15 @@ def sweep_zero_patterns(
     var_count (the sweep width). The grid is taken in blocks of q^k points
     with len(polys)*q^k <= chunk_points polynomial values: the outer
     width-k coordinates y of a block are folded into each polynomial, whose
-    k inner axes are then transformed. With cone=True, when there are outer
-    coordinates and the zero-pattern is the same at x and at l*x for every
-    l != 0 (_scales_alike), only one block per line through the origin is
+    k inner axes are then transformed. With cone=True, when width > 0 and
+    the zero-pattern is the same at x and at l*x for every l != 0
+    (_scales_alike), k stays below width, so that there is at least one
+    outer coordinate, and only one block per line through the origin is
     transformed: y = 0 with weight 1 and each y whose last nonzero
     coordinate is 1 with weight q-1, since scaling by l maps the inner grid
     of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
-    of the q^(width-k) blocks; other input is swept in full. Blocks are split
+    of the q^(width-k) blocks, two where the whole grid would fit one
+    block; other input is swept in full. Blocks are split
     over `workers` threads, 1..MAX_WORKERS; results are bit-identical across
     chunk sizes, worker counts and cone.
     """
@@ -311,13 +331,15 @@ def sweep_zero_patterns(
         raise ValueError("sweep polynomials must share var_count")
     if cross and len(polys) != 4:
         raise ValueError("the cross bit needs exactly four polynomials")
+    # a cone sweep keeps at least one outer axis, so that it can skip blocks
+    cone = cone and width > 0 and _scales_alike(polys, q, cross)
     k = 0
-    while k < width and len(polys) * q ** (k + 1) <= chunk_points:
+    while k < width - cone and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
     outer = width - k
     dtype, reduce = _residues(q)
     fold = _folder(polys, q, k, dtype)
-    if cone and outer and _scales_alike(polys, q, cross):
+    if cone:
         # block b has y_j = b // q^j % q: its last nonzero y_j is 1 for b
         # in [q^j, 2*q^j)
         blocks, scale = [0, *(b for j in range(outer) for b in range(q**j, 2 * q**j))], q - 1
@@ -337,7 +359,8 @@ def sweep_zero_patterns(
             if cross:  # each product is below q^2
                 v[0] *= v[3]
                 v[1] *= v[2]
-                pattern |= (reduce(v[0]) == reduce(v[1])).view(np.uint8) << 4
+                reduce(v[:2])
+                pattern |= (v[0] == v[1]).view(np.uint8) << 4
             hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
         return hist
 
@@ -365,9 +388,10 @@ def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> 
     cost of level 1, and an upper bound for level 2, which sweeps 4
     polynomials over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2). A
     fibered count of a constant (n = 0) sweeps nothing and is not charged.
-    The charge stays this upper bound, not the about 4*q^(n-2)/(q-1)
-    values a cone-reduced level-2 sweep evaluates, so that no budget
-    refusal changed when the sweep began to visit one block per line.
+    The charge stays this upper bound, not the values a cone-reduced
+    level-2 sweep evaluates (about 4*q^(n-2)/(q-1), and 8*q^(n-3) where
+    its grid would fit one block), so that no budget refusal changed when
+    the sweep began to visit one block per line.
     """
     require_prime(q)
     for level in levels:
@@ -521,8 +545,9 @@ def _count_level(p: MultilinearPoly, q: int, level: int, e: int = 0, key=None) -
 def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
     """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
     highest variable other than t_e: 4*q^(n-2) polynomial values, or about
-    4*q^(n-2)/(q-1) for homogeneous p once the sweep spans several blocks,
-    against q^n for brute force. One-variable p is fibered over t_e alone."""
+    4*q^(n-2)/(q-1) for homogeneous p, whose sweep takes one block per line
+    through the origin, against q^n for brute force. One-variable p is
+    fibered over t_e alone."""
     _admit(q, p.var_count, (2,))
     if p.var_count and not 0 <= e < p.var_count:
         raise ValueError(f"split variable {e} outside 0..{p.var_count - 1}")

@@ -249,13 +249,13 @@ _DC_IDENTITY = {
 
 
 def _dc_verdict(
-    g: Multigraph, label: int, counts: dict[int, CountRecord], name: str
+    g: Multigraph, sized: Multigraph, label: int, counts: dict[int, CountRecord], name: str
 ) -> CongruenceVerdict:
     """The deletion-contraction verdict of one edge, one row per prime of
     counts, the table {q: count_graph(g, q)} that gives each row's left
-    side. The edge is classified, on the vertices g's edges touch, and
-    deleted once for all the rows."""
-    kind = classify_edge(_edge_sized(g), label)
+    side. The edge is classified on sized, g on the vertices its edges
+    touch (_edge_sized), and deleted once for all the rows."""
+    kind = classify_edge(sized, label)
     minor = delete_edge(g, label)
     n = g.edge_count
     rows = []
@@ -289,7 +289,8 @@ def dc_identity_check(
     to the one G's count is fibered at, are memo hits, not new sweeps.
     """
     g.edge_by_label(edge_label)  # UnknownLabelError before any count
-    return _dc_verdict(g, edge_label, {q: count_graph(g, q)}, _name(g, graph_name))
+    counts = {q: count_graph(g, q)}
+    return _dc_verdict(g, _edge_sized(g), edge_label, counts, _name(g, graph_name))
 
 
 @shared_counts()
@@ -301,10 +302,12 @@ def dc_identity_matrix(
 ) -> list[CongruenceVerdict]:
     """One verdict per edge, a row per prime, every row's left side read
     from one table of g's counts (_counts), whose budget checks come
-    before any sweep. Each edge is classified and deleted once."""
+    before any sweep. Each edge is deleted once, and classified once on
+    one edge-sized copy of g that every verdict shares."""
     name = _name(g, graph_name)
     counts = _counts(g, require_primes(primes))
-    return [_dc_verdict(g, e, counts, name) for e in g.labels]
+    sized = _edge_sized(g)
+    return [_dc_verdict(g, sized, e, counts, name) for e in g.labels]
 
 
 def _integer_fit(points: list[tuple[int, int]]) -> list[int] | None:

@@ -490,6 +490,9 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     # classifies and deletes its edge once (145 edges in all) and reads its
     # left sides from the table of the graph's counts: 912 count requests.
     # count_Z reads regularity from the reduction and classifies nothing.
+    # The 35 sweeps transform 340,504 values in 70 blocks, each cone sweep
+    # keeping an outer axis, and 153 edge-sized views are taken: one per
+    # DC matrix, edge census, component count, reduced block and psi build.
     spied = (
         (counting, "sweep_zero_patterns"),
         (counting, "psi_by_deletion_contraction"),
@@ -519,9 +522,23 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
             raise
 
     monkeypatch.setattr(counting, "_check_budget", spy_check)
+    blocks = []
+    grid_values = counting._grid_values
+
+    def spy_grid(coeffs, k, q, reduce):
+        blocks.append(len(coeffs) * q**k)
+        return grid_values(coeffs, k, q, reduce)
+
+    monkeypatch.setattr(counting, "_grid_values", spy_grid)
+    views = []
+    for module in (graphs, motive, counting, symanzik):
+        sized = module._edge_sized
+        monkeypatch.setattr(module, "_edge_sized", lambda g, f=sized: views.append(g) or f(g))
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
     assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0]
+    assert (sum(blocks), len(blocks)) == (340504, 70)
+    assert len(views) == 153
 
 
 def test_verify_is_edge_sized(monkeypatch):

@@ -271,9 +271,11 @@ def _terms(width, coefficients, max_size, degree=None):
 
 @st.composite
 def sweep_cases(draw):
-    # 251 is the largest prime with uint32 residues, 257 the smallest in int64
-    q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
-    width = draw(st.integers(0, 5 if q < 251 else 2))
+    # each end of the residue dtype ladder (_residues): 3 is the last prime
+    # in uint8, 5 the first in uint16, 13 and 17 the last in uint16 and the
+    # first in uint32, 251 the last in uint32 and 257 the first in int64
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 251, 257]))
+    width = draw(st.integers(0, 5 if q <= 7 else 3 if q < 251 else 2))
     coefficients = st.integers(-(10**20), 10**20)
     cone = draw(st.booleans())
     polys = []
@@ -283,7 +285,8 @@ def sweep_cases(draw):
         degree = draw(st.integers(0, width)) if draw(st.booleans()) else None
         polys.append(MultilinearPoly(width, draw(_terms(width, coefficients, 8, degree))))
     chunk = draw(st.sampled_from([1, 2, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
-    if q > 7:  # at most q blocks: q^2 one-point blocks would take seconds
+    if q > 7:  # an inner axis, so at most 17^2 or 257 blocks: one-point
+        # blocks would take seconds
         chunk = max(chunk, len(polys) * q)
     return polys, q, chunk, draw(st.sampled_from([1, 2])), cone
 
@@ -301,8 +304,8 @@ def test_sweep_patterns_agree_with_naive_enumeration(case):
 
 @st.composite
 def cross_cases(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7, 251, 257]))
-    width = draw(st.integers(0, 4 if q < 251 else 2))
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 251, 257]))  # as in sweep_cases
+    width = draw(st.integers(0, 4 if q <= 7 else 3 if q < 251 else 2))
     coefficients = st.integers(-9, 9)
     degrees, shape = [None] * 4, None
     if draw(st.booleans()):
@@ -362,16 +365,24 @@ def test_cone_sweep_of_input_that_is_no_cone_is_full(polys, cross):
 
 
 def test_barrett_reduction_is_exact_below_q_squared():
+    # residues take the narrowest unsigned dtype of width b with q^4 < 2^b:
+    # uint8 for 2 and 3, uint16 for 5..13, uint32 for 17..251, then int64
     primes = [q for q in range(252) if is_prime(q)]
     assert len(primes) == 54
     assert counting._residues(257)[0] == np.int64
+    ladder = (np.uint8, np.uint16, np.uint32)
     for q in primes:
-        s, m = counting._barrett(q)
-        assert q**3 <= 1 << s and q * q * m < 1 << 32
         dtype, reduce = counting._residues(q)
+        bits = np.iinfo(dtype).bits
+        assert dtype == next(d for d in ladder if q**4 < 1 << np.iinfo(d).bits)
+        s, m = counting._barrett(q, bits)
+        assert q**3 <= 1 << s and q * q * m < 1 << bits
         v = np.arange(q * q, dtype=dtype)
-        assert dtype == np.uint32
-        assert np.array_equal(reduce(v.copy()), v % q)
+        reduced = reduce(v.copy())
+        assert reduced.dtype == dtype and np.array_equal(reduced, v % q)
+    assert [counting._residues(q)[0] for q in (3, 5, 13, 17)] == [
+        np.uint8, np.uint16, np.uint16, np.uint32
+    ]
 
 
 def test_sweep_rejects_bad_polynomial_counts():
@@ -971,6 +982,19 @@ def test_fibered_wheel_4_sweeps_one_block_per_line(monkeypatch):
     with counting.shared_counts(CountOptions("both")):
         assert count_graph(CAT["wheel_4"], 11) == rec
     assert len(grids) == 13 + 11**3  # brute force: 11^8 points in blocks of 11^5
+
+
+def test_fibered_wheel_4_cone_fitting_one_block_is_swept_in_two(monkeypatch):
+    # 4 polynomials over F_7^6 fit one block of 2^19 values, but a cone
+    # sweep keeps one outer axis: y = 0 and y = 1, two blocks of 7^5
+    # points, in place of one of 7^6
+    grids = []
+    grid_values = counting._grid_values
+    monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
+    rec = count_graph(CAT["wheel_4"], 7)
+    assert [(len(coeffs), 7**k) for coeffs, k, _, _ in grids] == [(4, 7**5)] * 2
+    with counting.shared_counts(CountOptions("both")):
+        assert count_graph(CAT["wheel_4"], 7) == rec
 
 
 # -- determinism ---------------------------------------------------------------
