@@ -9,6 +9,7 @@ nondeterministic (timing, host, thread count) stays out of the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -334,7 +335,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every main() call shares it."""
     parser = argparse.ArgumentParser(
         prog="graphmotive",
         description=(

@@ -16,29 +16,32 @@ times q. So only the blocks left once every such pair is merged are
 swept, each once per prime inside a shared_counts() block, whatever
 graphs hold it.
 The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
-each coefficient pair (c0, c1) becomes the q values c0 + x*c1, so a
-block costs about q^k multiply-adds per polynomial whatever the term
-count. The grid is taken in blocks of at most chunk_points polynomial
-values, the outer coordinates of each block folded into the coefficients
-first. psi is homogeneous, and so are A1, A0, B1, B0, with D's two
-products of equal degree: their zero-pattern is the same at x and at l*x
-for every l != 0. So a fibered sweep keeps at least one outer
-coordinate, even where its whole grid would fit one block, transforms
-one block per line through the origin of outer coordinates and weights
-it by the q-1 points of that line off the origin: about 4*q^(n-2)/(q-1)
-values in place of 4*q^(n-2). Brute force, the oracle, still evaluates
-psi at every point of F_q^n. Every value is reduced below q after each
-multiply-add, so it and the product of two residues stay below q^2.
-Residues are held in the narrowest unsigned dtype of width b with
-q^4 < 2^b (uint8 for q <= 3, uint16 for 5 <= q <= 13, uint32 up to 251),
-and the reduce step is a division-free Barrett reduction in it, exact
-below q^2; for larger q up to 2^31 they are int64 and the step is
+each coefficient pair (c0, c1) becomes the q values c0 + x*c1 mod q, so
+a block costs about q^k values per polynomial whatever the term count.
+The grid is taken in blocks of at most chunk_points polynomial values,
+the outer coordinates of each block folded into the coefficients first.
+psi is homogeneous, and so are A1, A0, B1, B0, with D's two products of
+equal degree: their zero-pattern is the same at x and at l*x for every
+l != 0. So a fibered sweep keeps at least one outer coordinate,
+transforms one block per line through the origin of outer coordinates
+and weights it by the q-1 points of that line off the origin: about
+4*q^(n-2)/(q-1) values in place of 4*q^(n-2). Where the whole grid
+would fit one block, its two blocks, y = 0 and y = 1, are transformed
+in one pass. Brute force, the oracle, still evaluates psi at every point
+of F_q^n. A sweep at a prime q <= 251 that transforms at least q^3
+values, as many as the table holds, keeps residues in uint8 and steps
+an axis by one gather from a (q^2, q) uint8 table, built once per
+process on first use, at the uint16 row index c0*q + c1; the cross bit's
+two products, each below q^2, are reduced in uint32 by one
+division-free Barrett step. Every other sweep, and every q above 251 up
+to 2^31, keeps residues in int64 and steps by int64 arithmetic and
 np.remainder. Integer accumulation makes results independent of block
 size, dtype and thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -185,43 +188,59 @@ class CountRecord:
 # -- vectorized sweep core ---------------------------------------------------
 
 
-def _barrett(q: int, bits: int) -> tuple[int, int]:
-    """(s, m) with s = bits - q.bit_length() and m = ceil(2^s / q): where
-    q^3 <= 2^s and q^2*m < 2^bits, v - (v*m >> s)*q is v mod q for every
-    v < q^2 with no intermediate reaching 2^bits. Both bounds hold at the
-    width _residues picks for each prime q <= 251 (q^4 < 2^bits), as the
-    tests check prime by prime."""
-    s = bits - q.bit_length()
+TABLE_PRIME = 251  # the largest prime whose residues fit uint8 and q^2 uint16
+
+
+@functools.cache
+def _table(q: int) -> np.ndarray:
+    """The read-only (q^2, q) uint8 step table mod a prime q <= TABLE_PRIME:
+    row c0*q + c1 holds (c0 + x*c1) mod q for x = 0..q-1. Built once per
+    process, on first use, one block of q rows per c0, so no temporary is
+    q^3 long (the table is 15.8 MB at q = 251)."""
+    x = np.arange(q, dtype=np.uint16)
+    products = np.multiply.outer(x, x) % q
+    residue = (np.arange(2 * q) % q).astype(np.uint8)
+    table = np.empty((q, q, q), dtype=np.uint8)
+    for c0 in range(q):
+        np.take(residue, products + c0, out=table[c0])
+    table.flags.writeable = False
+    return table.reshape(q * q, q)
+
+
+def _index(c0: np.ndarray, c1: np.ndarray, q: int) -> np.ndarray:
+    """c0*q + c1 as uint16, for uint8 residue arrays c0 and c1: the row of
+    _table(q) that steps the coefficient pair (c0, c1)."""
+    index = c0.astype(np.uint16)
+    index *= q
+    index += c1
+    return index
+
+
+def _barrett(q: int) -> tuple[int, int]:
+    """(s, m) with s = 32 - q.bit_length() and m = ceil(2^s / q): where
+    q^3 <= 2^s and q^2*m < 2^32, v - (v*m >> s)*q is v mod q for every
+    v < q^2 with no intermediate reaching 2^32. Both bounds hold for each
+    prime q <= TABLE_PRIME, as the tests check prime by prime."""
+    s = 32 - q.bit_length()
     return s, -(-(1 << s) // q)
 
 
-def _residues(q: int) -> tuple[type, Callable[[np.ndarray], np.ndarray]]:
-    """The dtype a sweep holds residues mod q in, and its reduce step, which
-    takes each entry v < q^2 of an array of that dtype to v mod q in place.
-
-    The dtype is the narrowest of uint8, uint16 and uint32 whose width b has
-    q^4 < 2^b (uint8 for q <= 3, uint16 for 5 <= q <= 13, uint32 up to 251),
-    and the step is a division-free Barrett reduction in it (_barrett), with
-    the multiplier and every operand of that dtype, so that NumPy's casting
-    keeps the dtype. Above 251 residues are int64 and the step is
-    np.remainder."""
-    for dtype in (np.uint8, np.uint16, np.uint32):
-        bits = np.iinfo(dtype).bits
-        if q**4 < 1 << bits:
-            break
-    else:
-        return np.int64, lambda v: np.remainder(v, q, out=v)
-    s, m = (dtype(c) for c in _barrett(q, bits))
-    modulus = dtype(q)
-
-    def reduce(v: np.ndarray) -> np.ndarray:
-        h = v * m
-        h >>= s
-        h *= modulus
-        v -= h
-        return v
-
-    return dtype, reduce
+def _products_agree(v: np.ndarray, q: int) -> np.ndarray:
+    """Where v[:, 0]*v[:, 3] == v[:, 1]*v[:, 2] mod q, for residues v of
+    shape (blocks, 4, points). uint8 residues take the two products in
+    uint32, each below q^2, and reduce both in one Barrett step (_barrett),
+    whose constants are uint32 too, so that NumPy's casting keeps the dtype;
+    int64 residues use np.remainder."""
+    if v.dtype == np.int64:
+        return (v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]) % q == 0
+    s, m = (np.uint32(c) for c in _barrett(q))
+    p = v[:, :2].astype(np.uint32)
+    p *= v[:, 3:1:-1]
+    h = p * m
+    h >>= s
+    h *= np.uint32(q)
+    p -= h
+    return p[:, 0] == p[:, 1]
 
 
 def _folder(
@@ -255,22 +274,27 @@ def _folder(
     return fold
 
 
-def _grid_values(
-    coeffs: np.ndarray, k: int, q: int, reduce: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
+def _grid_values(coeffs: np.ndarray, k: int, q: int, table: np.ndarray | None) -> np.ndarray:
     """Values mod q, at every point of F_q^k, of the multilinear polynomials
     whose 2^k coefficients are the rows of coeffs, one row out per row in.
-    One axis at a time, lowest bit first, a coefficient pair (c0, c1)
-    becomes the q values c0 + x*c1, as a new leading axis of the row.
-    Each such value is below q^2 in coeffs' dtype (_residues), and
-    `reduce` brings it below q again after each axis."""
+    One axis at a time, highest bit first, so that both halves of the split
+    are contiguous, each coefficient pair (c0, c1) becomes the q values
+    c0 + x*c1 mod q as a new last axis: with uint8 residues one gather of
+    rows c0*q + c1 of table (_table), else (table None) int64 arithmetic,
+    whose array of q values is built only once an axis is transformed, as
+    q may reach 2^31. The points come out in an order no histogram
+    depends on."""
     rows = len(coeffs)
     v = coeffs
     for _ in range(k):
-        pairs = v.reshape(rows, 1, -1, 2)
-        v = pairs[..., 1] * np.arange(q, dtype=v.dtype)[:, None]
-        v += pairs[..., 0]
-        reduce(v)
+        halves = v.reshape(rows, 2, -1)
+        c0, c1 = halves[:, 0], halves[:, 1]
+        if table is None:
+            v = c1[..., None] * np.arange(q, dtype=np.int64)
+            v += c0[..., None]
+            np.remainder(v, q, out=v)
+        else:
+            v = table.take(_index(c0, c1, q), axis=0)
     return v.reshape(rows, -1)
 
 
@@ -310,15 +334,16 @@ def sweep_zero_patterns(
     var_count (the sweep width). The grid is taken in blocks of q^k points
     with len(polys)*q^k <= chunk_points polynomial values: the outer
     width-k coordinates y of a block are folded into each polynomial, whose
-    k inner axes are then transformed. With cone=True, when width > 0 and
-    the zero-pattern is the same at x and at l*x for every l != 0
-    (_scales_alike), k stays below width, so that there is at least one
-    outer coordinate, and only one block per line through the origin is
-    transformed: y = 0 with weight 1 and each y whose last nonzero
+    k inner axes are then transformed (_grid_values). With cone=True, when
+    width > 0 and the zero-pattern is the same at x and at l*x for every
+    l != 0 (_scales_alike), k stays below width, so that there is at least
+    one outer coordinate, and only one block per line through the origin
+    is transformed: y = 0 with weight 1 and each y whose last nonzero
     coordinate is 1 with weight q-1, since scaling by l maps the inner grid
     of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
-    of the q^(width-k) blocks, two where the whole grid would fit one
-    block; other input is swept in full. Blocks are split
+    of the q^(width-k) blocks; where the whole grid would fit one block
+    the two, y = 0 and y = 1, are transformed in one pass of
+    2*len(polys) rows. Other input is swept in full. Passes are split
     over `workers` threads, 1..MAX_WORKERS; results are bit-identical across
     chunk sizes, worker counts and cone.
     """
@@ -337,31 +362,37 @@ def sweep_zero_patterns(
     while k < width - cone and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
     outer = width - k
-    dtype, reduce = _residues(q)
-    fold = _folder(polys, q, k, dtype)
     if cone:
         # block b has y_j = b // q^j % q: its last nonzero y_j is 1 for b
         # in [q^j, 2*q^j)
         blocks, scale = [0, *(b for j in range(outer) for b in range(q**j, 2 * q**j))], q - 1
     else:
         blocks, scale = range(q**outer), 1
-    lanes = min(workers, len(blocks))
+    # a table holds q^3 values and costs about as much to build as
+    # transforming them, so a sweep of fewer values steps in int64
+    values = len(blocks) * len(polys) * q**k
+    table = _table(q) if k and q <= TABLE_PRIME and values >= q**3 else None
+    fold = _folder(polys, q, k, np.int64 if table is None else np.uint8)
+    if len(polys) * q**width <= chunk_points:
+        passes = [blocks]  # one block, or a cone sweep's y = 0 and y = 1
+    else:
+        passes = [[b] for b in blocks]
+    lanes = min(workers, len(passes))
     bins = 1 << (len(polys) + cross)
     shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
 
     def lane(first: int) -> np.ndarray:
         hist = np.zeros(bins, dtype=np.int64)
-        for b in blocks[first::lanes]:
-            v = _grid_values(fold([b // q**j % q for j in range(outer)]), k, q, reduce)
+        for group in passes[first::lanes]:
+            coeffs = np.concatenate([fold([b // q**j % q for j in range(outer)]) for b in group])
+            v = _grid_values(coeffs, k, q, table).reshape(len(group), len(polys), -1)
             bits = (v == 0).view(np.uint8)
             bits <<= shifts
-            pattern = np.bitwise_or.reduce(bits, axis=0)
-            if cross:  # each product is below q^2
-                v[0] *= v[3]
-                v[1] *= v[2]
-                reduce(v[:2])
-                pattern |= (v[0] == v[1]).view(np.uint8) << 4
-            hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
+            patterns = np.bitwise_or.reduce(bits, axis=1)
+            if cross:
+                patterns |= _products_agree(v, q).view(np.uint8) << 4
+            for b, pattern in zip(group, patterns):
+                hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
         return hist
 
     if lanes == 1:

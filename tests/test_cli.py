@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import functools
 import io
 import json
@@ -490,9 +491,11 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     # classifies and deletes its edge once (145 edges in all) and reads its
     # left sides from the table of the graph's counts: 912 count requests.
     # count_Z reads regularity from the reduction and classifies nothing.
-    # The 35 sweeps transform 340,504 values in 70 blocks, each cone sweep
-    # keeping an outer axis, and 153 edge-sized views are taken: one per
-    # DC matrix, edge census, component count, reduced block and psi build.
+    # The 35 sweeps transform 340,504 values in 35 passes: each cone sweep
+    # keeps an outer axis, and as its grid would fit one block it
+    # transforms y = 0 and y = 1 in one pass. 153 edge-sized views are
+    # taken: one per DC matrix, edge census, component count, reduced block
+    # and psi build.
     spied = (
         (counting, "sweep_zero_patterns"),
         (counting, "psi_by_deletion_contraction"),
@@ -525,9 +528,9 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     blocks = []
     grid_values = counting._grid_values
 
-    def spy_grid(coeffs, k, q, reduce):
+    def spy_grid(coeffs, k, q, table):
         blocks.append(len(coeffs) * q**k)
-        return grid_values(coeffs, k, q, reduce)
+        return grid_values(coeffs, k, q, table)
 
     monkeypatch.setattr(counting, "_grid_values", spy_grid)
     views = []
@@ -537,7 +540,7 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
     assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0]
-    assert (sum(blocks), len(blocks)) == (340504, 70)
+    assert (sum(blocks), len(blocks)) == (340504, 35)
     assert len(views) == 153
 
 
@@ -692,6 +695,29 @@ def test_bad_method_choice_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--family", "cycle:3", "--method", "magic"])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # the root parser, its three parents and its six subcommands: 10
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["family", "cycle:3"]) == 0
+        assert main(["family", "banana:2"]) == 0
+        assert len(built) == 10
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--family", "cycle:3", "--method", "magic"])
+        assert exc.value.code == 2 and len(built) == 10
+    finally:
+        cli.build_parser.cache_clear()  # later tests build their own
     capsys.readouterr()
 
 

@@ -8,6 +8,8 @@ are pinned here as literals.
 from __future__ import annotations
 
 import functools
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -271,10 +273,10 @@ def _terms(width, coefficients, max_size, degree=None):
 
 @st.composite
 def sweep_cases(draw):
-    # each end of the residue dtype ladder (_residues): 3 is the last prime
-    # in uint8, 5 the first in uint16, 13 and 17 the last in uint16 and the
-    # first in uint32, 251 the last in uint32 and 257 the first in int64
-    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 251, 257]))
+    # a sweep of at least q^3 values at a prime up to 251 steps through a
+    # uint8 table (_table), others in int64: here every sweep at 251 (the
+    # last table prime) and 257; 11 is the prime count_wheel4 sweeps at
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 251, 257]))
     width = draw(st.integers(0, 5 if q <= 7 else 3 if q < 251 else 2))
     coefficients = st.integers(-(10**20), 10**20)
     cone = draw(st.booleans())
@@ -304,7 +306,7 @@ def test_sweep_patterns_agree_with_naive_enumeration(case):
 
 @st.composite
 def cross_cases(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 251, 257]))  # as in sweep_cases
+    q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 251, 257]))  # as in sweep_cases
     width = draw(st.integers(0, 4 if q <= 7 else 3 if q < 251 else 2))
     coefficients = st.integers(-9, 9)
     degrees, shape = [None] * 4, None
@@ -364,25 +366,64 @@ def test_cone_sweep_of_input_that_is_no_cone_is_full(polys, cross):
         assert got == expected
 
 
-def test_barrett_reduction_is_exact_below_q_squared():
-    # residues take the narrowest unsigned dtype of width b with q^4 < 2^b:
-    # uint8 for 2 and 3, uint16 for 5..13, uint32 for 17..251, then int64
+def test_step_table_is_exact_for_every_prime_to_251(monkeypatch):
+    # a sweep of at least q^3 values at a prime q <= 251 holds uint8
+    # residues and steps each axis by one gather from a (q^2, q) uint8
+    # table whose row c0*q + c1 holds (c0 + x*c1) mod q. The cross bit
+    # reduces its two products, each below q^2, by one Barrett step in uint32.
     primes = [q for q in range(252) if is_prime(q)]
-    assert len(primes) == 54
-    assert counting._residues(257)[0] == np.int64
-    ladder = (np.uint8, np.uint16, np.uint32)
+    assert len(primes) == 54 and primes[-1] == counting.TABLE_PRIME
     for q in primes:
-        dtype, reduce = counting._residues(q)
-        bits = np.iinfo(dtype).bits
-        assert dtype == next(d for d in ladder if q**4 < 1 << np.iinfo(d).bits)
-        s, m = counting._barrett(q, bits)
-        assert q**3 <= 1 << s and q * q * m < 1 << bits
-        v = np.arange(q * q, dtype=dtype)
-        reduced = reduce(v.copy())
-        assert reduced.dtype == dtype and np.array_equal(reduced, v % q)
-    assert [counting._residues(q)[0] for q in (3, 5, 13, 17)] == [
-        np.uint8, np.uint16, np.uint16, np.uint32
+        table = counting._table.__wrapped__(q)  # uncached: all 54 hold 187 MB
+        assert table.shape == (q * q, q) and table.dtype == np.uint8
+        x = np.arange(q)
+        for c1 in range(q):
+            assert np.array_equal(table[c1::q], (x[:, None] + x * c1) % q)  # rows c0*q + c1
+        c0, c1 = (a.astype(np.uint8).ravel() for a in np.meshgrid(x, x))
+        index = counting._index(c0, c1, q)
+        assert index.dtype == np.uint16 and np.array_equal(index, c0.astype(np.int64) * q + c1)
+        assert int(index.max()) == q * q - 1 < 1 << 16
+        s, m = counting._barrett(q)
+        assert q**3 <= 1 << s and q * q * m < 1 << 32
+        # c0*c1 against 1*r for r = c0*c1 mod q and for r + 1: every product
+        # of two residues is reduced exactly
+        product = (c0.astype(np.int64) * c1 % q).astype(np.uint8)
+        for r, agree in ((product, True), ((product + 1) % q, False)):
+            v = np.stack([c0, np.ones_like(c0), r, c1])[None]
+            assert np.all(counting._products_agree(v, q) == agree)
+    # the table is built without a q^3 temporary wider than itself
+    tracemalloc.start()
+    try:
+        counting._table.__wrapped__(251)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 251**3
+    grids = []
+    grid_values = counting._grid_values
+    monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
+    plane = MultilinearPoly(3, {0b001: 1, 0b010: 1, 0b100: 1})  # x + y + z
+    assert sweep_zero_patterns([plane], 17) == [17**3 - 17**2, 17**2]  # 17^3 values
+    # no table where the sweep transforms fewer values than a table holds,
+    # or no axis, nor above 251, where the step is int64 arithmetic
+    monkeypatch.setattr(counting, "_table", None)
+    p = MultilinearPoly(2, {0b01: 1, 0b10: 3})  # x + 3y: one zero per y
+    assert sweep_zero_patterns([p], 251) == [251 * 250, 251]  # 251^2 values
+    assert sweep_zero_patterns([p], 257) == [257 * 256, 257]
+    line = MultilinearPoly(1, {0b1: 1, 0: 1})  # x + 1: one block per point
+    assert sweep_zero_patterns([line], 251, chunk_points=1) == [250, 1]
+    assert [(coeffs.dtype, k, q, table is None) for coeffs, k, q, table in grids[:4]] == [
+        (np.uint8, 3, 17, False), (np.int64, 2, 251, True), (np.int64, 2, 257, True),
+        (np.int64, 0, 251, True)
     ]
+
+
+def test_import_builds_no_step_table(src_env):
+    code = (
+        "import sys, graphmotive, graphmotive.cli\n"
+        "sys.exit(graphmotive.counting._table.cache_info().currsize)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], env=src_env).returncode == 0
 
 
 def test_sweep_rejects_bad_polynomial_counts():
@@ -987,12 +1028,12 @@ def test_fibered_wheel_4_sweeps_one_block_per_line(monkeypatch):
 def test_fibered_wheel_4_cone_fitting_one_block_is_swept_in_two(monkeypatch):
     # 4 polynomials over F_7^6 fit one block of 2^19 values, but a cone
     # sweep keeps one outer axis: y = 0 and y = 1, two blocks of 7^5
-    # points, in place of one of 7^6
+    # points in place of one of 7^6, transformed in one pass of 8 rows
     grids = []
     grid_values = counting._grid_values
     monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
     rec = count_graph(CAT["wheel_4"], 7)
-    assert [(len(coeffs), 7**k) for coeffs, k, _, _ in grids] == [(4, 7**5)] * 2
+    assert [(len(coeffs), 7**k) for coeffs, k, _, _ in grids] == [(8, 7**5)]
     with counting.shared_counts(CountOptions("both")):
         assert count_graph(CAT["wheel_4"], 7) == rec
 
