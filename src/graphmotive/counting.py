@@ -60,7 +60,6 @@ from .symanzik import (
     MultilinearPoly,
     NonMultilinearError,
     psi_by_deletion_contraction,
-    split_last_var,
 )
 
 DEFAULT_BUDGET = 10**9  # single-polynomial point evaluations per count
@@ -415,10 +414,11 @@ def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> 
     under `what`, else the level's name; once per count, before any search.
 
     Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
-    level is charged as 2 polynomials over F_q^{n-1}: that is the exact
-    cost of level 1, and an upper bound for level 2, which sweeps 4
-    polynomials over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2). A
-    fibered count of a constant (n = 0) sweeps nothing and is not charged.
+    level is charged as 2 polynomials over F_q^{n-1}, A and B of
+    p = t_e*A + B: an upper bound for level 2, which sweeps 4 polynomials
+    over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2), or nothing where
+    no variable other than t_e occurs. A fibered count of a constant
+    (n = 0) is not charged.
     The charge stays this upper bound, not the values a cone-reduced
     level-2 sweep evaluates (about 4*q^(n-2)/(q-1), and 8*q^(n-3) where
     its grid would fit one block), so that no budget refusal changed when
@@ -460,33 +460,11 @@ def count_projective(rec: CountRecord) -> int:
     return rec.projective_count
 
 
-def _drop_var(p: MultilinearPoly, e: int) -> MultilinearPoly:
-    """Remove an unused variable slot, shifting higher indices down."""
-    bit = 1 << e
-    low = bit - 1
-    terms = {}
-    for mask, coeff in p.terms.items():
-        if mask & bit:
-            raise ValueError(f"t{e} occurs in a term")
-        terms[(mask & low) | (mask >> 1 & ~low)] = coeff
-    return MultilinearPoly(p.var_count - 1, terms)
-
-
 # Fiber tables. Each maps the vanishing pattern of a base point (True where
-# that swept value is 0 mod q) to the zeros in the fiber over it. At level 2
-# the swept values are A1, A0, B1, B0 and D = A1*B0 - A0*B1, from A = f*A1 + A0
-# and B = f*B1 + B0: where A1 != 0, A vanishes at f = -A0/A1 alone, and B
-# there is D/A1.
-
-
-def _point_zeros(q: int, p: bool) -> int:
-    """Level 0: the point itself."""
-    return int(p)
-
-
-def _line_zeros(q: int, a: bool, b: bool) -> int:
-    """Level 1: zeros of t_e*A + B on the t_e line."""
-    return q if a and b else int(not a)
+# that swept value is 0 mod q) to the zeros in the fiber over it. The swept
+# values are A1, A0, B1, B0 and D = A1*B0 - A0*B1, from p = t_e*A + B,
+# A = f*A1 + A0 and B = f*B1 + B0: where A1 != 0, A vanishes at f = -A0/A1
+# alone, and B there is D/A1.
 
 
 def _plane_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> int:
@@ -509,67 +487,62 @@ def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> in
     return q if b0 else 0
 
 
-def _sweep_fibers(
-    polys: Callable[[], list[MultilinearPoly]],
-    q: int,
-    fiber: Callable[..., int],
-    key=None,
-    cone: bool = False,
-) -> int:
-    """Total of fiber() over the base swept by the polynomials polys()
-    builds, with the cross bit D for four (A1, A0, B1, B0); key (canonical
-    graph, level, q) names the sweep in the memo, and a hit builds none.
-    cone lets the sweep visit one block per line through the origin where
-    the swept parts are homogeneous (sweep_zero_patterns)."""
-    return sum(
-        c * fiber(q, *zeros) for zeros, c in _memoized(key, _zero_patterns, polys, q, cone)
-    )
-
-
-def _zero_patterns(
-    polys: Callable[[], list[MultilinearPoly]], q: int, cone: bool
+def _patterns(
+    polys: Callable[[], list[MultilinearPoly]], q: int, fibered: bool, key=None
 ) -> list[tuple[tuple[bool, ...], int]]:
-    """The base points of a sweep of polys() by zero-pattern, as (whether
-    each swept value is 0 mod q, point count) for each pattern that occurs.
-    workers is read here, on the calling thread, as lanes do not see it."""
-    swept = polys()
-    cross = len(swept) == 4
-    counts = sweep_zero_patterns(swept, q, workers=_options().workers, cross=cross, cone=cone)
-    bits = len(swept) + cross
-    return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
+    """The base points of the sweep of the polynomials polys() builds, by
+    zero-pattern: (whether each swept value is 0 mod q, point count) for
+    each pattern that occurs. A fibered sweep, of (A1, A0, B1, B0), adds
+    the cross bit D and visits one block per line through the origin where
+    the parts are homogeneous (sweep_zero_patterns). key (canonical graph,
+    level, q) names the sweep in the memo, and a hit builds none. workers
+    is read here, on the calling thread, as lanes do not see it."""
+
+    def build():
+        swept = polys()
+        workers = _options().workers
+        counts = sweep_zero_patterns(swept, q, workers=workers, cross=fibered, cone=fibered)
+        bits = len(swept) + fibered
+        return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
+
+    return _memoized(key, build)
 
 
 def _fiber_parts(p: MultilinearPoly, e: int) -> list[MultilinearPoly]:
-    """What a fibered count of p at t_e sweeps: with p = t_e*A + B, A and
-    B when p has one variable, else [A1, A0, B1, B0], A and B split at f,
-    the highest variable other than t_e."""
+    """[A1, A0, B1, B0], what a fibered count of p at t_e sweeps, in one
+    pass over p's terms: p = t_e*A + B, with A and B split at f, the
+    highest variable other than t_e. t_e's slot is removed, so f is
+    variable n-2 of what is left, and the parts keep the n-2 below it."""
     n = p.var_count
-    a, b = split_last_var(p, e)
-    if a.var_count == n:
-        a, b = _drop_var(a, e), _drop_var(b, e)
-    if n == 1:
-        return [a, b]
-    return [*split_last_var(a, n - 2), *split_last_var(b, n - 2)]
+    low, rest = (1 << e) - 1, (1 << (n - 2)) - 1
+    parts: list[dict[int, int]] = [{}, {}, {}, {}]
+    for mask, c in p.terms.items():
+        m = mask & low | mask >> 1 & ~low
+        parts[3 - 2 * (mask >> e & 1) - (m >> (n - 2) & 1)][m & rest] = c
+    return [MultilinearPoly(n - 2, terms) for terms in parts]
 
 
 def _count_level(p: MultilinearPoly, q: int, level: int, e: int = 0, key=None) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
-    Level 0 sweeps p over all of F_q^n. Level 2 writes p = t_e*A + B and
-    splits A and B at f, the highest variable other than t_e, then sweeps
-    (A1, A0, B1, B0) over F_q^{n-2} with the cross bit. With one variable
-    it splits t_e alone (level 1) and sweeps A and B. A constant p (psi
-    of a forest) sweeps nothing at a fibered level: it vanishes everywhere
-    or nowhere. The caller has admitted the count (_admit).
+    Level 0 sweeps p over all of F_q^n. Level 2 sweeps p's fiber parts
+    (_fiber_parts) over F_q^{n-2} and adds up _plane_zeros, the zeros on
+    each (t_e, f) plane. A p in which no variable other than t_e occurs,
+    p = a*t_e + b, sweeps nothing at level 2: it has q^(n-1) zeros if
+    a != 0 mod q, else q^n or none as b is 0 mod q or not. That covers
+    constants (psi of a forest) and every p of one variable. The test
+    shifts by e only at a term that holds a variable, as count_fibered
+    accepts any e when n = 0. The caller has admitted the count (_admit).
     """
     n = p.var_count
-    if level and p.degree() == 0:
-        return CountRecord.from_zeros(p, q, 0 if p.terms.get(0, 0) % q else q**n)
     if level == 0:
-        zeros = _sweep_fibers(lambda: [p], q, _point_zeros, key)
+        zeros = sum(c for (zero,), c in _patterns(lambda: [p], q, False, key) if zero)
+    elif all(mask == 1 << e for mask in p.terms if mask):
+        a = sum(c for mask, c in p.terms.items() if mask) % q
+        zeros = q ** (n - 1) if a else 0 if p.terms.get(0, 0) % q else q**n
     else:
-        fiber = _line_zeros if n == 1 else _plane_zeros
-        zeros = _sweep_fibers(lambda: _fiber_parts(p, e), q, fiber, key, cone=True)
+        patterns = _patterns(lambda: _fiber_parts(p, e), q, True, key)
+        zeros = sum(c * _plane_zeros(q, *zero) for zero, c in patterns)
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -577,8 +550,9 @@ def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
     """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
     highest variable other than t_e: 4*q^(n-2) polynomial values, or about
     4*q^(n-2)/(q-1) for homogeneous p, whose sweep takes one block per line
-    through the origin, against q^n for brute force. One-variable p is
-    fibered over t_e alone."""
+    through the origin, against q^n for brute force. p in which no variable
+    other than t_e occurs, every p of at most one variable among them, is
+    counted in closed form (_count_level)."""
     _admit(q, p.var_count, (2,))
     if p.var_count and not 0 <= e < p.var_count:
         raise ValueError(f"split variable {e} outside 0..{p.var_count - 1}")
@@ -606,7 +580,7 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     (A1, A0, B1, B0), A and B split at their highest variable f, over
     F_q^{|k|-2}: the very sweep count_graph makes when it fibers k. That
     sweep's histogram depends on which variable is f; its total of
-    _common_zeros does not. The budget charges g as a level-1 count.
+    _common_zeros does not. The budget charges g as a fibered count.
     Inside shared_counts(), (graph, edge) pairs with isomorphic marked
     reduced blocks share k, and so one psi build and one sweep per prime.
 
@@ -629,9 +603,8 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     if block.reduced is None:
         return z
     k, p = _form(block.reduced, mark)
-    z_block = _sweep_fibers(
-        lambda: _fiber_parts(p, k.edge_count - 1), q, _common_zeros, (k, 2, q), cone=True
-    )
+    patterns = _patterns(lambda: _fiber_parts(p, k.edge_count - 1), q, True, (k, 2, q))
+    z_block = sum(c * _common_zeros(q, *zero) for zero, c in patterns)
     return z + y_rest * q**block.merges * z_block
 
 

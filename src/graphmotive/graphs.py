@@ -77,7 +77,10 @@ def _json_int_counter():
             raise GraphParseError(
                 f"edge labels exceed {MAX_EDGES - 1}: graph JSON holds more than {limit} integers"
             )
-        return int(text)
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise GraphParseError(f"malformed graph JSON: {exc}") from exc
 
     return parse_int
 
@@ -277,6 +280,8 @@ class Multigraph:
                 )
             except json.JSONDecodeError as exc:
                 raise GraphParseError(f"invalid JSON: {exc}") from exc
+            except RecursionError as exc:
+                raise GraphParseError("invalid JSON: nested too deeply") from exc
             return cls.from_json_obj(obj)
         return cls.from_text(text)
 

@@ -307,6 +307,19 @@ def test_psi_refuses_too_many_forest_candidates(src_env):
     assert "29248649430 edge subsets exceed the limit 10000000" in proc.stderr
 
 
+def test_deeply_nested_graph_file_is_input_error(src_env, tmp_path):
+    # about 2 KB of brackets exhausts json's recursion limit; the file is
+    # refused as input (exit 2), with no traceback
+    path = tmp_path / "deep.json"
+    path.write_text('{"edges": ' + "[" * 1000 + "]" * 1000 + "}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphmotive.cli", "count", str(path), "--primes", "3"],
+        capture_output=True, text=True, env=src_env, timeout=20,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_parse_error_reports_line(capsys, tmp_path):
     path = tmp_path / "bad.graph"
     path.write_text("2 1\n0 nope\n")

@@ -227,6 +227,21 @@ def test_fibered_constant_cases():
         count_fibered(psi_by_trees(CAT["cycle_3"]), 3, 5)
 
 
+def test_fibered_counts_p_of_t_e_alone_in_closed_form(sweeps):
+    # p = a*t_e + b, constants among them, at every width and split: the
+    # fibered count matches brute force and sweeps nothing
+    pairs = [(a, b) for a in range(-1, 3) for b in range(-1, 3)] + [(7, 0), (0, 7), (7, 7)]
+    for n in range(5):
+        for e in range(max(n, 1)):
+            for a, b in pairs:
+                p = MultilinearPoly(n, {1 << e: a, 0: b} if n else {0: b})
+                for q in (2, 3, 5, 7):
+                    brute = count_brute(p, q)
+                    sweeps.clear()
+                    assert count_fibered(p, e, q) == brute, (n, e, a, b, q)
+                    assert sweeps == [], (n, e, a, b, q)
+
+
 @settings(max_examples=100, deadline=None)
 @given(small_polys(), st.sampled_from([2, 3, 5, 7]))
 def test_fibered_agrees_with_brute_everywhere(p, q):
@@ -706,13 +721,13 @@ def test_memo_hit_never_passes_a_stricter_nested_budget(sweeps):
 def test_repeated_count_finds_its_sweep_before_any_work(monkeypatch, sweeps):
     # a repeat runs no canonical search and splits no psi before its memo hit
     calls = []
-    for name in ("canonical_relabel", "split_last_var"):
+    for name in ("canonical_relabel", "_fiber_parts"):
         fn = getattr(counting, name)
         monkeypatch.setattr(counting, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     g = delete_edge(CAT["wheel_4"], 0)  # labels 1..7
     with counting.shared_counts():
         rec = count_graph(g, 5)
-        assert "canonical_relabel" in calls and "split_last_var" in calls and sweeps == [5]
+        assert "canonical_relabel" in calls and "_fiber_parts" in calls and sweeps == [5]
         calls.clear()
         assert count_graph(g, 5) == rec and count_graph(g, 5) == rec
     assert calls == [] and sweeps == [5]

@@ -140,6 +140,37 @@ def test_parse_dispatches_on_json():
     assert g.edges == (Edge(0, 0, 1),)
 
 
+def _nested(head: str, opener: str, depth: int, tail: str) -> str:
+    return head + opener * depth + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text().map(lambda t: "{" + t),
+        st.builds(
+            _nested,
+            st.sampled_from(["", "{", '{"edges": ', '{"vertex_count": 2, "edges": ']),
+            st.sampled_from(["[", '{"a": ', '[{"b": ']),
+            st.integers(0, 5000),
+            st.text(max_size=20),
+        ),
+    )
+)
+def test_parse_raises_only_graph_errors(text):
+    # any text, deep bracket nesting too, parses or is refused as input
+    try:
+        Multigraph.parse(text)
+    except GraphError:
+        pass
+
+
+def test_json_integer_past_the_digit_limit_is_a_parse_error():
+    with pytest.raises(GraphParseError, match="malformed graph JSON"):
+        Multigraph.parse('{"vertex_count": 1' + "0" * 5000 + ', "edges": []}')
+
+
 def test_to_text_requires_dense_labels():
     g = delete_edge(Multigraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)]), 0)
     with pytest.raises(GraphError):
