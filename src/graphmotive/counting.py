@@ -19,24 +19,33 @@ The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
 each coefficient pair (c0, c1) becomes the q values c0 + x*c1 mod q, so
 a block costs about q^k values per polynomial whatever the term count.
 The grid is taken in blocks of at most chunk_points polynomial values,
-the outer coordinates of each block folded into the coefficients first.
+the outer coordinates of each block folded into the coefficients first,
+and in passes of as many blocks as fit chunk_points values: a pass steps
+all its blocks' axes but the last at once, then the last axis block by
+block, so one block's values are held at a time, unless the whole grid
+would fit one block, when it steps every axis at once.
 psi is homogeneous, and so are A1, A0, B1, B0, with D's two products of
 equal degree: their zero-pattern is the same at x and at l*x for every
 l != 0. So a fibered sweep keeps at least one outer coordinate,
 transforms one block per line through the origin of outer coordinates
 and weights it by the q-1 points of that line off the origin: about
 4*q^(n-2)/(q-1) values in place of 4*q^(n-2). Where the whole grid
-would fit one block, its two blocks, y = 0 and y = 1, are transformed
-in one pass. Brute force, the oracle, still evaluates psi at every point
+would fit one block, its two blocks, y = 0 and y = 1, take one pass.
+The histogram of the blocks other than y = 0 is weighted once, at the end.
+Brute force, the oracle, still evaluates psi at every point
 of F_q^n. A sweep at a prime q <= 251 that transforms at least q^3
 values, as many as the table holds, keeps residues in uint8 and steps
 an axis by one gather from a (q^2, q) uint8 table, built once per
-process on first use, at the uint16 row index c0*q + c1; the cross bit's
-two products, each below q^2, are reduced in uint32 by one
-division-free Barrett step. Every other sweep, and every q above 251 up
-to 2^31, keeps residues in int64 and steps by int64 arithmetic and
-np.remainder. Integer accumulation makes results independent of block
-size, dtype and thread count.
+process on first use, at the uint16 row index c0*q + c1. Over a field D
+vanishes exactly when (A1, A0) and (B1, B0) are linearly dependent: one
+pair is zero, or both are the same point of P^1(F_q). So such a fibered
+sweep maps each pair to its class, the zero pair or a point of P^1(F_q),
+by one gather from a q^2-entry uint8 table, histograms the (q+2)^2 class
+pairs and reads the zero-patterns off them once per sweep, with no
+product taken. Every other sweep, and every q above 251 up to 2^31, keeps
+residues in int64 and steps by int64 arithmetic and np.remainder, and a
+fibered one among them takes D's two products. Integer accumulation
+makes results independent of block size, dtype and thread count.
 """
 
 from __future__ import annotations
@@ -208,46 +217,49 @@ def _table(q: int) -> np.ndarray:
 
 def _index(c0: np.ndarray, c1: np.ndarray, q: int) -> np.ndarray:
     """c0*q + c1 as uint16, for uint8 residue arrays c0 and c1: the row of
-    _table(q) that steps the coefficient pair (c0, c1)."""
+    _table(q) that steps the coefficient pair (c0, c1), and, at q + 2, the
+    bin of a pair of pair classes (_pair_classes)."""
     index = c0.astype(np.uint16)
     index *= q
     index += c1
     return index
 
 
-def _barrett(q: int) -> tuple[int, int]:
-    """(s, m) with s = 32 - q.bit_length() and m = ceil(2^s / q): where
-    q^3 <= 2^s and q^2*m < 2^32, v - (v*m >> s)*q is v mod q for every
-    v < q^2 with no intermediate reaching 2^32. Both bounds hold for each
-    prime q <= TABLE_PRIME, as the tests check prime by prime."""
-    s = 32 - q.bit_length()
-    return s, -(-(1 << s) // q)
+@functools.cache
+def _pair_classes(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, patterns) for a prime q <= TABLE_PRIME, built once per
+    process on first use, both read-only uint8.
 
-
-def _products_agree(v: np.ndarray, q: int) -> np.ndarray:
-    """Where v[:, 0]*v[:, 3] == v[:, 1]*v[:, 2] mod q, for residues v of
-    shape (blocks, 4, points). uint8 residues take the two products in
-    uint32, each below q^2, and reduce both in one Barrett step (_barrett),
-    whose constants are uint32 too, so that NumPy's casting keeps the dtype;
-    int64 residues use np.remainder."""
-    if v.dtype == np.int64:
-        return (v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]) % q == 0
-    s, m = (np.uint32(c) for c in _barrett(q))
-    p = v[:, :2].astype(np.uint32)
-    p *= v[:, 3:1:-1]
-    h = p * m
-    h >>= s
-    h *= np.uint32(q)
-    p -= h
-    return p[:, 0] == p[:, 1]
+    classes[a*q + b] is the class of the pair (a, b) in 0..q+1: 0 for the
+    zero pair, else its point of P^1(F_q), 1 + b/a where a != 0 and q+1
+    where a = 0. patterns[c*(q+2) + d] is the 5-bit zero-pattern of any
+    (a1, a0, b1, b0) whose pairs (a1, a0) and (b1, b0) have classes c and
+    d: a1 = 0 iff c is 0 or q+1, a0 = 0 iff c is 0 or 1, likewise b1 and
+    b0 by d, and bit 4, a1*b0 == a0*b1, iff the pairs are linearly
+    dependent: c = 0, d = 0 or c = d."""
+    x = np.arange(q)
+    inverse = np.array([0, *(pow(int(a), -1, q) for a in x[1:])])
+    ratio = np.multiply.outer(inverse, x) % q + 1  # row a != 0: 1 + b/a
+    ratio[0] = q + 1
+    ratio[0, 0] = 0
+    c = np.arange(q + 2)
+    zeros = (c == 0) | (c == q + 1) | ((c <= 1) << 1)
+    dependent = (c[:, None] == 0) | (c == 0) | (c[:, None] == c)
+    patterns = zeros[:, None] | zeros << 2 | dependent << 4
+    tables = ratio.astype(np.uint8).ravel(), patterns.astype(np.uint8).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _folder(
     polys: list[MultilinearPoly], q: int, k: int, dtype: type
-) -> Callable[[list[int]], np.ndarray]:
-    """fold(y): for each polynomial, as one row, its 2^k coefficients mod q
-    as dtype, index bit i standing for t_i, with its outer variables t_k,
-    t_k+1, ... fixed to the values y."""
+) -> Callable[[np.ndarray], np.ndarray]:
+    """fold(blocks): for each block number b, with outer variables t_k,
+    t_k+1, ... fixed to y_j = b // q^j % q, each polynomial's 2^k
+    coefficients mod q as dtype, index bit i standing for t_i: shape
+    (blocks, polynomials, 2^k). Each outer variable is folded into every
+    block in one array operation."""
     low = (1 << k) - 1
     terms = sorted(
         (i << k | mask & low, mask >> k, c % q)
@@ -261,40 +273,54 @@ def _folder(
     outer = polys[0].var_count - k
     uses = [np.array([t[1] >> j & 1 for t in terms], dtype=bool) for j in range(outer)]
 
-    def fold(y: list[int]) -> np.ndarray:
-        vals = coeffs
-        for uses_j, y_j in zip(uses, y):
-            if y_j != 1:
-                vals = np.where(uses_j, vals * y_j % q, vals)
-        dense = np.zeros(len(polys) << k, dtype=dtype)
-        dense[slots] = np.add.reduceat(vals, starts) % q
-        return dense.reshape(len(polys), -1)
+    def fold(blocks: np.ndarray) -> np.ndarray:
+        vals = coeffs  # a row per block once an outer variable is folded
+        for j, uses_j in enumerate(uses):
+            vals = np.where(uses_j, vals * (blocks[:, None] // q**j % q) % q, vals)
+        dense = np.zeros((len(blocks), len(polys) << k), dtype=dtype)
+        dense[:, slots] = np.add.reduceat(vals, starts, axis=-1) % q
+        return dense.reshape(len(blocks), len(polys), -1)
 
     return fold
 
 
-def _grid_values(coeffs: np.ndarray, k: int, q: int, table: np.ndarray | None) -> np.ndarray:
+def _step(v: np.ndarray, q: int, table: np.ndarray | None) -> np.ndarray:
+    """One axis, the highest bit of each row's index, so that both halves
+    of the split are contiguous: each coefficient pair (c0, c1) becomes the
+    q values c0 + x*c1 mod q as a new last axis. With uint8 residues that
+    is one gather of rows c0*q + c1 of table (_table), else (table None)
+    int64 arithmetic, whose array of q values is built only once an axis
+    is stepped, as q may reach 2^31."""
+    halves = v.reshape(len(v), 2, -1)
+    c0, c1 = halves[:, 0], halves[:, 1]
+    if table is not None:
+        stepped = table.take(_index(c0, c1, q), axis=0)
+    else:
+        stepped = c1[..., None] * np.arange(q, dtype=np.int64)
+        stepped += c0[..., None]
+        np.remainder(stepped, q, out=stepped)
+    return stepped.reshape(len(v), -1)
+
+
+def _grid_values(
+    coeffs: np.ndarray, k: int, q: int, table: np.ndarray | None, whole: bool
+) -> Iterator[np.ndarray]:
     """Values mod q, at every point of F_q^k, of the multilinear polynomials
-    whose 2^k coefficients are the rows of coeffs, one row out per row in.
-    One axis at a time, highest bit first, so that both halves of the split
-    are contiguous, each coefficient pair (c0, c1) becomes the q values
-    c0 + x*c1 mod q as a new last axis: with uint8 residues one gather of
-    rows c0*q + c1 of table (_table), else (table None) int64 arithmetic,
-    whose array of q values is built only once an axis is transformed, as
-    q may reach 2^31. The points come out in an order no histogram
-    depends on."""
-    rows = len(coeffs)
-    v = coeffs
-    for _ in range(k):
-        halves = v.reshape(rows, 2, -1)
-        c0, c1 = halves[:, 0], halves[:, 1]
-        if table is None:
-            v = c1[..., None] * np.arange(q, dtype=np.int64)
-            v += c0[..., None]
-            np.remainder(v, q, out=v)
-        else:
-            v = table.take(_index(c0, c1, q), axis=0)
-    return v.reshape(rows, -1)
+    whose 2^k coefficients are coeffs[block, polynomial], as arrays of shape
+    (blocks, polynomials, q^k). Every axis but the last is stepped (_step)
+    for all blocks at once. If whole, or with no axis (k = 0), so is the
+    last, and all blocks come as one array; else the last is stepped block
+    by block and one block comes at a time, so that one block's values are
+    held at a time. The points come out in an order no histogram depends on."""
+    blocks, rows, _ = coeffs.shape
+    v = coeffs.reshape(blocks * rows, -1)
+    for _ in range(k - 1):
+        v = _step(v, q, table)
+    if whole or not k:
+        yield (_step(v, q, table) if k else v).reshape(blocks, rows, -1)
+    else:
+        for block in v.reshape(blocks, rows, -1):
+            yield _step(block, q, table)[None]
 
 
 def _scales_alike(polys: list[MultilinearPoly], q: int, cross: bool) -> bool:
@@ -340,11 +366,18 @@ def sweep_zero_patterns(
     is transformed: y = 0 with weight 1 and each y whose last nonzero
     coordinate is 1 with weight q-1, since scaling by l maps the inner grid
     of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
-    of the q^(width-k) blocks; where the whole grid would fit one block
-    the two, y = 0 and y = 1, are transformed in one pass of
-    2*len(polys) rows. Other input is swept in full. Passes are split
-    over `workers` threads, 1..MAX_WORKERS; results are bit-identical across
-    chunk sizes, worker counts and cone.
+    of the q^(width-k) blocks. Other input is swept in full. A pass takes
+    as many blocks as fit chunk_points values, at least one: it folds them
+    and steps all their axes but the last at once, then the last axis and
+    the histogram block by block. Where the whole grid would fit one block,
+    so that a pass holds no more values than that block (a cone sweep's
+    y = 0 and y = 1), or with no inner axis (k = 0), a pass steps every
+    axis at once and takes one histogram. A cross sweep with uint8
+    residues histograms each point's pairs (polys[0], polys[1]) and
+    (polys[2], polys[3]) by their classes (_pair_classes) and maps the
+    (q+2)^2 class pairs onto the 32 patterns once, at the end. Passes are
+    split over `workers` threads, 1..MAX_WORKERS; results are bit-identical
+    across chunk sizes, worker counts and cone.
     """
     _check_workers(workers)
     require_prime(q)
@@ -372,32 +405,57 @@ def sweep_zero_patterns(
     values = len(blocks) * len(polys) * q**k
     table = _table(q) if k and q <= TABLE_PRIME and values >= q**3 else None
     fold = _folder(polys, q, k, np.int64 if table is None else np.uint8)
-    if len(polys) * q**width <= chunk_points:
-        passes = [blocks]  # one block, or a cone sweep's y = 0 and y = 1
-    else:
-        passes = [[b] for b in blocks]
-    lanes = min(workers, len(passes))
-    bins = 1 << (len(polys) + cross)
-    shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
+    per_pass = max(1, chunk_points // (len(polys) * q**k))
+    starts = range(0, len(blocks), per_pass)
+    lanes = min(workers, len(starts))
+    # where the whole grid would fit one block, a pass, a cone sweep's y = 0
+    # and y = 1, holds no more values than that block and steps every axis
+    whole = len(polys) * q**width <= chunk_points
+    # bin_of(v): the histogram bin of each point of values v[block,
+    # polynomial], its pair of classes or its zero-pattern
+    by_class = cross and table is not None
+    if by_class:
+        classes, patterns = _pair_classes(q)
+        bins = (q + 2) ** 2
 
-    def lane(first: int) -> np.ndarray:
-        hist = np.zeros(bins, dtype=np.int64)
-        for group in passes[first::lanes]:
-            coeffs = np.concatenate([fold([b // q**j % q for j in range(outer)]) for b in group])
-            v = _grid_values(coeffs, k, q, table).reshape(len(group), len(polys), -1)
+        def bin_of(v: np.ndarray) -> np.ndarray:
+            c = classes.take(_index(v[:, 0::2], v[:, 1::2], q))
+            return _index(c[:, 0], c[:, 1], q + 2)
+    else:
+        bins = 1 << (len(polys) + cross)
+        shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
+
+        def bin_of(v: np.ndarray) -> np.ndarray:
             bits = (v == 0).view(np.uint8)
             bits <<= shifts
-            patterns = np.bitwise_or.reduce(bits, axis=1)
+            pattern = np.bitwise_or.reduce(bits, axis=1)
             if cross:
-                patterns |= _products_agree(v, q).view(np.uint8) << 4
-            for b, pattern in zip(group, patterns):
-                hist += np.bincount(pattern, minlength=bins) * (scale if b else 1)
-        return hist
+                pattern |= ((v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]) % q == 0).view(np.uint8) << 4
+            return pattern
+
+    def lane(first: int) -> np.ndarray:
+        # the first block, y = 0, weighs 1 and every other block scale, by
+        # which their histogram is multiplied once, at the end
+        lead, rest = np.zeros(bins, dtype=np.int64), np.zeros(bins, dtype=np.int64)
+        for start in starts[first::lanes]:
+            group = np.array(blocks[start : start + per_pass])
+            for i, v in enumerate(_grid_values(fold(group), k, q, table, whole)):
+                found = bin_of(v)
+                if start == i == 0:
+                    lead += np.bincount(found[0], minlength=bins)
+                    found = found[1:]
+                rest += np.bincount(found.ravel(), minlength=bins)
+        return lead + scale * rest
 
     if lanes == 1:
-        return [int(c) for c in lane(0)]
-    with ThreadPoolExecutor(lanes) as pool:
-        return [int(c) for c in sum(pool.map(lane, range(lanes)))]
+        hist = lane(0)
+    else:
+        with ThreadPoolExecutor(lanes) as pool:
+            hist = sum(pool.map(lane, range(lanes)))
+    if by_class:
+        hist, by_pair = np.zeros(32, dtype=np.int64), hist
+        np.add.at(hist, patterns, by_pair)
+    return [int(c) for c in hist]
 
 
 # -- public counters ---------------------------------------------------------

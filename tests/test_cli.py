@@ -506,9 +506,9 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     # count_Z reads regularity from the reduction and classifies nothing.
     # The 35 sweeps transform 340,504 values in 35 passes: each cone sweep
     # keeps an outer axis, and as its grid would fit one block it
-    # transforms y = 0 and y = 1 in one pass. 153 edge-sized views are
-    # taken: one per DC matrix, edge census, component count, reduced block
-    # and psi build.
+    # transforms y = 0 and y = 1, blocks that fit one pass together.
+    # 153 edge-sized views are taken: one per DC matrix, edge census,
+    # component count, reduced block and psi build.
     spied = (
         (counting, "sweep_zero_patterns"),
         (counting, "psi_by_deletion_contraction"),
@@ -538,12 +538,12 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
             raise
 
     monkeypatch.setattr(counting, "_check_budget", spy_check)
-    blocks = []
+    passes = []
     grid_values = counting._grid_values
 
-    def spy_grid(coeffs, k, q, table):
-        blocks.append(len(coeffs) * q**k)
-        return grid_values(coeffs, k, q, table)
+    def spy_grid(coeffs, k, q, table, whole):  # values of one pass: coeffs[block, polynomial]
+        passes.append(coeffs.size // 2**k * q**k)
+        return grid_values(coeffs, k, q, table, whole)
 
     monkeypatch.setattr(counting, "_grid_values", spy_grid)
     views = []
@@ -553,7 +553,7 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
     assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0]
-    assert (sum(blocks), len(blocks)) == (340504, 35)
+    assert (sum(passes), len(passes)) == (340504, 35)
     assert len(views) == 153
 
 

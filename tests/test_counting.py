@@ -384,8 +384,7 @@ def test_cone_sweep_of_input_that_is_no_cone_is_full(polys, cross):
 def test_step_table_is_exact_for_every_prime_to_251(monkeypatch):
     # a sweep of at least q^3 values at a prime q <= 251 holds uint8
     # residues and steps each axis by one gather from a (q^2, q) uint8
-    # table whose row c0*q + c1 holds (c0 + x*c1) mod q. The cross bit
-    # reduces its two products, each below q^2, by one Barrett step in uint32.
+    # table whose row c0*q + c1 holds (c0 + x*c1) mod q.
     primes = [q for q in range(252) if is_prime(q)]
     assert len(primes) == 54 and primes[-1] == counting.TABLE_PRIME
     for q in primes:
@@ -398,14 +397,6 @@ def test_step_table_is_exact_for_every_prime_to_251(monkeypatch):
         index = counting._index(c0, c1, q)
         assert index.dtype == np.uint16 and np.array_equal(index, c0.astype(np.int64) * q + c1)
         assert int(index.max()) == q * q - 1 < 1 << 16
-        s, m = counting._barrett(q)
-        assert q**3 <= 1 << s and q * q * m < 1 << 32
-        # c0*c1 against 1*r for r = c0*c1 mod q and for r + 1: every product
-        # of two residues is reduced exactly
-        product = (c0.astype(np.int64) * c1 % q).astype(np.uint8)
-        for r, agree in ((product, True), ((product + 1) % q, False)):
-            v = np.stack([c0, np.ones_like(c0), r, c1])[None]
-            assert np.all(counting._products_agree(v, q) == agree)
     # the table is built without a q^3 temporary wider than itself
     tracemalloc.start()
     try:
@@ -427,16 +418,75 @@ def test_step_table_is_exact_for_every_prime_to_251(monkeypatch):
     assert sweep_zero_patterns([p], 257) == [257 * 256, 257]
     line = MultilinearPoly(1, {0b1: 1, 0: 1})  # x + 1: one block per point
     assert sweep_zero_patterns([line], 251, chunk_points=1) == [250, 1]
-    assert [(coeffs.dtype, k, q, table is None) for coeffs, k, q, table in grids[:4]] == [
+    assert [(coeffs.dtype, k, q, table is None) for coeffs, k, q, table, _ in grids[:4]] == [
         (np.uint8, 3, 17, False), (np.int64, 2, 251, True), (np.int64, 2, 257, True),
         (np.int64, 0, 251, True)
     ]
 
 
+def test_pair_classes_are_exact_for_every_prime_to_251():
+    # a cross sweep with uint8 residues maps (A1, A0) and (B1, B0) to their
+    # classes in 0..q+1, the zero pair or a point of P^1(F_q), and reads
+    # the 5-bit pattern of a point off its pair of classes
+    primes = [q for q in range(252) if is_prime(q)]
+    assert len(primes) == 54
+    for q in primes:
+        classes, patterns = counting._pair_classes.__wrapped__(q)
+        assert classes.dtype == patterns.dtype == np.uint8
+        assert classes.shape == (q * q,) and patterns.shape == ((q + 2) ** 2,)
+        assert not classes.flags.writeable and not patterns.flags.writeable
+        # entry a*q + b: 0 for (0, 0), q+1 for (0, b != 0), else 1 + r
+        # with r*a == b mod q
+        a, b = np.divmod(np.arange(q * q), q)
+        c = classes.astype(np.int64)
+        assert np.array_equal(c[a == 0], np.where(b[a == 0], q + 1, 0))
+        assert np.all((1 <= c[a > 0]) & (c[a > 0] <= q))
+        assert np.array_equal((c[a > 0] - 1) * a[a > 0] % q, b[a > 0])
+        # each class pair against representatives (0, 0), (1, r), (0, 1)
+        rep = np.array([(0, 0), *((1, r) for r in range(q)), (0, 1)])
+        (a1, a0), (b1, b0) = (np.repeat(rep, q + 2, axis=0).T, np.tile(rep, (q + 2, 1)).T)
+        direct = _direct_patterns(a1, a0, b1, b0, q)
+        assert np.array_equal(patterns, direct)
+        if q <= 13:  # every point of F_q^4
+            a1, a0, b1, b0 = np.indices((q,) * 4).reshape(4, -1)
+            pair = classes[a1 * q + a0].astype(np.int64) * (q + 2) + classes[b1 * q + b0]
+            assert np.array_equal(patterns[pair], _direct_patterns(a1, a0, b1, b0, q))
+
+
+def test_class_histogram_at_the_largest_table_prime(monkeypatch):
+    # a cross sweep of 4 polynomials over F_251^3, in 251 blocks of 251^2
+    # points, steps by the table and counts class pairs up to the bin
+    # (q+2)^2 - 1 = 64,008 of a uint16 index; with the table withheld it
+    # steps in int64 and takes D's two products, and the counts agree
+    polys = [
+        MultilinearPoly(3, {0b001: 1, 0b010: 2, 0b100: 3, 0b011: 5}),
+        MultilinearPoly(3, {0: 7, 0b101: 1, 0b010: 11}),
+        MultilinearPoly(3, {0b010: 1, 0b100: 1, 0b111: 13}),
+        MultilinearPoly(3, {0b001: 3, 0: 250, 0b110: 1}),
+    ]
+    grids = []
+    grid_values = counting._grid_values
+    monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
+    got = sweep_zero_patterns(polys, 251, cross=True)
+    assert {(k, table is None) for _, k, _, table, _ in grids} == {(2, False)}
+    # A1 = B1 = 0 != A0, B0: both classes q+1, the last bin, and D = 0
+    assert sum(got) == 251**3 and got[0b10101] > 0
+    monkeypatch.setattr(counting, "_table", lambda q: None)
+    assert sweep_zero_patterns(polys, 251, cross=True) == got
+
+
+def _direct_patterns(a1, a0, b1, b0, q):
+    """The 5-bit zero-pattern of each (a1, a0, b1, b0): bits 0-3 where each
+    is 0 mod q, bit 4 where a1*b0 - a0*b1 is."""
+    bits = [v % q == 0 for v in (a1, a0, b1, b0, a1 * b0 - a0 * b1)]
+    return sum(bit.astype(np.int64) << i for i, bit in enumerate(bits))
+
+
 def test_import_builds_no_step_table(src_env):
     code = (
         "import sys, graphmotive, graphmotive.cli\n"
-        "sys.exit(graphmotive.counting._table.cache_info().currsize)"
+        "from graphmotive.counting import _pair_classes, _table\n"
+        "sys.exit(_table.cache_info().currsize + _pair_classes.cache_info().currsize)"
     )
     assert subprocess.run([sys.executable, "-c", code], env=src_env).returncode == 0
 
@@ -1028,27 +1078,38 @@ def test_cone_reduced_counts_match_brute_on_random_graphs(g, q):
 
 def test_fibered_wheel_4_sweeps_one_block_per_line(monkeypatch):
     # 4 polynomials over F_11^6 in blocks of 11^4 points: 121 blocks, of
-    # which y = 0 and the 12 with last nonzero outer coordinate 1 are swept
+    # which y = 0 and the 12 with last nonzero outer coordinate 1 are swept,
+    # 8 blocks of 4*11^4 = 58,564 values to a pass of 2^19
     grids = []
     grid_values = counting._grid_values
     monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
     rec = count_graph(CAT["wheel_4"], 11)
-    assert len(grids) == 13 and rec.affine_zero_count == 19887681
+    assert rec.affine_zero_count == 19887681
+    assert [len(coeffs) for coeffs, *_ in grids] == [8, 5]
+    assert {coeffs.shape[1] * q**k for coeffs, k, q, *_ in grids} == {58564}
+    assert not any(whole for *_, whole in grids)  # the last axis block by block
     grids.clear()
     with counting.shared_counts(CountOptions("both")):
         assert count_graph(CAT["wheel_4"], 11) == rec
-    assert len(grids) == 13 + 11**3  # brute force: 11^8 points in blocks of 11^5
+    # brute force first: 11^8 points in blocks of 11^5, 3 to a pass
+    brute, fibered = grids[:-2], grids[-2:]
+    assert {(coeffs.shape[1], q**k) for coeffs, k, q, *_ in brute} == {(1, 11**5)}
+    assert sum(len(coeffs) for coeffs, *_ in brute) == 11**3 and len(brute) == 11**3 // 3 + 1
+    assert sum(len(coeffs) for coeffs, *_ in fibered) == 13
 
 
 def test_fibered_wheel_4_cone_fitting_one_block_is_swept_in_two(monkeypatch):
     # 4 polynomials over F_7^6 fit one block of 2^19 values, but a cone
     # sweep keeps one outer axis: y = 0 and y = 1, two blocks of 7^5
-    # points in place of one of 7^6, transformed in one pass of 8 rows
+    # points in place of one of 7^6, transformed in one pass that steps
+    # every axis of both at once, as they hold no more values than one block
     grids = []
     grid_values = counting._grid_values
     monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
     rec = count_graph(CAT["wheel_4"], 7)
-    assert [(len(coeffs), 7**k) for coeffs, k, _, _ in grids] == [(8, 7**5)]
+    assert [(coeffs.shape[:2], 7**k, whole) for coeffs, k, _, _, whole in grids] == [
+        ((2, 4), 7**5, True)
+    ]
     with counting.shared_counts(CountOptions("both")):
         assert count_graph(CAT["wheel_4"], 7) == rec
 
@@ -1065,6 +1126,23 @@ def test_sweep_bit_identical_across_chunks_and_workers():
         assert sweep_zero_patterns(polys, 5, chunk_points=chunk) == base
     for workers in (2, 4):
         assert sweep_zero_patterns(polys, 5, chunk_points=251, workers=workers) == base
+
+
+def test_tiny_chunks_sweep_in_few_passes(monkeypatch):
+    # chunk_points below q*len(polys) leaves no inner axis: 251^2 one-point
+    # blocks of 3 values, 84 of them to a pass of 252 values, each pass
+    # one histogram
+    polys = [
+        MultilinearPoly(2, {0b11: 3, 0b01: 250, 0: 7}),
+        MultilinearPoly(2, {0b10: 1, 0b01: 1}),
+        MultilinearPoly(2, {0b11: 1, 0: 250}),
+    ]
+    passes = []
+    grid_values = counting._grid_values
+    monkeypatch.setattr(counting, "_grid_values", lambda *a: passes.append(a) or grid_values(*a))
+    got = sweep_zero_patterns(polys, 251, chunk_points=252)
+    assert got == _oracles.zero_patterns([p.terms for p in polys], 2, 251)
+    assert {k for _, k, *_ in passes} == {0} and len(passes) == -(-(251**2) // 84) == 751
 
 
 def _level2_quadruple(p):
