@@ -100,9 +100,9 @@ class NoProjectiveHypersurfaceError(ValueError):
 
 
 def _check_workers(workers: int) -> None:
-    """Refuse a sweep thread count outside 1..MAX_WORKERS."""
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    """Refuse a sweep thread count other than an int (not a bool) in 1..MAX_WORKERS."""
+    if type(workers) is not int or workers < 1:
+        raise ValueError(f"workers must be a positive integer, not {workers!r}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers {workers} exceeds the limit {MAX_WORKERS}")
 
@@ -113,9 +113,9 @@ class CountOptions:
 
     method: "brute", "fibered" (split at the last two edge variables), or
     "both" (run both, insist on exact agreement). budget caps the
-    single-polynomial point evaluations charged to one count (see _admit).
-    workers is the sweep thread count, 1..MAX_WORKERS; counts are identical
-    for any value.
+    single-polynomial point evaluations charged to one count (see _admit),
+    an int of at least 1. workers is the sweep thread count, an int in
+    1..MAX_WORKERS; counts are identical for any value.
     """
 
     method: str = "fibered"
@@ -125,8 +125,8 @@ class CountOptions:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        if type(self.budget) is not int or self.budget < 1:
+            raise ValueError(f"budget must be a positive integer, not {self.budget!r}")
         _check_workers(self.workers)
 
 
@@ -323,8 +323,8 @@ def _grid_values(
             yield _step(block, q, table)[None]
 
 
-def _scales_alike(polys: list[MultilinearPoly], q: int, cross: bool) -> bool:
-    """Whether the zero-pattern of polys, with the cross bit if cross, is
+def _scales_alike(polys: list[MultilinearPoly], q: int) -> bool:
+    """Whether the zero-pattern of four polynomials with the cross bit is
     the same at x and at l*x for every l != 0 mod q: each polynomial is
     homogeneous mod q, or zero, so P(l*x) = l^d*P(x); and the cross bit's
     products P0*P3 and P1*P2 scale alike, d0 + d3 = d1 + d2, unless one
@@ -335,10 +335,10 @@ def _scales_alike(polys: list[MultilinearPoly], q: int, cross: bool) -> bool:
         if len(found) > 1:
             return False
         degrees.append(found.pop() if found else None)
-    if cross and None not in degrees:
-        d0, d1, d2, d3 = degrees
-        return d0 + d3 == d1 + d2
-    return True
+    if None in degrees:
+        return True
+    d0, d1, d2, d3 = degrees
+    return d0 + d3 == d1 + d2
 
 
 def sweep_zero_patterns(
@@ -347,37 +347,36 @@ def sweep_zero_patterns(
     *,
     chunk_points: int = DEFAULT_CHUNK,
     workers: int = 1,
-    cross: bool = False,
-    cone: bool = False,
+    fibered: bool = False,
 ) -> list[int]:
     """Count grid points of F_q^width by which polynomials vanish there.
 
-    Returns 2^len(polys) integers, for 1 to 8 polynomials; index bit i
-    is set when polys[i] vanishes. With cross=True there must be exactly four polynomials, and
-    one more bit, 4, is set where polys[0]*polys[3] == polys[1]*polys[2]
-    mod q, so 32 integers are returned. All polynomials must share
-    var_count (the sweep width). The grid is taken in blocks of q^k points
+    Two sweeps, of polynomials that share var_count (the width). Brute
+    force's takes 1 to 8 and returns 2^len(polys) integers, bit i set where
+    polys[i] vanishes. The fibered one (fibered=True) takes exactly four,
+    (A1, A0, B1, B0), and returns 32: bit 4 is set where polys[0]*polys[3]
+    == polys[1]*polys[2] mod q. The grid is taken in blocks of q^k points
     with len(polys)*q^k <= chunk_points polynomial values: the outer
     width-k coordinates y of a block are folded into each polynomial, whose
-    k inner axes are then transformed (_grid_values). With cone=True, when
-    width > 0 and the zero-pattern is the same at x and at l*x for every
-    l != 0 (_scales_alike), k stays below width, so that there is at least
-    one outer coordinate, and only one block per line through the origin
-    is transformed: y = 0 with weight 1 and each y whose last nonzero
-    coordinate is 1 with weight q-1, since scaling by l maps the inner grid
-    of block y onto that of block l*y. That is 1 + (q^(width-k)-1)/(q-1)
-    of the q^(width-k) blocks. Other input is swept in full. A pass takes
-    as many blocks as fit chunk_points values, at least one: it folds them
-    and steps all their axes but the last at once, then the last axis and
-    the histogram block by block. Where the whole grid would fit one block,
-    so that a pass holds no more values than that block (a cone sweep's
-    y = 0 and y = 1), or with no inner axis (k = 0), a pass steps every
-    axis at once and takes one histogram. A cross sweep with uint8
-    residues histograms each point's pairs (polys[0], polys[1]) and
-    (polys[2], polys[3]) by their classes (_pair_classes) and maps the
-    (q+2)^2 class pairs onto the 32 patterns once, at the end. Passes are
-    split over `workers` threads, 1..MAX_WORKERS; results are bit-identical
-    across chunk sizes, worker counts and cone.
+    k inner axes are then transformed (_grid_values). Brute force's sweep
+    visits every block. A fibered one of width > 0 whose pattern is the
+    same at x and at l*x for every l != 0 (_scales_alike) is a cone sweep:
+    k stays below width, so that there is at least one outer coordinate,
+    and only one block per line through the origin is transformed: y = 0
+    with weight 1 and each y whose last nonzero coordinate is 1 with weight
+    q-1, since scaling by l maps the inner grid of block y onto that of
+    block l*y. That is 1 + (q^(width-k)-1)/(q-1) of the q^(width-k)
+    blocks. A pass takes as many blocks as fit chunk_points values, at
+    least one: it folds them and steps all their axes but the last at once,
+    then the last axis and the histogram block by block. Where the whole
+    grid would fit one block, so that a pass holds no more values than that
+    block (a cone sweep's y = 0 and y = 1), or with no inner axis (k = 0),
+    a pass steps every axis at once and takes one histogram. A fibered
+    sweep with uint8 residues histograms each point's pairs (polys[0],
+    polys[1]) and (polys[2], polys[3]) by their classes (_pair_classes) and
+    maps the (q+2)^2 class pairs onto the 32 patterns once, at the end.
+    Passes are split over `workers` threads, 1..MAX_WORKERS; results are
+    bit-identical across chunk sizes and worker counts.
     """
     _check_workers(workers)
     require_prime(q)
@@ -386,10 +385,10 @@ def sweep_zero_patterns(
     width = polys[0].var_count
     if any(p.var_count != width for p in polys):
         raise ValueError("sweep polynomials must share var_count")
-    if cross and len(polys) != 4:
-        raise ValueError("the cross bit needs exactly four polynomials")
+    if fibered and len(polys) != 4:
+        raise ValueError("a fibered sweep takes exactly four polynomials")
     # a cone sweep keeps at least one outer axis, so that it can skip blocks
-    cone = cone and width > 0 and _scales_alike(polys, q, cross)
+    cone = fibered and width > 0 and _scales_alike(polys, q)
     k = 0
     while k < width - cone and len(polys) * q ** (k + 1) <= chunk_points:
         k += 1
@@ -413,7 +412,7 @@ def sweep_zero_patterns(
     whole = len(polys) * q**width <= chunk_points
     # bin_of(v): the histogram bin of each point of values v[block,
     # polynomial], its pair of classes or its zero-pattern
-    by_class = cross and table is not None
+    by_class = fibered and table is not None
     if by_class:
         classes, patterns = _pair_classes(q)
         bins = (q + 2) ** 2
@@ -422,14 +421,14 @@ def sweep_zero_patterns(
             c = classes.take(_index(v[:, 0::2], v[:, 1::2], q))
             return _index(c[:, 0], c[:, 1], q + 2)
     else:
-        bins = 1 << (len(polys) + cross)
+        bins = 1 << (len(polys) + fibered)
         shifts = np.arange(len(polys), dtype=np.uint8)[:, None]
 
         def bin_of(v: np.ndarray) -> np.ndarray:
             bits = (v == 0).view(np.uint8)
             bits <<= shifts
             pattern = np.bitwise_or.reduce(bits, axis=1)
-            if cross:
+            if fibered:
                 pattern |= ((v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]) % q == 0).view(np.uint8) << 4
             return pattern
 
@@ -550,16 +549,17 @@ def _patterns(
 ) -> list[tuple[tuple[bool, ...], int]]:
     """The base points of the sweep of the polynomials polys() builds, by
     zero-pattern: (whether each swept value is 0 mod q, point count) for
-    each pattern that occurs. A fibered sweep, of (A1, A0, B1, B0), adds
-    the cross bit D and visits one block per line through the origin where
-    the parts are homogeneous (sweep_zero_patterns). key (canonical graph,
-    level, q) names the sweep in the memo, and a hit builds none. workers
-    is read here, on the calling thread, as lanes do not see it."""
+    each pattern that occurs: brute force's sweep of [p], or with fibered
+    that of (A1, A0, B1, B0), which adds the cross bit D and visits one
+    block per line through the origin where the parts scale alike
+    (sweep_zero_patterns). key (canonical graph, level, q) names the sweep
+    in the memo, and a hit builds none. workers is read here, on the
+    calling thread, as lanes do not see it."""
 
     def build():
         swept = polys()
         workers = _options().workers
-        counts = sweep_zero_patterns(swept, q, workers=workers, cross=fibered, cone=fibered)
+        counts = sweep_zero_patterns(swept, q, workers=workers, fibered=fibered)
         bits = len(swept) + fibered
         return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
 

@@ -31,6 +31,7 @@ from .graphs import (
     is_forest,
 )
 from .primes import first_primes, require_primes
+from .symanzik import _signed_sum
 
 
 class InsufficientPrimesError(ValueError):
@@ -98,8 +99,6 @@ class ClassPoly:
 
     def to_text(self) -> str:
         """Descending powers: "L^3 - L^2", "L - 1", "1", "0"."""
-        if not self.coefficients:
-            return "0"
         pieces = []
         for power in range(len(self.coefficients) - 1, -1, -1):
             c = self.coefficients[power]
@@ -111,11 +110,7 @@ class ClassPoly:
                 head = "L" if power == 1 else f"L^{power}"
                 body = head if abs(c) == 1 else f"{abs(c)}*{head}"
             pieces.append((c < 0, body))
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _signed_sum(pieces)
 
     def to_json_obj(self) -> dict:
         return {"coefficients": list(self.coefficients), "text": self.to_text()}

@@ -35,6 +35,15 @@ class NonMultilinearError(ValueError):
     pass
 
 
+def _signed_sum(pieces: Sequence[tuple[bool, str]]) -> str:
+    """(negative, body) pieces joined in order: "-" before the first if it
+    is negative, " - " or " + " before each other; "0" if there are none."""
+    text = "".join((" - " if negative else " + ") + body for negative, body in pieces)
+    if not text:
+        return "0"
+    return ("-" if text.startswith(" - ") else "") + text[3:]
+
+
 def _bits(mask: int) -> Iterator[int]:
     i = 0
     while mask:
@@ -161,8 +170,6 @@ class MultilinearPoly:
 
     def to_text(self) -> str:
         """Terms by ascending mask: "t0*t1 + t0*t2 + t1*t2"."""
-        if not self.terms:
-            return "0"
         pieces = []
         for mask in sorted(self.terms):
             coeff = self.terms[mask]
@@ -174,11 +181,7 @@ class MultilinearPoly:
             else:
                 body = f"{abs(coeff)}*{head}"
             pieces.append((coeff < 0, body))
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _signed_sum(pieces)
 
     def to_json_obj(self) -> dict:
         return {

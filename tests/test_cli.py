@@ -557,6 +557,32 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     assert len(views) == 153
 
 
+def test_catalog_verify_sweeps_in_two_shapes(capsys, monkeypatch):
+    # Every count is one of two sweeps: brute force's of psi alone, which
+    # visits all q^n points, as the oracle must, and the fibered one of
+    # (A1, A0, B1, B0), which is cone-reduced where the parts scale alike.
+    sweeps = []  # [polynomials, fibered, width, q, points transformed]
+    sweep, grid_values = counting.sweep_zero_patterns, counting._grid_values
+
+    def spy(polys, q, **kw):
+        sweeps.append([len(polys), kw["fibered"], polys[0].var_count, q, 0])
+        return sweep(polys, q, **kw)
+
+    def spy_grid(coeffs, k, q, table, whole):
+        sweeps[-1][-1] += len(coeffs) * q**k
+        return grid_values(coeffs, k, q, table, whole)
+
+    monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
+    monkeypatch.setattr(counting, "_grid_values", spy_grid)
+    assert run(capsys, "verify", "--method", "both", "--primes", "3,5")[0] == 0
+    assert {(n, fibered) for n, fibered, *_ in sweeps} == {(1, False), (4, True)}
+    brute = [(q**width, points) for _, fibered, width, q, points in sweeps if not fibered]
+    assert brute and all(points == grid for grid, points in brute)
+    # and the fibered ones take the cone: one visits fewer points than its grid
+    fibered = [(q**width, points) for _, fibered, width, q, points in sweeps if fibered]
+    assert any(points < grid for grid, points in fibered)
+
+
 def test_verify_is_edge_sized(monkeypatch):
     # wheel_4 spread over 65,536 vertices verifies as on its own 5: every
     # union-find pass (component counts, edge census, each DC verdict's

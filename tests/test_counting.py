@@ -294,18 +294,17 @@ def sweep_cases(draw):
     q = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 251, 257]))
     width = draw(st.integers(0, 5 if q <= 7 else 3 if q < 251 else 2))
     coefficients = st.integers(-(10**20), 10**20)
-    cone = draw(st.booleans())
     polys = []
     for _ in range(draw(st.integers(1, 3))):
-        # half the time homogeneous, so that cone=True can take one block
-        # per line through the origin
+        # half the time homogeneous: brute force's sweep is never
+        # cone-reduced, so these too visit every block
         degree = draw(st.integers(0, width)) if draw(st.booleans()) else None
         polys.append(MultilinearPoly(width, draw(_terms(width, coefficients, 8, degree))))
     chunk = draw(st.sampled_from([1, 2, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
     if q > 7:  # an inner axis, so at most 17^2 or 257 blocks: one-point
         # blocks would take seconds
         chunk = max(chunk, len(polys) * q)
-    return polys, q, chunk, draw(st.sampled_from([1, 2])), cone
+    return polys, q, chunk, draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -313,9 +312,9 @@ def sweep_cases(draw):
 def test_sweep_patterns_agree_with_naive_enumeration(case):
     # Chunks below q fold every coordinate into the polynomials (no inner
     # axis), q+1 and 97 split outer and inner axes, the default is all inner.
-    polys, q, chunk, workers, cone = case
+    polys, q, chunk, workers = case
     expected = _oracles.zero_patterns([p.terms for p in polys], polys[0].var_count, q)
-    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cone=cone)
+    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers)
     assert got == expected
 
 
@@ -327,8 +326,9 @@ def cross_cases(draw):
     degrees, shape = [None] * 4, None
     if draw(st.booleans()):
         # homogeneous parts: mostly balanced, d0 + d3 = d1 + d2, as in the
-        # (A1, A0, B1, B0) of a homogeneous psi; or any degrees with one
-        # part zero; or any degrees, which sweep in full
+        # (A1, A0, B1, B0) of a homogeneous psi, or any degrees with one
+        # part zero, which both take one block per line through the origin;
+        # or any degrees, which sweep in full, as inhomogeneous parts do
         degrees = [draw(st.integers(0, width)) for _ in range(4)]
         shape = draw(st.sampled_from(["balanced", "any", 0, 1, 2, 3]))
         if shape == "balanced":
@@ -341,15 +341,15 @@ def cross_cases(draw):
     chunk = draw(st.sampled_from([1, q - 1, q + 1, 97, counting.DEFAULT_CHUNK]))
     if q > 7:  # as in sweep_cases
         chunk = max(chunk, 4 * q)
-    return polys, q, chunk, draw(st.sampled_from([1, 2])), draw(st.booleans())
+    return polys, q, chunk, draw(st.sampled_from([1, 2]))
 
 
 @settings(max_examples=80, deadline=None)
 @given(cross_cases())
 def test_cross_patterns_agree_with_naive_enumeration(case):
-    polys, q, chunk, workers, cone = case
+    polys, q, chunk, workers = case
     expected = _oracles.cross_zero_patterns([p.terms for p in polys], polys[0].var_count, q)
-    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, cross=True, cone=cone)
+    got = sweep_zero_patterns(polys, q, chunk_points=chunk, workers=workers, fibered=True)
     assert got == expected
 
 
@@ -358,26 +358,22 @@ def _var(width, *variables):
 
 
 @pytest.mark.parametrize(
-    "polys,cross",
+    "polys",
     [
-        # x*y + z + 1 is not homogeneous: x*y = -1-c has 2q-1 solutions on
-        # the plane z = c = -1 and q-1 on the others
-        ([_var(3, 0, 1) + _var(3, 2) + _var(3)], False),
         # (x, y, z, w*u): x*w*u and y*z scale by l^3 and l^2
-        ([_var(5, 0), _var(5, 1), _var(5, 2), _var(5, 3, 4)], True),
+        [_var(5, 0), _var(5, 1), _var(5, 2), _var(5, 3, 4)],
         # (x, 1, y, x): x^2 = y has 0 or 2 solutions on each line y = c,
         # so one block per line through the origin would miscount it
-        ([_var(2, 0), _var(2), _var(2, 1), _var(2, 0)], True),
+        [_var(2, 0), _var(2), _var(2, 1), _var(2, 0)],
     ],
-    ids=["inhomogeneous", "unbalanced-cross", "unbalanced-square"],
+    ids=["unbalanced-cross", "unbalanced-square"],
 )
-def test_cone_sweep_of_input_that_is_no_cone_is_full(polys, cross):
+def test_cone_sweep_of_input_that_is_no_cone_is_full(polys):
     width, q = polys[0].var_count, 5
-    oracle = _oracles.cross_zero_patterns if cross else _oracles.zero_patterns
-    expected = oracle([p.terms for p in polys], width, q)
-    assert not counting._scales_alike(polys, q, cross)
+    expected = _oracles.cross_zero_patterns([p.terms for p in polys], width, q)
+    assert not counting._scales_alike(polys, q)
     for chunk in (1, len(polys) * q):
-        got = sweep_zero_patterns(polys, q, chunk_points=chunk, cross=cross, cone=True)
+        got = sweep_zero_patterns(polys, q, chunk_points=chunk, fibered=True)
         assert got == expected
 
 
@@ -425,7 +421,7 @@ def test_step_table_is_exact_for_every_prime_to_251(monkeypatch):
 
 
 def test_pair_classes_are_exact_for_every_prime_to_251():
-    # a cross sweep with uint8 residues maps (A1, A0) and (B1, B0) to their
+    # a fibered sweep with uint8 residues maps (A1, A0) and (B1, B0) to their
     # classes in 0..q+1, the zero pair or a point of P^1(F_q), and reads
     # the 5-bit pattern of a point off its pair of classes
     primes = [q for q in range(252) if is_prime(q)]
@@ -454,7 +450,7 @@ def test_pair_classes_are_exact_for_every_prime_to_251():
 
 
 def test_class_histogram_at_the_largest_table_prime(monkeypatch):
-    # a cross sweep of 4 polynomials over F_251^3, in 251 blocks of 251^2
+    # a fibered sweep of 4 polynomials over F_251^3, in 251 blocks of 251^2
     # points, steps by the table and counts class pairs up to the bin
     # (q+2)^2 - 1 = 64,008 of a uint16 index; with the table withheld it
     # steps in int64 and takes D's two products, and the counts agree
@@ -467,12 +463,12 @@ def test_class_histogram_at_the_largest_table_prime(monkeypatch):
     grids = []
     grid_values = counting._grid_values
     monkeypatch.setattr(counting, "_grid_values", lambda *a: grids.append(a) or grid_values(*a))
-    got = sweep_zero_patterns(polys, 251, cross=True)
+    got = sweep_zero_patterns(polys, 251, fibered=True)
     assert {(k, table is None) for _, k, _, table, _ in grids} == {(2, False)}
     # A1 = B1 = 0 != A0, B0: both classes q+1, the last bin, and D = 0
     assert sum(got) == 251**3 and got[0b10101] > 0
     monkeypatch.setattr(counting, "_table", lambda q: None)
-    assert sweep_zero_patterns(polys, 251, cross=True) == got
+    assert sweep_zero_patterns(polys, 251, fibered=True) == got
 
 
 def _direct_patterns(a1, a0, b1, b0, q):
@@ -497,7 +493,11 @@ def test_sweep_rejects_bad_polynomial_counts():
     with pytest.raises(ValueError):
         sweep_zero_patterns([zero] * 9, 3)  # patterns are 8 bits wide
     with pytest.raises(ValueError):
-        sweep_zero_patterns([zero] * 2, 3, cross=True)
+        sweep_zero_patterns([zero] * 2, 3, fibered=True)  # A1, A0, B1, B0
+    with pytest.raises(ValueError):
+        sweep_zero_patterns([zero] * 5, 3, fibered=True)
+    with pytest.raises(TypeError):
+        sweep_zero_patterns([zero] * 4, 3, cross=True)  # the cross bit comes with fibered=True
     with pytest.raises(ValueError):
         sweep_zero_patterns([], 3)
 
@@ -1019,9 +1019,9 @@ def _one_point_blocks(monkeypatch) -> tuple[list, list]:
     answers, widths = [], []
 
     def one_point_blocks(polys, q, **kw):
-        if kw["cone"]:
+        if kw["fibered"]:
             widths.append(polys[0].var_count)
-        return sweep(polys, q, **kw, **({"chunk_points": 4 * q - 1} if kw["cone"] else {}))
+        return sweep(polys, q, **kw, **({"chunk_points": 4 * q - 1} if kw["fibered"] else {}))
 
     def spy(*args):
         answers.append(scales_alike(*args))
@@ -1151,7 +1151,7 @@ def _level2_quadruple(p):
 
 
 @pytest.mark.parametrize(
-    "polys,q,cross",
+    "polys,q,fibered",
     [
         # wheel_4's level-1 pair: 5^7 grid points; a full grid is 625 kB
         (split_last_var(psi_by_trees(CAT["wheel_4"]), 7), 5, False),
@@ -1163,11 +1163,11 @@ def _level2_quadruple(p):
     ],
     ids=["wheel_4-pair-q5", "wheel_6-q3", "wheel_4-quad-q5"],
 )
-def test_sweep_memory_is_bounded_by_chunk(polys, q, cross):
-    expected = sweep_zero_patterns(list(polys), q, cross=cross)
+def test_sweep_memory_is_bounded_by_chunk(polys, q, fibered):
+    expected = sweep_zero_patterns(list(polys), q, fibered=fibered)
     tracemalloc.start()
     try:
-        got = sweep_zero_patterns(list(polys), q, chunk_points=1000, cross=cross)
+        got = sweep_zero_patterns(list(polys), q, chunk_points=1000, fibered=fibered)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1194,7 +1194,7 @@ def test_sweep_rejects_mixed_widths():
         sweep_zero_patterns([MultilinearPoly.zero(2), MultilinearPoly.zero(3)], 3)
 
 
-@pytest.mark.parametrize("workers", [0, -1, counting.MAX_WORKERS + 1])
+@pytest.mark.parametrize("workers", [0, -1, counting.MAX_WORKERS + 1, 2.0, True])
 def test_sweep_rejects_bad_workers(monkeypatch, workers):
     # Refused before any pool is made: 9 blocks of 3 points would give lanes.
     def no_pool(*args, **kwargs):
@@ -1247,6 +1247,31 @@ def test_prime_and_size_limits(capsys, sweeps):
         assert main(argv) == 2, argv
         assert too_large in capsys.readouterr().err, argv
     assert sweeps == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"workers": 2.0},
+        {"workers": True},
+        {"budget": float("nan")},
+        {"budget": float("inf")},
+        {"budget": 1e9},
+        {"budget": True},
+    ],
+    ids=["workers-2.0", "workers-True", "budget-nan", "budget-inf", "budget-1e9", "budget-True"],
+)
+def test_count_options_refuse_values_that_are_not_integers(monkeypatch, sweeps, bad):
+    # A float workers would reach range() inside the sweep, after psi is
+    # built, and a nan or inf budget fails every cost > budget test, so no
+    # count is ever refused: the options refuse them when they are built.
+    builds = []
+    build = counting.psi_by_deletion_contraction
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", lambda g: builds.append(g) or build(g))
+    (name,) = bad
+    with pytest.raises(ValueError, match=name), counting.shared_counts(CountOptions(**bad)):
+        count_graph(CAT["wheel_4"], 11)
+    assert builds == [] and sweeps == []
 
 
 def test_count_graph_method_validation():
