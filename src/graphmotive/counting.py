@@ -13,8 +13,8 @@ The fibered count_graph and count_Z take a graph apart first: psi is
 the product of psi over its 2-connected loopless blocks, times t_l per
 loop, and two edges in series at a vertex of degree 2 count as one edge,
 times q. So only the blocks left once every such pair is merged are
-swept, each once per prime inside a shared_counts() block, whatever
-graphs hold it.
+swept and counted, each once per prime inside a shared_counts() block,
+whatever graphs hold it, and each (graph, prime) record is built once.
 The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
 each coefficient pair (c0, c1) becomes the q values c0 + x*c1 mod q, so
 a block costs about q^k values per polynomial whatever the term count.
@@ -676,21 +676,26 @@ def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     each graph is reduced, each psi built and each sweep run once.
 
     A nested block joins the enclosing memo whatever its options, as no
-    entry depends on them: workers changes no count, a sweep's key holds
-    its level, and every budget is checked before the memo is read.
-    The memo's four kinds of key:
+    entry depends on them: workers changes no count, a sweep's and a
+    record's key hold their levels, and every budget is checked before
+    the memo is read for a count.
+    The memo's six kinds of key:
     - ("reduce", g): g's blocks after series reduction (_reduce);
     - ("canonical", h, label): canonical_relabel(h, label), label None
       for the unmarked form; _form chains two of them into a count form;
     - a canonical graph k: psi(k), whose variables are k's labels;
     - (k, level, q): the zero-pattern histogram of k's level-`level` sweep
-      at q. A fibered sweep splits k's last label.
+      at q. A fibered sweep splits k's last label;
+    - ("block", b, q): |Y| of the reduced block b at q, the fibered count
+      of its count form (_block_complement), which _complement reads;
+    - ("record", g, q, levels): count_graph's CountRecord of g at q by the
+      fibration levels METHODS[method], read only after check_count_budget.
     The key fixes the swept polynomials: two requests share a sweep only
     when they would sweep the same thing, and a form that is not canonical
     can cost a memo hit, never a wrong count. So the fibered level sweeps
-    each reduced block once per prime, whatever graphs of the run it is
-    found in, and a repeated request runs no search. Outside any block
-    nothing is memoized.
+    and counts each reduced block once per prime, whatever graphs of the
+    run it is found in, and a repeated request runs no search and builds
+    no record. Outside any block nothing is memoized.
     """
     outer = _shared.get()
     inherited, memo = (DEFAULT_OPTIONS, {}) if outer is None else outer
@@ -842,8 +847,8 @@ def _reduce(g: Multigraph) -> _Reduction:
 def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:
     """|Y| of the reduced graph, without its block number `skip` if given:
     q per bridge and per merge, q-1 per loop and per cycle, and each
-    reduced block's fibered count of psi of its count form (_form),
-    split at that form's last label."""
+    reduced block's own |Y|, counted once per prime inside shared_counts()
+    (_block_complement)."""
     y = q**reduction.bridges * (q - 1) ** reduction.loops
     for i, block in enumerate(reduction.blocks):
         if i == skip:
@@ -852,9 +857,15 @@ def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:
         if block.reduced is None:
             y *= q - 1
         else:
-            k, p = _form(block.reduced)
-            y *= _count_level(p, q, 2, k.edge_count - 1, (k, 2, q)).complement_count
+            y *= _memoized(("block", block.reduced, q), _block_complement, block.reduced, q)
     return y
+
+
+def _block_complement(reduced: Multigraph, q: int) -> int:
+    """|Y| of a reduced block at q: the fibered count of psi of its count
+    form (_form), split at that form's last label."""
+    k, p = _form(reduced)
+    return _count_level(p, q, 2, k.edge_count - 1, (k, 2, q)).complement_count
 
 
 def _form(g: Multigraph, mark: int | None = None) -> tuple[Multigraph, MultilinearPoly]:
@@ -898,11 +909,20 @@ def count_graph(g: Multigraph, q: int) -> CountRecord:
     graph it comes from, and count_Z at every edge that reduces to the
     block's fibered edge reads that sweep. Brute force still sweeps psi of
     the whole graph's count form, so "both" checks the factorisation
-    against it. No edge is classified, and a repeated request splits no
-    block and runs no canonical search.
+    against it. No edge is classified, and a repeated request, once its
+    budget is checked, reads its record from the memo: it splits no block,
+    runs no canonical search and builds no record. A refused count
+    stores none.
     """
     check_count_budget(g, q)
-    rec, *others = [_count_at(g, q, level) for level in METHODS[_options().method]]
+    levels = METHODS[_options().method]
+    return _memoized(("record", g, q, levels), _count_record, g, q, levels)
+
+
+def _count_record(g: Multigraph, q: int, levels: tuple[int, ...]) -> CountRecord:
+    """count_graph's record by each of the fibration levels in turn, which
+    must agree exactly; admitted by the caller."""
+    rec, *others = [_count_at(g, q, level) for level in levels]
     for rec_f in others:
         if rec != rec_f:
             raise ConsistencyError(f"brute {rec} != fibered {rec_f}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import json
 import random
@@ -15,6 +16,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphmotive import (
     CongruenceVerdict,
@@ -439,6 +441,79 @@ def test_dc_check_single_edge(capsys):
     assert code == 0 and "edge 1" in out and "ok" in out
 
 
+# -- report writer -------------------------------------------------------------
+
+
+def _stdlib_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 10**30, -(10**30)])
+    | st.text(max_size=12)
+    | st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "é€😀\u2028", "\ud800"])
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == _stdlib_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify",),
+        ("verify", "--method", "both", "--primes", "3,5", "--budget", "10000000"),
+        ("class", "--family", "cycle:3"),
+        ("class", "--family", "banana:8", "--budget", "10"),
+        ("dc-check", "--family", "complete:4", "--primes", "3,5"),
+        ("psi", "--family", "wheel:4"),
+        ("family", "banana:3"),
+    ],
+)
+def test_json_outputs_are_the_stdlib_encoders_bytes(capsys, monkeypatch, argv):
+    # Each command's JSON is, byte for byte, what json.dumps(indent=2,
+    # sort_keys=True) writes of the object it reports.
+    written = []
+    dumps = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda obj: written.append(obj) or dumps(obj))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(written) == 1
+    assert out == _stdlib_dumps(written[0]) + "\n"
+
+
+@pytest.mark.parametrize("value", [1.5, {"q": [3, 0.5]}, {1: 2}, {"a": {(1,): 2}}, {3}, b"x", 10**100 * 1.0])
+def test_report_writer_refuses_floats_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_report_writer_leaves_no_garbage():
+    # json's pure-Python encoder ties its generators into a reference
+    # cycle, freed only by the next collection; the writer leaves none.
+    report, _ = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
+    gc.collect()
+    gc.disable()
+    try:
+        text = cli._dumps(report)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert text == _stdlib_dumps(report)
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -509,6 +584,10 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     # transforms y = 0 and y = 1, blocks that fit one pass together.
     # 153 edge-sized views are taken: one per DC matrix, edge census,
     # component count, reduced block and psi build.
+    # The memo holds one record per (graph, q) and one count per (reduced
+    # block, q): 83 zero counts (_count_level), one per swept block and
+    # prime plus the closed forms. Each distinct graph counted, a deletion
+    # included, is reduced on its own once: 161 reductions.
     spied = (
         (counting, "sweep_zero_patterns"),
         (counting, "psi_by_deletion_contraction"),
@@ -517,6 +596,8 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
         (motive, "classify_edge"),
         (motive, "delete_edge"),
         (counting, "classify_edge"),
+        (counting, "_reduce"),
+        (counting, "_count_level"),
     )
     work = dict.fromkeys(spied, 0)
     for module, name in spied:
@@ -552,7 +633,7 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
         monkeypatch.setattr(module, "_edge_sized", lambda g, f=sized: views.append(g) or f(g))
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
-    assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0]
+    assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0, 161, 83]
     assert (sum(passes), len(passes)) == (340504, 35)
     assert len(views) == 153
 
@@ -574,7 +655,10 @@ def test_catalog_verify_sweeps_in_two_shapes(capsys, monkeypatch):
 
     monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
     monkeypatch.setattr(counting, "_grid_values", spy_grid)
-    assert run(capsys, "verify", "--method", "both", "--primes", "3,5")[0] == 0
+    # perfbench's budget refuses the class fits that would extend brute
+    # force to q = 23 and 29 before any sweep; every other count still runs
+    argv = ("verify", "--method", "both", "--primes", "3,5", "--budget", "10000000")
+    assert run(capsys, *argv)[0] == 0
     assert {(n, fibered) for n, fibered, *_ in sweeps} == {(1, False), (4, True)}
     brute = [(q**width, points) for _, fibered, width, q, points in sweeps if not fibered]
     assert brute and all(points == grid for grid, points in brute)

@@ -783,6 +783,75 @@ def test_repeated_count_finds_its_sweep_before_any_work(monkeypatch, sweeps):
     assert calls == [] and sweeps == [5]
 
 
+def _records(memo: dict) -> list:
+    return [key for key in memo if type(key) is tuple and key[0] == "record"]
+
+
+def test_nested_both_block_recounts_what_the_fibered_block_holds(monkeypatch):
+    # A record's key holds its method's levels, so a "both" block nested in
+    # a fibered one that holds (g, q) still makes the brute sweep and checks
+    # the two levels agree: a brute sweep that miscounts two zeros (q - 1,
+    # so the record itself stays consistent) is caught, and stores no record.
+    g, q = CAT["wheel_4"], 3
+    swept, sweep = [], counting.sweep_zero_patterns
+
+    def spy(polys, q, **kw):
+        swept.append(kw["fibered"])
+        counts = sweep(polys, q, **kw)
+        if lie and not kw["fibered"]:
+            counts[0], counts[1] = counts[0] + 2, counts[1] - 2
+        return counts
+
+    monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
+    lie = False
+    with counting.shared_counts():
+        rec = count_graph(g, q)
+        assert swept == [True]
+        with counting.shared_counts(CountOptions("both")):
+            assert count_graph(g, q) == rec
+        assert swept == [True, False]
+    lie, swept = True, []
+    with counting.shared_counts():
+        rec = count_graph(g, q)
+        with counting.shared_counts(CountOptions("both")):
+            with pytest.raises(ConsistencyError, match="!= fibered"):
+                count_graph(g, q)
+        assert swept == [True, False]
+        assert _records(counting._shared.get()[1]) == [("record", g, q, (2,))]
+
+
+def test_refused_count_stores_no_record(sweeps):
+    g = CAT["wheel_4"]
+    with counting.shared_counts(CountOptions(budget=10**6)):
+        with pytest.raises(BudgetExceededError):
+            count_graph(g, 11)
+        assert _records(counting._shared.get()[1]) == [] and sweeps == []
+        rec = count_graph(g, 3)
+        assert _records(counting._shared.get()[1]) == [("record", g, 3, (2,))]
+        assert count_graph(g, 3) is rec and sweeps == [3]
+
+
+def test_Z_reads_the_histogram_of_a_memoized_block_count(monkeypatch, sweeps):
+    # Once count_graph holds a block's count, count_Z at each edge gives what
+    # it gives cold, and at the edges that the count form is fibered at it
+    # reads the histogram that count swept.
+    g, q = CAT["k4_loop"], 5
+    regular = [label for label in g.labels if classify_edge(g, label) is EdgeKind.REGULAR]
+    cold = [count_Z(g, label, q) for label in regular]
+    read, patterns = [], counting._patterns
+    monkeypatch.setattr(counting, "_patterns", lambda *a: read.append(a[3]) or patterns(*a))
+    sweeps.clear()
+    with counting.shared_counts():
+        count_graph(g, q)
+        (counted,) = read
+        blocks = [key for key in counting._shared.get()[1] if type(key) is tuple and key[0] == "block"]
+        assert len(blocks) == 1 and sweeps == [q]
+        read.clear()
+        warm = [count_Z(g, label, q) for label in regular]
+    assert warm == cold and counted in read
+    assert len(sweeps) == 1 + len(set(read) - {counted})
+
+
 def test_shared_counts_builds_each_psi_once(monkeypatch):
     built = []
     build = counting.psi_by_deletion_contraction
