@@ -8,12 +8,10 @@ from .counting import (
     CountOptions,
     CountRecord,
     DEFAULT_BUDGET,
-    NoProjectiveHypersurfaceError,
     NotRegularEdgeError,
     count_brute,
     count_fibered,
     count_graph,
-    count_projective,
     count_Z,
     shared_counts,
     sweep_zero_patterns,
@@ -38,7 +36,6 @@ from .graphs import (
     graph_id,
     has_non_loop_edge,
     is_forest,
-    spanning_forests,
 )
 from .motive import (
     ClassPoly,
@@ -57,11 +54,8 @@ from .primes import NotPrimeError, first_primes, is_prime, require_primes
 from .symanzik import (
     MultilinearPoly,
     NonMultilinearError,
-    evaluate,
-    evaluate_int,
     psi_by_deletion_contraction,
     psi_by_trees,
-    split_last_var,
 )
 
 __version__ = "0.1.0"

@@ -95,10 +95,6 @@ class NotRegularEdgeError(GraphError):
     pass
 
 
-class NoProjectiveHypersurfaceError(ValueError):
-    """Constant polynomial: forests define no projective hypersurface."""
-
-
 def _check_workers(workers: int) -> None:
     """Refuse a sweep thread count other than an int (not a bool) in 1..MAX_WORKERS."""
     if type(workers) is not int or workers < 1:
@@ -501,20 +497,6 @@ def count_brute(p: MultilinearPoly, q: int) -> CountRecord:
     """Full enumeration of F_q^n; the oracle every faster counter must match."""
     _admit(q, p.var_count, (0,))
     return _count_level(p, q, 0)
-
-
-def count_projective(rec: CountRecord) -> int:
-    """Projective point count from an affine record.
-
-    The affine zero cone minus the origin fibers over the projective
-    hypersurface with fibers of size q-1; the record already carries the
-    quotient, validated at construction.
-    """
-    if rec.projective_count is None:
-        raise NoProjectiveHypersurfaceError(
-            "constant polynomial has no projective hypersurface"
-        )
-    return rec.projective_count
 
 
 # Fiber tables. Each maps the vanishing pattern of a base point (True where

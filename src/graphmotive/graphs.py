@@ -374,26 +374,10 @@ def betti_1(g: Multigraph) -> int:
     return g.edge_count - g.vertex_count + component_count(g)
 
 
-def spanning_forests(g: Multigraph) -> list[tuple[int, ...]]:
-    """All maximal spanning forests as sorted label tuples, lexicographic.
-
-    A maximal forest holds one spanning tree per connected component, so its
-    size is vertex_count - #components; loops never appear. Decodes and
-    sorts the keys of _forest_masks(g, 0), the forests' label masks, so
-    oversized graphs are refused as _forest_masks refuses them.
-    """
-    labels = sorted(e.label for e in g.edges)
-    return sorted(
-        tuple(label for label in labels if mask >> label & 1)
-        for mask in _forest_masks(g, 0)
-    )
-
-
-def _forest_masks(g: Multigraph, base: int) -> dict[int, int]:
-    """{base ^ mask: 1} for the label mask of every maximal spanning forest
-    of g (bit l set for label l), in no particular order. base 0 gives the
-    forests themselves; base the mask of every label gives psi's terms,
-    the complements of the forests.
+def _forest_masks(g: Multigraph) -> dict[int, int]:
+    """psi's terms, in no particular order: {full ^ forest: 1} for the
+    label mask of every maximal spanning forest of g (bit l set for label
+    l), where full is the mask of every label of g, loops included.
 
     The search runs on g's non-loop edges, on the vertices they touch
     (_edge_sized). It is refused, before any edge is tried, past MAX_EDGES
@@ -437,7 +421,8 @@ def _forest_masks(g: Multigraph, base: int) -> dict[int, int]:
                 r = root[r]
             final[r] = w
     closing = set(final.values())
-    frontier = {bytes(range(h.vertex_count)): [base]}
+    full = sum(1 << e.label for e in g.edges)
+    frontier = {bytes(range(h.vertex_count)): [full]}
     for label, ws in zip(order, retiring):
         retire = tuple((w, w in closing) for w in ws)
         frontier = _forest_step(frontier, 1 << label, *ends[label], retire)

@@ -40,12 +40,17 @@ class InsufficientPrimesError(ValueError):
 
 @dataclass(frozen=True)
 class ClassPoly:
-    """Polynomial in L with integer coefficients, ascending powers."""
+    """Polynomial in L with integer coefficients, ascending powers. Any
+    coefficient that is not an int (a bool included) is refused, never
+    truncated."""
 
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(self.coefficients)
+        for c in coeffs:
+            if type(c) is not int:
+                raise ValueError(f"ClassPoly coefficients must be integers, not {c!r}")
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)

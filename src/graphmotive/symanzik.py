@@ -26,7 +26,6 @@ from .graphs import (
     contract_edge,
     delete_edge,
 )
-from .primes import require_prime
 
 MAX_VARS = MAX_EDGES  # one variable per edge label; masks stay cheap machine ints
 
@@ -58,16 +57,23 @@ class MultilinearPoly:
 
     terms maps a bitmask over variable indices to a non-zero coefficient.
     var_count fixes the ambient variable set t_0..t_{var_count-1}; it may
-    exceed the support (evaluation then expects that many coordinates).
+    exceed the support (the counters then count points of F_q^var_count).
+    var_count, masks and coefficients must be ints, not bools: a float
+    coefficient would be counted one way by brute force and another by
+    the fibered count.
     """
 
     __slots__ = ("var_count", "terms")
 
     def __init__(self, var_count: int, terms: dict[int, int]):
+        if type(var_count) is not int:
+            raise NonMultilinearError(f"var_count must be an integer, not {var_count!r}")
         if not 0 <= var_count <= MAX_VARS:
             raise NonMultilinearError(f"var_count {var_count} outside 0..{MAX_VARS}")
         clean = {}
         for mask, coeff in terms.items():
+            if type(mask) is not int or type(coeff) is not int:
+                raise NonMultilinearError(f"term {mask!r}: {coeff!r} is not an integer pair")
             if coeff == 0:
                 continue
             if not 0 <= mask < (1 << var_count):
@@ -92,53 +98,6 @@ class MultilinearPoly:
         p.terms = terms
         return p
 
-    # -- constructors ---------------------------------------------------
-
-    @classmethod
-    def zero(cls, var_count: int = 0) -> "MultilinearPoly":
-        return cls(var_count, {})
-
-    @classmethod
-    def constant(cls, c: int, var_count: int = 0) -> "MultilinearPoly":
-        return cls(var_count, {0: c} if c else {})
-
-    def with_var_count(self, var_count: int) -> "MultilinearPoly":
-        return MultilinearPoly(var_count, dict(self.terms))
-
-    # -- ring structure ---------------------------------------------------
-
-    def __add__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        terms = dict(self.terms)
-        for mask, coeff in other.terms.items():
-            terms[mask] = terms.get(mask, 0) + coeff
-        return MultilinearPoly(max(self.var_count, other.var_count), terms)
-
-    def __neg__(self) -> "MultilinearPoly":
-        return MultilinearPoly(self.var_count, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultilinearPoly") -> "MultilinearPoly":
-        terms: dict[int, int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    raise NonMultilinearError(
-                        f"product would square variables {sorted(_bits(m1 & m2))}"
-                    )
-                mask = m1 | m2
-                terms[mask] = terms.get(mask, 0) + c1 * c2
-        return MultilinearPoly(max(self.var_count, other.var_count), terms)
-
-    def times_var(self, i: int) -> "MultilinearPoly":
-        bit = 1 << i
-        if any(mask & bit for mask in self.terms):
-            raise NonMultilinearError(f"t{i} already present in some term")
-        return MultilinearPoly(
-            max(self.var_count, i + 1), {mask | bit: c for mask, c in self.terms.items()}
-        )
-
     # -- structure queries -------------------------------------------------
 
     def degree(self) -> int:
@@ -148,9 +107,6 @@ class MultilinearPoly:
     def is_homogeneous(self) -> bool:
         degs = {mask.bit_count() for mask in self.terms}
         return len(degs) <= 1
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -189,59 +145,6 @@ class MultilinearPoly:
             "terms": [[mask, self.terms[mask]] for mask in sorted(self.terms)],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "MultilinearPoly":
-        return cls(int(obj["var_count"]), {int(m): int(c) for m, c in obj["terms"]})
-
-
-def evaluate(p: MultilinearPoly, x: Sequence[int], q: int) -> int:
-    """Exact evaluation mod a prime q."""
-    require_prime(q)
-    if len(x) != p.var_count:
-        raise ValueError(f"point has {len(x)} coordinates, poly expects {p.var_count}")
-    xs = [v % q for v in x]
-    total = 0
-    for mask, coeff in p.terms.items():
-        prod = coeff % q
-        for i in _bits(mask):
-            prod = prod * xs[i] % q
-        total += prod
-    return total % q
-
-
-def evaluate_int(p: MultilinearPoly, x: Sequence[int]) -> int:
-    """Exact evaluation over Z (no modulus)."""
-    if len(x) != p.var_count:
-        raise ValueError(f"point has {len(x)} coordinates, poly expects {p.var_count}")
-    total = 0
-    for mask, coeff in p.terms.items():
-        prod = coeff
-        for i in _bits(mask):
-            prod *= x[i]
-        total += prod
-    return total
-
-
-def split_last_var(
-    p: MultilinearPoly, e: int
-) -> tuple[MultilinearPoly, MultilinearPoly]:
-    """Decompose p = t_e * A + B with A, B free of t_e.
-
-    The ambient width drops by one only when e is the top variable;
-    splitting off an interior variable keeps the indexing of the others.
-    """
-    if e >= p.var_count:
-        return MultilinearPoly.zero(p.var_count), p
-    width = p.var_count - 1 if e == p.var_count - 1 else p.var_count
-    bit = 1 << e
-    a_terms, b_terms = {}, {}
-    for mask, coeff in p.terms.items():
-        if mask & bit:
-            a_terms[mask ^ bit] = coeff
-        else:
-            b_terms[mask] = coeff
-    return MultilinearPoly(width, a_terms), MultilinearPoly(width, b_terms)
-
 
 # -- the graph polynomial, two ways -----------------------------------------
 
@@ -255,28 +158,21 @@ def _ambient_width(g: Multigraph) -> int:
     return width
 
 
-def _full_mask(g: Multigraph) -> int:
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << e.label
-    return mask
-
-
 def psi_by_trees(g: Multigraph) -> MultilinearPoly:
     """Sum over maximal spanning forests F of the product of t_e, e not in F.
 
     The defining formula. Homogeneous of degree betti_1(g), every
     coefficient 1, and psi(1,..,1) counts the forests. Edgeless graphs
     (and forests generally, whose only maximal forest is everything)
-    give the constant 1. The frontier search behind
-    graphs.spanning_forests starts from the mask of every label, so each
-    partial forest it carries is already psi's term, full ^ forest, and
-    the one list left at the end becomes psi's dict; no forest list is
-    held beside psi, and the terms come in no particular order. Oversized
-    graphs are refused as spanning_forests refuses them.
+    give the constant 1. The frontier search (graphs._forest_masks)
+    starts from the mask of every label, so each partial forest it
+    carries is already psi's term, full ^ forest, and the one list left
+    at the end becomes psi's dict; no forest list is held beside psi, and
+    the terms come in no particular order. Oversized graphs are refused as
+    _forest_masks refuses them.
     """
     width = _ambient_width(g)
-    return MultilinearPoly._trusted(width, _forest_masks(g, _full_mask(g)))
+    return MultilinearPoly._trusted(width, _forest_masks(g))
 
 
 def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:

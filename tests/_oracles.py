@@ -182,6 +182,20 @@ def eval_mask_poly(terms, xs, q):
     return total % q
 
 
+def split_at(terms, e):
+    """(A, B) with p = t_e*A + B, A and B free of t_e, as term dicts: each
+    term of p lands in A (t_e dropped) or in B, every other variable's bit
+    where it was."""
+    bit = 1 << e
+    a, b = {}, {}
+    for mask, coeff in terms.items():
+        if mask & bit:
+            a[mask ^ bit] = coeff
+        else:
+            b[mask] = coeff
+    return a, b
+
+
 def zero_count(terms, nvars, q):
     zeros = 0
     for xs in itertools.product(range(q), repeat=nvars):

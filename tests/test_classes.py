@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -56,6 +57,10 @@ FROZEN_CLASSES_SLOW = {
 
 def test_classpoly_normalization():
     assert ClassPoly((0, 1, 0, 0)) == ClassPoly((0, 1))
+    # a non-integer coefficient is refused, not truncated, bools among them
+    for coefficients in ((1.5, 2.7), (1.0,), (0, True), (Fraction(1, 1),)):
+        with pytest.raises(ValueError, match="integers"):
+            ClassPoly(coefficients)
     assert ClassPoly.zero().degree() == -1
     assert ClassPoly.zero().constant_term() == 0
     assert ClassPoly.lefschetz().degree() == 1

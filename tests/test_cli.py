@@ -13,6 +13,7 @@ import sys
 import textwrap
 import threading
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -908,3 +909,34 @@ def test_benchmark_hooks_selftest(src_env):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: ok" in proc.stdout
+
+
+PUBLIC_NAMES = (
+    "BudgetExceededError", "ClassPoly", "CongruenceVerdict", "ConsistencyError",
+    "CountOptions", "CountRecord", "DEFAULT_BUDGET", "Edge", "EdgeKind", "FamilySpec",
+    "GraphError", "GraphParseError", "InsufficientPrimesError", "LoopContractionError",
+    "Multigraph", "MultilinearPoly", "NonMultilinearError", "NotPolynomiallyConsistent",
+    "NotPrimeError", "NotRegularEdgeError", "UnknownLabelError", "betti_1",
+    "canonical_relabel", "catalog_by_name", "check_modL_congruence",
+    "check_projective_congruence", "classify_edge", "component_count", "contract_edge",
+    "count_Z", "count_brute", "count_fibered", "count_graph", "dc_identity_check",
+    "dc_identity_matrix", "delete_edge", "disjoint_union", "edge_census", "first_primes",
+    "generate_family", "graph_id", "has_non_loop_edge", "hodge_form", "interpolate_class",
+    "is_forest", "is_prime", "predicted_sb_constant", "psi_by_deletion_contraction",
+    "psi_by_trees", "require_primes", "shared_counts", "standard_catalog",
+    "sweep_zero_patterns",
+)
+
+
+def test_public_names_are_pinned():
+    # the package's exported surface, submodules aside: a name that joins
+    # or leaves graphmotive/__init__.py must be added to or taken from
+    # PUBLIC_NAMES on purpose
+    import graphmotive
+
+    exported = sorted(
+        name
+        for name, value in vars(graphmotive).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert exported == sorted(PUBLIC_NAMES)

@@ -29,10 +29,9 @@ from graphmotive import (
     graphs,
     graph_id,
     psi_by_trees,
-    spanning_forests,
     standard_catalog,
 )
-from test_poly import relabelled_graphs, small_graphs
+from test_poly import psi_forests, relabelled_graphs, small_graphs
 
 
 def test_from_pairs_assigns_labels_in_order():
@@ -272,19 +271,20 @@ def _oracle_forest_list(g):
 
 def test_spanning_forests_match_oracle_over_catalog():
     for name, g in standard_catalog():
-        assert spanning_forests(g) == _oracle_forest_list(g), name
+        assert psi_forests(g) == _oracle_forest_list(g), name
 
 
 def test_spanning_forests_lexicographic_and_sorted():
     b3 = Multigraph.from_pairs(2, [(0, 1)] * 3)
-    assert spanning_forests(b3) == [(0,), (1,), (2,)]
+    assert psi_forests(b3) == [(0,), (1,), (2,)]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(small_graphs(), relabelled_graphs()))
 def test_spanning_forests_order_matches_oracle(g):
-    # the list itself, not its set: sorted tuples in lexicographic order
-    assert spanning_forests(g) == _oracle_forest_list(g)
+    # the forests psi's terms encode, on graphs whose labels have gaps and
+    # whose edges are not in label order too
+    assert psi_forests(g) == _oracle_forest_list(g)
 
 
 @pytest.mark.parametrize(
@@ -298,13 +298,13 @@ def test_spanning_forests_order_matches_oracle(g):
     ids=["edgeless", "bouquet", "banana:12", "dumbbell:12"],
 )
 def test_spanning_forests_order_fixed_cases(g):
-    assert spanning_forests(g) == _oracle_forest_list(g)
+    assert psi_forests(g) == _oracle_forest_list(g)
 
 
 def test_forest_refusal_is_raised_on_call():
     # C(55, 10) candidates: refused when called, before any edge is tried
     k11 = generate_family(FamilySpec.parse("complete:11"))
-    for build in (spanning_forests, psi_by_trees, _oracles.psi_by_matrix_tree):
+    for build in (psi_by_trees, _oracles.psi_by_matrix_tree):
         with pytest.raises(GraphError, match="29248649430 edge subsets exceed the limit 10000000"):
             build(k11)
 

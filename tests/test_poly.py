@@ -1,4 +1,4 @@
-"""Multilinear polynomial arithmetic and the three graph-polynomial routes."""
+"""Multilinear polynomials and the three graph-polynomial routes."""
 
 from __future__ import annotations
 
@@ -16,35 +16,21 @@ from graphmotive import (
     Multigraph,
     MultilinearPoly,
     NonMultilinearError,
-    NotPrimeError,
     betti_1,
     classify_edge,
     contract_edge,
     delete_edge,
     disjoint_union,
-    evaluate,
-    evaluate_int,
     generate_family,
     graphs,
     psi_by_deletion_contraction,
     psi_by_trees,
-    spanning_forests,
-    split_last_var,
     standard_catalog,
     symanzik,
 )
 
 C3 = Multigraph.from_pairs(3, [(0, 1), (1, 2), (2, 0)])
 B3 = Multigraph.from_pairs(2, [(0, 1)] * 3)
-
-
-def small_polys():
-    """Random multilinear polynomials over <= 4 variables."""
-    return st.builds(
-        MultilinearPoly,
-        st.just(4),
-        st.dictionaries(st.integers(0, 15), st.integers(-5, 5), max_size=8),
-    )
 
 
 def small_graphs():
@@ -82,7 +68,19 @@ def relabelled_graphs():
     return build()
 
 
-# -- ring operations ----------------------------------------------------------
+def psi_forests(g):
+    """The maximal spanning forests of g that psi_by_trees enumerates, read
+    off its terms (each the complement of a forest among g's labels) as
+    sorted label tuples, in lexicographic order."""
+    labels = sorted(g.labels)
+    full = sum(1 << label for label in labels)
+    return sorted(
+        tuple(label for label in labels if (full ^ mask) >> label & 1)
+        for mask in psi_by_trees(g).terms
+    )
+
+
+# -- construction -------------------------------------------------------------
 
 
 def test_construction_normalizes():
@@ -92,36 +90,27 @@ def test_construction_normalizes():
         MultilinearPoly(2, {4: 1})  # mask beyond width
     with pytest.raises(NonMultilinearError):
         MultilinearPoly(64, {})
-
-
-def test_add_and_cancellation():
-    p = MultilinearPoly(2, {1: 1, 2: 3})
-    s = p + MultilinearPoly(2, {1: -1})
-    assert s.terms == {2: 3}
-    assert (p - p).is_zero()
-
-
-def test_mul_disjoint_supports():
-    p = MultilinearPoly(1, {1: 1})
-    r = MultilinearPoly(2, {2: 1})
-    assert (p * r).terms == {3: 1}
-    with pytest.raises(NonMultilinearError):
-        p * p
-
-
-def test_times_var():
-    p = MultilinearPoly(1, {1: 2})
-    assert p.times_var(3).terms == {9: 2}
-    with pytest.raises(NonMultilinearError):
-        p.times_var(0)
+    # brute force would count 0 zeros of t0/2 + 1 at q = 3, the fibered
+    # count 1: non-integers are refused, bools among them
+    for var_count, terms in (
+        (1, {1: 0.5, 0: 1}),
+        (1, {1: 1.0}),
+        (True, {1: 1}),
+        (1.0, {}),
+        (1, {1: True}),
+        (1, {True: 1}),
+        (2, {1.0: 1}),
+    ):
+        with pytest.raises(NonMultilinearError, match="integer"):
+            MultilinearPoly(var_count, terms)
 
 
 def test_degree_and_homogeneity():
     assert MultilinearPoly(3, {3: 1, 5: 1}).is_homogeneous()
     assert not MultilinearPoly(3, {3: 1, 4: 1}).is_homogeneous()
     assert MultilinearPoly(3, {7: 1}).degree() == 3
-    assert MultilinearPoly.zero(2).degree() == 0
-    assert MultilinearPoly.zero(2).is_homogeneous()
+    assert MultilinearPoly(2, {}).degree() == 0
+    assert MultilinearPoly(2, {}).is_homogeneous()
 
 
 # -- rendering ----------------------------------------------------------------
@@ -130,58 +119,18 @@ def test_degree_and_homogeneity():
 def test_text_format_examples():
     assert psi_by_trees(B3).to_text() == "t0*t1 + t0*t2 + t1*t2"
     assert psi_by_trees(C3).to_text() == "t0 + t1 + t2"
-    assert MultilinearPoly.constant(1, 0).to_text() == "1"
-    assert MultilinearPoly.zero(2).to_text() == "0"
+    assert MultilinearPoly(0, {0: 1}).to_text() == "1"
+    assert MultilinearPoly(2, {}).to_text() == "0"
     assert MultilinearPoly(2, {1: 1, 2: -1}).to_text() == "t0 - t1"
     assert MultilinearPoly(2, {0: -2, 3: 3}).to_text() == "-2 + 3*t0*t1"
 
 
 def test_json_round_trip():
     p = psi_by_trees(B3)
-    assert MultilinearPoly.from_json_obj(p.to_json_obj()) == p
-    assert p.to_json_obj()["terms"] == [[3, 1], [5, 1], [6, 1]]
+    assert p.to_json_obj() == {"var_count": 3, "terms": [[3, 1], [5, 1], [6, 1]]}
 
 
-# -- evaluation ---------------------------------------------------------------
-
-
-def test_evaluate_examples():
-    assert evaluate(psi_by_trees(C3), (1, 1, 1), 5) == 3
-    assert evaluate(psi_by_trees(B3), (1, 2, 3), 7) == 4
-    assert evaluate(MultilinearPoly.constant(1, 2), (0, 0), 3) == 1
-
-
-def test_evaluate_rejects_bad_input():
-    p = psi_by_trees(C3)
-    with pytest.raises(NotPrimeError):
-        evaluate(p, (1, 1, 1), 6)
-    with pytest.raises(ValueError):
-        evaluate(p, (1, 1), 5)
-
-
-@given(small_polys(), st.lists(st.integers(-9, 9), min_size=4, max_size=4))
-def test_evaluate_consistent_with_integer_evaluation(p, xs):
-    for q in (3, 7):
-        assert evaluate(p, xs, q) == evaluate_int(p, xs) % q
-
-
-# -- split / reassembly -------------------------------------------------------
-
-
-def test_split_examples():
-    a, b = split_last_var(psi_by_trees(C3), 2)
-    assert a == MultilinearPoly.constant(1, 2)
-    assert b == MultilinearPoly(2, {1: 1, 2: 1})
-    a, b = split_last_var(MultilinearPoly(1, {1: 1}), 0)
-    assert a == MultilinearPoly.constant(1, 0) and b.is_zero()
-    a, b = split_last_var(MultilinearPoly.constant(1, 1), 0)
-    assert a.is_zero() and b == MultilinearPoly.constant(1, 0)
-
-
-@given(small_polys(), st.integers(0, 3))
-def test_split_reassembles(p, e):
-    a, b = split_last_var(p, e)
-    assert a.times_var(e) + b.with_var_count(p.var_count) == p
+# -- split -------------------------------------------------------------------
 
 
 def test_split_of_regular_edge_gives_minor_polynomials():
@@ -190,9 +139,9 @@ def test_split_of_regular_edge_gives_minor_polynomials():
         for e in g.labels:
             if classify_edge(g, e) is not EdgeKind.REGULAR:
                 continue
-            a, b = split_last_var(psi, e)
-            assert a == psi_by_trees(delete_edge(g, e)), (name, e)
-            assert b == psi_by_trees(contract_edge(g, e)), (name, e)
+            a, b = _oracles.split_at(psi.terms, e)
+            assert a == psi_by_trees(delete_edge(g, e)).terms, (name, e)
+            assert b == psi_by_trees(contract_edge(g, e)).terms, (name, e)
 
 
 # -- the three routes ---------------------------------------------------------
@@ -200,18 +149,18 @@ def test_split_of_regular_edge_gives_minor_polynomials():
 
 def test_route_examples():
     single_edge = Multigraph.from_pairs(2, [(0, 1)])
-    assert psi_by_trees(single_edge) == MultilinearPoly.constant(1, 1)
+    assert psi_by_trees(single_edge) == MultilinearPoly(1, {0: 1})
     loop = Multigraph.from_pairs(1, [(0, 0)])
     assert psi_by_trees(loop).terms == {1: 1}
     bouquet2 = Multigraph.from_pairs(1, [(0, 0), (0, 0)])
     assert _oracles.psi_by_matrix_tree(bouquet2).terms == {3: 1}
     tree = Multigraph.from_pairs(4, [(0, 1), (1, 2), (1, 3)])
-    assert _oracles.psi_by_matrix_tree(tree) == MultilinearPoly.constant(1, 3)
+    assert _oracles.psi_by_matrix_tree(tree) == MultilinearPoly(3, {0: 1})
     bouquet4 = Multigraph.from_pairs(1, [(0, 0)] * 4)
     assert psi_by_deletion_contraction(bouquet4).terms == {15: 1}
-    assert psi_by_deletion_contraction(single_edge) == MultilinearPoly.constant(1, 1)
+    assert psi_by_deletion_contraction(single_edge) == MultilinearPoly(1, {0: 1})
     edgeless = Multigraph(2, ())
-    assert psi_by_trees(edgeless) == MultilinearPoly.constant(1, 0)
+    assert psi_by_trees(edgeless) == MultilinearPoly(0, {0: 1})
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,7 +220,10 @@ def test_forest_search_refuses_more_non_loop_edges_than_variables():
     # in code, not parsed, can hold them
     g = Multigraph.from_pairs(128, [(2 * i, 2 * i + 1) for i in range(64)])
     with pytest.raises(GraphError, match="64 non-loop edges exceed the limit 63"):
-        spanning_forests(g)
+        graphs._forest_masks(g)
+    # psi refuses the label 63 before the search starts
+    with pytest.raises(NonMultilinearError, match="edge labels exceed 62"):
+        psi_by_trees(g)
 
 
 def square_int_matrices():
@@ -369,9 +321,8 @@ def test_forest_frontier_closes_a_piece_only_at_its_last_vertex(g):
     # only whether the component ends at that edge keeps the child that
     # skips the edge, a forest one tree short
     oracle = _oracles.forest_label_sets(g)
-    masks = {sum(1 << label for label in forest): 1 for forest in oracle}
-    assert graphs._forest_masks(g, 0) == masks
-    assert spanning_forests(g) == sorted(tuple(sorted(f)) for f in oracle)
+    assert graphs._forest_masks(g) == _oracles.psi_term_masks(g)
+    assert psi_forests(g) == sorted(tuple(sorted(f)) for f in oracle)
     assert psi_by_trees(g).terms == _oracles.psi_term_masks(g)
 
 
@@ -421,7 +372,6 @@ def test_psi_builders_are_edge_sized():
         for f, small in (
             (lambda g: psi_by_trees(g).terms, wheel5),
             (lambda g: psi_by_deletion_contraction(g).terms, wheel5),
-            (spanning_forests, wheel5),
             (graphs.is_forest, wheel4),
             (graphs.edge_census, wheel4),
         )
@@ -475,8 +425,8 @@ def test_psi_structure_on_random_graphs(g):
     assert p.terms == oracle_terms
     assert set(p.terms.values()) <= {1}
     assert p.is_homogeneous() and p.degree() == betti_1(g)
-    assert p.term_count() == len(spanning_forests(g))
-    assert evaluate_int(p, [1] * p.var_count) == len(_oracles.forest_label_sets(g))
+    assert p.term_count() == len(_oracles.forest_label_sets(g))
+    assert sum(p.terms.values()) == len(_oracles.forest_label_sets(g))
 
 
 def test_psi_multiplicative_over_disjoint_union():
@@ -485,14 +435,14 @@ def test_psi_multiplicative_over_disjoint_union():
     du = disjoint_union(g1, g2)
     p1, p2 = psi_by_trees(g1), psi_by_trees(g2)
     shift = p1.var_count
-    p2_shifted = MultilinearPoly(
-        p2.var_count + shift, {m << shift: c for m, c in p2.terms.items()}
-    )
-    assert psi_by_trees(du) == p1 * p2_shifted
+    product = {
+        m1 | m2 << shift: c1 * c2 for m1, c1 in p1.terms.items() for m2, c2 in p2.terms.items()
+    }
+    assert psi_by_trees(du) == MultilinearPoly(p2.var_count + shift, product)
 
 
 def test_minor_polynomials_keep_ambient_width():
     # deleting an interior label keeps the ambient variable set
     p = psi_by_trees(delete_edge(B3, 1))
     assert p.var_count == 3 and p.terms == {1: 1, 4: 1}
-    assert psi_by_trees(delete_edge(C3, 1)) == MultilinearPoly.constant(1, 3)
+    assert psi_by_trees(delete_edge(C3, 1)) == MultilinearPoly(3, {0: 1})
