@@ -9,9 +9,8 @@ from .counting import (
     CountRecord,
     DEFAULT_BUDGET,
     NotRegularEdgeError,
-    count_brute,
-    count_fibered,
     count_graph,
+    count_poly,
     count_Z,
     shared_counts,
     sweep_zero_patterns,

@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .counting import (
     BudgetExceededError,
-    DEFAULT_BUDGET,
+    DEFAULT_OPTIONS,
     METHODS,
     CountOptions,
     count_graph,
@@ -406,9 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     counting = argparse.ArgumentParser(add_help=False, parents=[io])
     counting.add_argument("--primes", default=None, help="comma-separated primes, e.g. 3,5,7,11,13")
-    counting.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="max point evaluations per count")
-    counting.add_argument("--method", choices=tuple(METHODS), default="fibered")
-    counting.add_argument("--workers", type=int, default=1, help="thread count (results are identical for any value)")
+    counting.add_argument("--budget", type=int, default=DEFAULT_OPTIONS.budget, help="max point evaluations per count")
+    counting.add_argument("--method", choices=tuple(METHODS), default=DEFAULT_OPTIONS.method)
+    counting.add_argument(
+        "--workers", type=int, default=DEFAULT_OPTIONS.workers, help="thread count (results are identical for any value)"
+    )
 
     graph_in = argparse.ArgumentParser(add_help=False)
     graph_in.add_argument("graph", nargs="?", help="graph file (edge-list or JSON), '-' for stdin")

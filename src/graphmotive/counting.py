@@ -5,9 +5,10 @@ the two-polynomial Z-locus. Each count is a fibration: split off edge
 variables, sweep the polynomials that describe each fiber over the base
 that is left, and add up a fiber table over the sweep's zero-patterns.
 Brute force sweeps psi itself over F_q^n. The fibered count writes
-psi = t_e*A + B, splits A and B again at a second variable f, and sweeps
-the four parts (A1, A0, B1, B0) over F_q^{n-2}; their zero-pattern and
-whether D = A1*B0 - A0*B1 vanishes fix the zeros on each (t_e, f) plane.
+psi = t_e*A + B at its last variable t_e, splits A and B again at the one
+before it, f, and sweeps the four parts (A1, A0, B1, B0) over F_q^{n-2};
+their zero-pattern and whether D = A1*B0 - A0*B1 vanishes fix the zeros
+on each (t_e, f) plane.
 The Z-locus at an edge is read off the same sweep, fibered at that edge.
 The fibered count_graph and count_Z take a graph apart first: psi is
 the product of psi over its 2-connected loopless blocks, times t_l per
@@ -77,8 +78,8 @@ MAX_WORKERS = 64  # a sweep opens one pool of this many threads at most
 
 # The fibration levels each method runs, in order. A level-k count sweeps
 # the base F_q^{n-k} left after splitting off k edge variables: level 0 is
-# brute force over all of F_q^n, level 2 splits off one edge variable (the
-# last label of a block's count form, in count_graph) and the highest other one.
+# brute force over all of F_q^n, level 2 splits off the last variable (the
+# last label of a block's count form, in count_graph) and the one before it.
 METHODS = {"brute": (0,), "fibered": (2,), "both": (0, 2)}
 _LEVEL_NAMES = {0: "brute count", 2: "fibered count"}
 
@@ -468,10 +469,10 @@ def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> 
 
     Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
     level is charged as 2 polynomials over F_q^{n-1}, A and B of
-    p = t_e*A + B: an upper bound for level 2, which sweeps 4 polynomials
-    over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for q >= 2), or nothing where
-    no variable other than t_e occurs. A fibered count of a constant
-    (n = 0) is not charged.
+    p = t_e*A + B at its last variable t_e: an upper bound for level 2,
+    which sweeps 4 polynomials over F_q^{n-2} (4*q^(n-2) <= 2*q^(n-1) for
+    q >= 2), or nothing where no variable other than t_e occurs. A fibered
+    count of a constant (n = 0) is not charged.
     The charge stays this upper bound, not the values a cone-reduced
     level-2 sweep evaluates (about 4*q^(n-2)/(q-1), and 8*q^(n-3) where
     its grid would fit one block), so that no budget refusal changed when
@@ -491,12 +492,6 @@ def check_count_budget(g: Multigraph, q: int) -> None:
     if g.edge_count > MAX_VARS:
         raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
     _admit(q, g.edge_count, METHODS[_options().method])
-
-
-def count_brute(p: MultilinearPoly, q: int) -> CountRecord:
-    """Full enumeration of F_q^n; the oracle every faster counter must match."""
-    _admit(q, p.var_count, (0,))
-    return _count_level(p, q, 0)
 
 
 # Fiber tables. Each maps the vanishing pattern of a base point (True where
@@ -548,55 +543,60 @@ def _patterns(
     return _memoized(key, build)
 
 
-def _fiber_parts(p: MultilinearPoly, e: int) -> list[MultilinearPoly]:
-    """[A1, A0, B1, B0], what a fibered count of p at t_e sweeps, in one
-    pass over p's terms: p = t_e*A + B, with A and B split at f, the
-    highest variable other than t_e. t_e's slot is removed, so f is
-    variable n-2 of what is left, and the parts keep the n-2 below it."""
+def _fiber_parts(p: MultilinearPoly) -> list[MultilinearPoly]:
+    """[A1, A0, B1, B0], what a fibered count of p sweeps, in one pass over
+    p's terms: p = t_e*A + B at its last variable t_e, with A and B split
+    at f, the one before it. The parts keep the n-2 variables below f."""
     n = p.var_count
-    low, rest = (1 << e) - 1, (1 << (n - 2)) - 1
+    rest = (1 << (n - 2)) - 1
     parts: list[dict[int, int]] = [{}, {}, {}, {}]
     for mask, c in p.terms.items():
-        m = mask & low | mask >> 1 & ~low
-        parts[3 - 2 * (mask >> e & 1) - (m >> (n - 2) & 1)][m & rest] = c
+        parts[3 - (mask >> (n - 2))][mask & rest] = c
     return [MultilinearPoly(n - 2, terms) for terms in parts]
 
 
-def _count_level(p: MultilinearPoly, q: int, level: int, e: int = 0, key=None) -> CountRecord:
+def _count_level(p: MultilinearPoly, q: int, level: int, key=None) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
     Level 0 sweeps p over all of F_q^n. Level 2 sweeps p's fiber parts
     (_fiber_parts) over F_q^{n-2} and adds up _plane_zeros, the zeros on
-    each (t_e, f) plane. A p in which no variable other than t_e occurs,
-    p = a*t_e + b, sweeps nothing at level 2: it has q^(n-1) zeros if
-    a != 0 mod q, else q^n or none as b is 0 mod q or not. That covers
-    constants (psi of a forest) and every p of one variable. The test
-    shifts by e only at a term that holds a variable, as count_fibered
-    accepts any e when n = 0. The caller has admitted the count (_admit).
+    each (t_e, f) plane. A p in which no variable other than its last,
+    t_e, occurs, p = a*t_e + b, sweeps nothing at level 2: it has q^(n-1)
+    zeros if a != 0 mod q, else q^n or none as b is 0 mod q or not. That
+    covers constants (psi of a forest) and every p of one variable. Only a
+    term that holds a variable is tested, so n = 0 shifts by nothing. The
+    caller has admitted the count (_admit).
     """
     n = p.var_count
     if level == 0:
         zeros = sum(c for (zero,), c in _patterns(lambda: [p], q, False, key) if zero)
-    elif all(mask == 1 << e for mask in p.terms if mask):
+    elif all(mask == 1 << (n - 1) for mask in p.terms if mask):
         a = sum(c for mask, c in p.terms.items() if mask) % q
         zeros = q ** (n - 1) if a else 0 if p.terms.get(0, 0) % q else q**n
     else:
-        patterns = _patterns(lambda: _fiber_parts(p, e), q, True, key)
+        patterns = _patterns(lambda: _fiber_parts(p), q, True, key)
         zeros = sum(c * _plane_zeros(q, *zero) for zero, c in patterns)
     return CountRecord.from_zeros(p, q, zeros)
 
 
-def count_fibered(p: MultilinearPoly, e: int, q: int) -> CountRecord:
-    """Count by sweeping the base F_q^{n-2} of the (t_e, f) fibration, f the
-    highest variable other than t_e: 4*q^(n-2) polynomial values, or about
-    4*q^(n-2)/(q-1) for homogeneous p, whose sweep takes one block per line
-    through the origin, against q^n for brute force. p in which no variable
-    other than t_e occurs, every p of at most one variable among them, is
-    counted in closed form (_count_level)."""
-    _admit(q, p.var_count, (2,))
-    if p.var_count and not 0 <= e < p.var_count:
-        raise ValueError(f"split variable {e} outside 0..{p.var_count - 1}")
-    return _count_level(p, q, 2, e)
+def _agreed(records: list[CountRecord]) -> CountRecord:
+    """The one record that each fibration level gave, in turn."""
+    rec, *others = records
+    for rec_f in others:
+        if rec != rec_f:
+            raise ConsistencyError(f"brute {rec} != fibered {rec_f}")
+    return rec
+
+
+def count_poly(p: MultilinearPoly, q: int) -> CountRecord:
+    """Counts for p over F_q^n by the method of the enclosing shared_counts()
+    block, admitted once: brute force, the oracle every faster counter must
+    match, sweeps q^n values; the fibered count splits p's last variable and
+    the one before it (_count_level) and sweeps 4*q^(n-2), or about
+    4*q^(n-2)/(q-1) for homogeneous p. No polynomial is memoized."""
+    levels = METHODS[_options().method]
+    _admit(q, p.var_count, levels)
+    return _agreed([_count_level(p, q, level) for level in levels])
 
 
 def count_Z(g: Multigraph, label: int, q: int) -> int:
@@ -624,12 +624,12 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     Inside shared_counts(), (graph, edge) pairs with isomorphic marked
     reduced blocks share k, and so one psi build and one sweep per prime.
 
-    The count is admitted first (_admit), as in count_brute and
-    count_fibered, so a refused modulus or budget is the error whatever
-    the label. Then the edge is regular exactly when the reduction homes
-    it in a block: a loop or a bridge raises NotRegularEdgeError and a
-    label g lacks UnknownLabelError. No pass over g's vertices is made,
-    and inside shared_counts() a repeat reads the memoized reduction.
+    The count is admitted first (_admit), as in count_poly, so a refused
+    modulus or budget is the error whatever the label. Then the edge is
+    regular exactly when the reduction homes it in a block: a loop or a
+    bridge raises NotRegularEdgeError and a label g lacks
+    UnknownLabelError. No pass over g's vertices is made, and inside
+    shared_counts() a repeat reads the memoized reduction.
     """
     _admit(q, g.edge_count, (2,), "Z-locus sweep")
     reduction = _memoized(("reduce", g), _reduce, g)
@@ -643,7 +643,7 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     if block.reduced is None:
         return z
     k, p = _form(block.reduced, mark)
-    patterns = _patterns(lambda: _fiber_parts(p, k.edge_count - 1), q, True, (k, 2, q))
+    patterns = _patterns(lambda: _fiber_parts(p), q, True, (k, 2, q))
     z_block = sum(c * _common_zeros(q, *zero) for zero, c in patterns)
     return z + y_rest * q**block.merges * z_block
 
@@ -847,7 +847,7 @@ def _block_complement(reduced: Multigraph, q: int) -> int:
     """|Y| of a reduced block at q: the fibered count of psi of its count
     form (_form), split at that form's last label."""
     k, p = _form(reduced)
-    return _count_level(p, q, 2, k.edge_count - 1, (k, 2, q)).complement_count
+    return _count_level(p, q, 2, (k, 2, q)).complement_count
 
 
 def _form(g: Multigraph, mark: int | None = None) -> tuple[Multigraph, MultilinearPoly]:
@@ -902,10 +902,6 @@ def count_graph(g: Multigraph, q: int) -> CountRecord:
 
 
 def _count_record(g: Multigraph, q: int, levels: tuple[int, ...]) -> CountRecord:
-    """count_graph's record by each of the fibration levels in turn, which
-    must agree exactly; admitted by the caller."""
-    rec, *others = [_count_at(g, q, level) for level in levels]
-    for rec_f in others:
-        if rec != rec_f:
-            raise ConsistencyError(f"brute {rec} != fibered {rec_f}")
-    return rec
+    """count_graph's record, agreed by each fibration level (_agreed);
+    admitted by the caller."""
+    return _agreed([_count_at(g, q, level) for level in levels])

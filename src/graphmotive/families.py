@@ -12,7 +12,24 @@ from dataclasses import dataclass
 from .graphs import Edge, Multigraph, disjoint_union
 from .symanzik import MAX_VARS
 
-FAMILY_NAMES = ("cycle", "banana", "tree_path", "bouquet", "complete", "wheel", "dumbbell")
+
+def _cycle(m: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % m) for i in range(m)]
+
+
+# Each family: (its least m, its edge count for m, known before any edge is
+# built, and the vertex count and edge ends of its graph for m)
+_FAMILIES = {
+    "cycle": (3, lambda m: m, lambda m: (m, _cycle(m))),
+    "banana": (1, lambda m: m, lambda m: (2, [(0, 1)] * m)),
+    "tree_path": (1, lambda m: m, lambda m: (m + 1, [(i, i + 1) for i in range(m)])),
+    "bouquet": (1, lambda m: m, lambda m: (1, [(0, 0)] * m)),
+    "complete": (3, lambda m: m * (m - 1) // 2, lambda m: (m, [(i, j) for i in range(m) for j in range(i + 1, m)])),
+    # rim 0..m-1 (labels 0..m-1), hub m with spokes (labels m..2m-1)
+    "wheel": (3, lambda m: 2 * m, lambda m: (m + 1, _cycle(m) + [(i, m) for i in range(m)])),
+    "dumbbell": (3, lambda m: m + 1, lambda m: (m, _cycle(m) + [(0, 0)])),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -21,11 +38,11 @@ class FamilySpec:
     m: int
 
     def __post_init__(self):
-        if self.name not in FAMILY_NAMES:
+        if self.name not in _FAMILIES:
             raise ValueError(
                 f"unknown family {self.name!r}; choose from {', '.join(FAMILY_NAMES)}"
             )
-        minimum = 3 if self.name in ("cycle", "complete", "wheel", "dumbbell") else 1
+        minimum = _FAMILIES[self.name][0]
         if self.m < minimum:
             raise ValueError(f"family {self.name} needs m >= {minimum}, got {self.m}")
         edges = self.edge_count()
@@ -36,14 +53,7 @@ class FamilySpec:
 
     def edge_count(self) -> int:
         """Edges of the generated graph, known before it is built."""
-        m = self.m
-        if self.name == "complete":
-            return m * (m - 1) // 2
-        if self.name == "wheel":
-            return 2 * m
-        if self.name == "dumbbell":
-            return m + 1
-        return m
+        return _FAMILIES[self.name][1](self.m)
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
@@ -58,26 +68,7 @@ class FamilySpec:
 
 
 def generate_family(spec: FamilySpec) -> Multigraph:
-    name, m = spec.name, spec.m
-    if name == "cycle":
-        return Multigraph.from_pairs(m, [(i, (i + 1) % m) for i in range(m)])
-    if name == "banana":
-        return Multigraph.from_pairs(2, [(0, 1)] * m)
-    if name == "tree_path":
-        return Multigraph.from_pairs(m + 1, [(i, i + 1) for i in range(m)])
-    if name == "bouquet":
-        return Multigraph.from_pairs(1, [(0, 0)] * m)
-    if name == "complete":
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        return Multigraph.from_pairs(m, pairs)
-    if name == "wheel":
-        # rim 0..m-1 (labels 0..m-1), hub m with spokes (labels m..2m-1)
-        pairs = [(i, (i + 1) % m) for i in range(m)] + [(i, m) for i in range(m)]
-        return Multigraph.from_pairs(m + 1, pairs)
-    if name == "dumbbell":
-        pairs = [(i, (i + 1) % m) for i in range(m)] + [(0, 0)]
-        return Multigraph.from_pairs(m, pairs)
-    raise AssertionError(name)
+    return Multigraph.from_pairs(*_FAMILIES[spec.name][2](spec.m))
 
 
 def _family(name: str, m: int) -> Multigraph:

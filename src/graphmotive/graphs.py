@@ -380,12 +380,13 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
     l), where full is the mask of every label of g, loops included.
 
     The search runs on g's non-loop edges, on the vertices they touch
-    (_edge_sized). It is refused, before any edge is tried, past MAX_EDGES
-    such edges, so that each of at most 2 * MAX_EDGES < 255 vertices fits
-    in one byte below the 0xff blank, and when C(edges, size) exceeds
-    MAX_FOREST_SUBSETS. One union-find pass (_join_ends) gives size, that
-    of a maximal forest, as its merge count, and the roots that pick the
-    vertex closing each component.
+    (_edge_sized). The caller's label cap (symanzik._ambient_width refuses
+    labels past MAX_EDGES - 1) keeps these to at most MAX_EDGES edges, so
+    each of at most 2 * MAX_EDGES < 255 vertices has a name below the 0xff
+    blank and fits in one byte. The search is refused, before any edge is
+    tried, when C(edges, size) exceeds MAX_FOREST_SUBSETS. One union-find
+    pass (_join_ends) gives size, that of a maximal forest, as its merge
+    count, and the roots that pick the vertex closing each component.
 
     The search is a frontier sweep (Sekine, Imai and Tani's Tutte
     polynomial computation; Kawahara et al.'s frontier-based search) over
@@ -398,10 +399,6 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
     edge is swept one state is left, and its masks are the forests.
     """
     edges = tuple(e for e in g.edges if not e.is_loop)
-    if len(edges) > MAX_EDGES:
-        raise GraphError(
-            f"spanning forests: {len(edges)} non-loop edges exceed the limit {MAX_EDGES}"
-        )
     h = _edge_sized(Multigraph._trusted(g.vertex_count, edges))
     root, size = _join_ends(h)
     subsets = comb(len(edges), size)

@@ -196,6 +196,20 @@ def split_at(terms, e):
     return a, b
 
 
+def move_last(p, e):
+    """p with variable e moved to the top, variable n-1, and the others kept
+    in their order below it: each bit above e steps down one place."""
+    n = p.var_count
+    low = (1 << e) - 1
+    terms = {}
+    for mask, coeff in p.terms.items():
+        moved = mask & low | mask >> 1 & ~low
+        if mask >> e & 1:
+            moved |= 1 << (n - 1)
+        terms[moved] = coeff
+    return MultilinearPoly(n, terms)
+
+
 def zero_count(terms, nvars, q):
     zeros = 0
     for xs in itertools.product(range(q), repeat=nvars):

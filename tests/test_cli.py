@@ -32,7 +32,7 @@ from graphmotive import (
     symanzik,
 )
 from graphmotive.cli import main, run_verify
-from graphmotive.families import FamilySpec, generate_family
+from graphmotive.families import _FAMILIES, FAMILY_NAMES, FamilySpec, generate_family
 from graphmotive.graphs import MAX_EDGES, MAX_VERTICES, Edge, GraphParseError
 
 TRIANGLE_TEXT = "# a triangle\n3 3\n0 1\n1 2\n2 0\n"
@@ -296,6 +296,22 @@ def test_family_size_bounded_by_edge_count(capsys):
         ("dumbbell:62", 0), ("dumbbell:63", 2), ("bouquet:63", 0), ("bouquet:64", 2),
     ]:
         assert run(capsys, "family", spec)[0] == expected, spec
+
+
+@pytest.mark.parametrize("name", FAMILY_NAMES)
+def test_family_edge_counts_match_their_graphs(name):
+    # FamilySpec refuses a size by its declared edge count, before any edge
+    # is built, so that count must be the graph's own at every size from
+    # the least up to the cap
+    least, edge_count, _ = _FAMILIES[name]
+    with pytest.raises(ValueError, match=f"needs m >= {least}"):
+        FamilySpec(name, least - 1)
+    m = least
+    while edge_count(m) <= MAX_EDGES:
+        assert generate_family(FamilySpec(name, m)).edge_count == edge_count(m), m
+        m += 1
+    with pytest.raises(ValueError, match=f"would have {edge_count(m)} edges, more than 63"):
+        FamilySpec(name, m)
 
 
 def test_psi_refuses_too_many_forest_candidates(src_env):
@@ -919,7 +935,7 @@ PUBLIC_NAMES = (
     "NotPrimeError", "NotRegularEdgeError", "UnknownLabelError", "betti_1",
     "canonical_relabel", "catalog_by_name", "check_modL_congruence",
     "check_projective_congruence", "classify_edge", "component_count", "contract_edge",
-    "count_Z", "count_brute", "count_fibered", "count_graph", "dc_identity_check",
+    "count_Z", "count_graph", "count_poly", "dc_identity_check",
     "dc_identity_matrix", "delete_edge", "disjoint_union", "edge_census", "first_primes",
     "generate_family", "graph_id", "has_non_loop_edge", "hodge_form", "interpolate_class",
     "is_forest", "is_prime", "predicted_sb_constant", "psi_by_deletion_contraction",

@@ -30,9 +30,8 @@ from graphmotive import (
     UnknownLabelError,
     catalog_by_name,
     count_Z,
-    count_brute,
-    count_fibered,
     count_graph,
+    count_poly,
     is_prime,
     psi_by_trees,
     require_primes,
@@ -134,6 +133,12 @@ PROJECTIVE = {
 }
 
 
+def _count(p, q, method="fibered"):
+    """count_poly(p, q) in a block of the given method."""
+    with counting.shared_counts(CountOptions(method)):
+        return count_poly(p, q)
+
+
 @st.composite
 def small_polys(draw):
     width = draw(st.integers(0, 4))
@@ -207,51 +212,51 @@ def test_worked_examples():
 
 def test_fibered_examples():
     loop = psi_by_trees(CAT["single_loop"])
-    rec = count_fibered(loop, 0, 5)
+    rec = _count(loop, 5)
     assert rec == CountRecord(5, 1, 1, 4, projective_count=0)
     banana = psi_by_trees(CAT["banana_2"])
-    rec = count_fibered(banana, 1, 5)
+    rec = _count(banana, 5)
     assert rec == CountRecord(5, 2, 5, 20, projective_count=1)
     # interior split variable must give the same record
     k4 = psi_by_trees(CAT["complete_4"])
-    assert count_fibered(k4, 2, 3) == count_brute(k4, 3)
+    assert _count(_oracles.move_last(k4, 2), 3) == _count(k4, 3, "brute")
 
 
 def test_fibered_constant_cases():
     one = MultilinearPoly(0, {0: 1})
-    assert count_fibered(one, 0, 7) == CountRecord(7, 0, 0, 1)
-    assert count_fibered(MultilinearPoly(0, {}), 0, 7) == CountRecord(7, 0, 1, 0)
-    with pytest.raises(ValueError):
-        count_fibered(psi_by_trees(CAT["cycle_3"]), 3, 5)
+    assert _count(one, 7) == CountRecord(7, 0, 0, 1)
+    assert _count(MultilinearPoly(0, {}), 7) == CountRecord(7, 0, 1, 0)
 
 
 def test_fibered_counts_p_of_t_e_alone_in_closed_form(sweeps):
-    # p = a*t_e + b, constants among them, at every width and split: the
-    # fibered count matches brute force and sweeps nothing
+    # p = a*t_e + b, constants among them, at every width and split (t_e
+    # moved to the top): the fibered count matches brute force and sweeps
+    # nothing
     pairs = [(a, b) for a in range(-1, 3) for b in range(-1, 3)] + [(7, 0), (0, 7), (7, 7)]
     for n in range(5):
         for e in range(max(n, 1)):
             for a, b in pairs:
                 p = MultilinearPoly(n, {1 << e: a, 0: b} if n else {0: b})
                 for q in (2, 3, 5, 7):
-                    brute = count_brute(p, q)
+                    brute = _count(p, q, "brute")
                     sweeps.clear()
-                    assert count_fibered(p, e, q) == brute, (n, e, a, b, q)
+                    assert _count(_oracles.move_last(p, e), q) == brute, (n, e, a, b, q)
                     assert sweeps == [], (n, e, a, b, q)
 
 
 @given(small_polys())
 def test_fiber_parts_reassemble(p):
     # p = t_e*(f*A1 + A0) + f*B1 + B0, f the highest variable other than
-    # t_e; the parts drop t_e's slot, so put it back to compare each with
-    # the oracle's split and to rebuild p
+    # t_e: the parts of p with t_e moved to the top, which leaves f next to
+    # it. They lack t_e's slot, so put it back to compare each with the
+    # oracle's split and to rebuild p
     n = p.var_count
     if n < 2:
         return  # no f: such p are counted in closed form, with no parts
     for e in range(n):
         f = n - 1 if e < n - 1 else n - 2
         low = (1 << e) - 1
-        parts = counting._fiber_parts(p, e)
+        parts = counting._fiber_parts(_oracles.move_last(p, e))
         assert [part.var_count for part in parts] == [n - 2] * 4
         widened = [{m & low | (m & ~low) << 1: c for m, c in part.terms.items()} for part in parts]
         a, b = _oracles.split_at(p.terms, e)
@@ -266,9 +271,9 @@ def test_fiber_parts_reassemble(p):
 @given(small_polys(), st.sampled_from([2, 3, 5, 7]))
 def test_fibered_agrees_with_brute_everywhere(p, q):
     # Widths 1 and 2 take the one-variable fallback and the smallest plane.
-    rec_b = count_brute(p, q)
+    rec_b = _count(p, q, "brute")
     for e in range(p.var_count):
-        assert count_fibered(p, e, q) == rec_b
+        assert _count(_oracles.move_last(p, e), q) == rec_b
 
 
 def test_fibered_matches_brute_on_catalog():
@@ -282,7 +287,7 @@ def test_fibered_matches_brute_on_catalog():
             with counting.shared_counts(CountOptions("both")):
                 rec = count_graph(g, q)
             for e in range(p.var_count):
-                assert count_fibered(p, e, q) == rec, (name, q, e)
+                assert _count(_oracles.move_last(p, e), q) == rec, (name, q, e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -294,8 +299,60 @@ def test_fibered_matches_brute_on_catalog():
     )
 )
 def test_sweep_agrees_with_naive_enumeration(p):
-    zeros = count_brute(p, 3).affine_zero_count
+    zeros = _count(p, 3, "brute").affine_zero_count
     assert zeros == _oracles.zero_count(p.terms, 3, 3)
+
+
+def test_count_poly_both_insists_that_its_levels_agree(monkeypatch):
+    # a fibered level that miscounts q - 1 zeros, so that its record stays
+    # consistent, is caught by "both", and the error names both records
+    p, q = psi_by_trees(CAT["complete_4"]), 3
+    count_level = counting._count_level
+
+    def lie(p, q, level, key=None):
+        rec = count_level(p, q, level, key)
+        if level == 0:
+            return rec
+        zeros, projective = rec.affine_zero_count - (q - 1), rec.projective_count - 1
+        return CountRecord(q, rec.n, zeros, q**rec.n - zeros, projective)
+
+    monkeypatch.setattr(counting, "_count_level", lie)
+    brute, fibered = _count(p, q, "brute"), _count(p, q)
+    assert brute != fibered
+    with pytest.raises(ConsistencyError) as caught:
+        _count(p, q, "both")
+    assert str(caught.value) == f"brute {brute} != fibered {fibered}"
+
+
+def test_count_poly_both_sweeps_each_level_once_with_the_block_workers(monkeypatch):
+    swept, sweep = [], counting.sweep_zero_patterns
+
+    def spy(polys, q, **kw):
+        swept.append((len(polys), kw["fibered"], kw["workers"]))
+        return sweep(polys, q, **kw)
+
+    monkeypatch.setattr(counting, "sweep_zero_patterns", spy)
+    p = psi_by_trees(CAT["wheel_4"])
+    with counting.shared_counts(CountOptions("both", workers=2)):
+        rec = count_poly(p, 3)
+    assert rec == CountRecord(3, 8, 2529, 4032, projective_count=1264)
+    assert swept == [(1, False, 2), (4, True, 2)]
+
+
+def test_count_poly_nested_stricter_budget_refuses_before_any_sweep(sweeps):
+    # budget 400 refuses both levels (729 and 486); the brute text comes
+    # first, and no sweep is made, though the outer block has counted p
+    p = psi_by_trees(CAT["complete_4"])
+    with counting.shared_counts(CountOptions("both")):
+        rec = count_poly(p, 3)
+        assert sweeps == [3, 3]
+        with counting.shared_counts(CountOptions("both", budget=400)):
+            with pytest.raises(BudgetExceededError) as refused:
+                count_poly(p, 3)
+        assert sweeps == [3, 3]
+        assert str(refused.value) == "brute count over F_3^6 needs 729 point evaluations, budget is 400"
+        assert count_poly(p, 3) == rec
+    assert sweeps == [3, 3, 3, 3]
 
 
 def _terms(width, coefficients, max_size, degree=None):
@@ -629,12 +686,12 @@ def _refusal(count, *args, budget, method="fibered"):
 def test_budget_guards():
     k4 = CAT["complete_4"]
     p = psi_by_trees(k4)
-    assert _refusal(count_brute, p, 3, budget=728) == (
+    assert _refusal(count_poly, p, 3, budget=728, method="brute") == (
         "brute count over F_3^6 needs 729 point evaluations, budget is 728"
     )
-    with counting.shared_counts(CountOptions(budget=729)):
-        count_brute(p, 3)
-    assert _refusal(count_fibered, p, 5, 3, budget=485) == (
+    with counting.shared_counts(CountOptions("brute", budget=729)):
+        count_poly(p, 3)
+    assert _refusal(count_poly, p, 3, budget=485) == (
         "fibered count over F_3^5 needs 486 point evaluations, budget is 485"
     )
     assert _refusal(count_Z, k4, 5, 3, budget=485) == (
@@ -666,8 +723,8 @@ def test_budget_never_undercharges(monkeypatch):
         for q in (2, 3, 5):
             if q**g.edge_count > 10**6:
                 continue
-            counts = [lambda: count_brute(p, q)]
-            counts += [lambda e=e: count_fibered(p, e, q) for e in range(p.var_count)]
+            counts = [lambda: _count(p, q, "brute")]
+            counts += [lambda e=e: _count(_oracles.move_last(p, e), q) for e in range(p.var_count)]
             counts += [
                 lambda e=e: count_Z(g, e, q)
                 for e in g.labels
@@ -970,9 +1027,8 @@ def test_block_factorisation_matches_whole_graph_counts(g, q):
     # the unreduced minors, at q=3 to keep that enumeration small.
     p = psi_by_deletion_contraction(g)
     rec = count_graph(g, q)
-    assert rec == count_brute(p, q)
-    if p.var_count:
-        assert rec == count_fibered(p, p.var_count - 1, q)
+    assert rec == _count(p, q, "brute")
+    assert rec == _count(p, q)
     for e in g.labels:
         if classify_edge(g, e) is EdgeKind.REGULAR:
             minors = [delete_edge(g, e), contract_edge(g, e)]
@@ -1129,16 +1185,15 @@ def _counts_and_Z(g, q):
 
 
 def _whole_psi_count(g, q):
-    """count_fibered of g's own unreduced psi at its last variable: bridge
-    variables left out of psi and series paths kept whole."""
-    p = psi_by_deletion_contraction(g)
-    return count_fibered(p, p.var_count - 1, q)
+    """The fibered count_poly of g's own unreduced psi: bridge variables
+    left out of psi and series paths kept whole."""
+    return _count(psi_by_deletion_contraction(g), q)
 
 
 def test_cone_reduced_counts_match_brute_on_catalog(monkeypatch):
     # At the default chunk no catalog sweep has outer blocks, so the
     # reference Z values come from full sweeps. count_graph and count_Z
-    # sweep series-reduced blocks; count_fibered of each whole psi also
+    # sweep series-reduced blocks; count_poly of each whole psi also
     # puts unreduced psi through the cone path.
     cases = [(name, q, grid[name]) for q, grid in ((3, Q3_GRID), (5, Q5_GRID)) for name in grid]
     full = [_counts_and_Z(CAT[name], q) for name, q, _ in cases]
@@ -1245,7 +1300,7 @@ def test_tiny_chunks_sweep_in_few_passes(monkeypatch):
         # of 3^6 values are 373 kB
         ((psi_by_trees(generate_family(FamilySpec.parse("wheel:6"))),), 3, False),
         # wheel_4's level-2 quadruple: four full grids of 5^6 are 500 kB
-        (counting._fiber_parts(psi_by_trees(CAT["wheel_4"]), 7), 5, True),
+        (counting._fiber_parts(psi_by_trees(CAT["wheel_4"])), 5, True),
     ],
     ids=["wheel_4-pair-q5", "wheel_6-q3", "wheel_4-quad-q5"],
 )
@@ -1295,7 +1350,7 @@ def test_sweep_rejects_bad_workers(monkeypatch, workers):
 def test_prime_and_size_limits(capsys, sweeps):
     p = psi_by_trees(CAT["cycle_3"])
     with pytest.raises(NotPrimeError):
-        count_brute(p, 4)
+        _count(p, 4, "brute")
     with pytest.raises(NotPrimeError):
         count_Z(CAT["cycle_3"], 0, 9)
     # psi_12 = 399165290221 * 798330580441 passes the bases 2..37; psi_13
@@ -1319,7 +1374,7 @@ def test_prime_and_size_limits(capsys, sweeps):
         lambda: require_primes((3, 5, big)),
         lambda: count_graph(CAT["single_edge"], big),
         lambda: count_Z(CAT["cycle_3"], 0, big),
-        lambda: count_brute(p, big),
+        lambda: _count(p, big, "brute"),
     ]
     for refuse in refusals:
         with pytest.raises(ValueError, match=too_large):

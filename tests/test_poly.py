@@ -12,7 +12,6 @@ from graphmotive import (
     Edge,
     EdgeKind,
     FamilySpec,
-    GraphError,
     Multigraph,
     MultilinearPoly,
     NonMultilinearError,
@@ -217,11 +216,9 @@ def test_forest_search_renames_vertices_past_one_byte(g):
 
 def test_forest_search_refuses_more_non_loop_edges_than_variables():
     # 64 edges touch 128 vertices, past one byte each; only a graph built
-    # in code, not parsed, can hold them
+    # in code, not parsed, can hold them. psi refuses the label 63 before
+    # the search starts
     g = Multigraph.from_pairs(128, [(2 * i, 2 * i + 1) for i in range(64)])
-    with pytest.raises(GraphError, match="64 non-loop edges exceed the limit 63"):
-        graphs._forest_masks(g)
-    # psi refuses the label 63 before the search starts
     with pytest.raises(NonMultilinearError, match="edge labels exceed 62"):
         psi_by_trees(g)
 
