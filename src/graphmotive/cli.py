@@ -25,7 +25,7 @@ from .counting import (
     shared_counts,
 )
 from .families import FamilySpec, generate_family, standard_catalog
-from .graphs import Multigraph, edge_census, graph_id
+from .graphs import Multigraph, graph_id
 from .motive import (
     ClassPoly,
     NotPolynomiallyConsistent,
@@ -56,12 +56,13 @@ def _verify_graph(name: str, g: Multigraph, primes: tuple[int, ...]) -> dict:
     """One graph's report entry. Call it inside a shared_counts(opts) block,
     as run_verify does: its verdicts and class fit count by that block's
     options and share their counts with each other and with every other
-    graph of the run."""
+    graph of the run. The edge census is read off the DC verdicts' tags,
+    one per edge, so no edge is classified twice; a budget-skipped entry
+    has no census."""
     entry: dict = {
         "name": name,
         "id": graph_id(g),
         "edge_count": g.edge_count,
-        "edge_census": edge_census(g),
         "predicted_constant": predicted_sb_constant(g),
     }
     try:
@@ -70,6 +71,9 @@ def _verify_graph(name: str, g: Multigraph, primes: tuple[int, ...]) -> dict:
         dc = dc_identity_matrix(g, primes, graph_name=name)
     except BudgetExceededError as exc:
         return {"name": name, "id": graph_id(g), "skipped": str(exc)}
+    entry["edge_census"] = census = {"bridge": 0, "loop": 0, "regular": 0}
+    for v in dc:
+        census[v.tag.removeprefix("dc-")] += 1
     entry["verdicts"] = {
         "modL": modl.to_json_obj(),
         "Lrat": lrat.to_json_obj(),

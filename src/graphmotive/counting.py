@@ -661,11 +661,17 @@ def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     entry depends on them: workers changes no count, a sweep's and a
     record's key hold their levels, and every budget is checked before
     the memo is read for a count.
-    The memo's six kinds of key:
+    The memo's seven kinds of key:
     - ("reduce", g): g's blocks after series reduction (_reduce);
     - ("canonical", h, label): canonical_relabel(h, label), label None
       for the unmarked form; _form chains two of them into a count form;
-    - a canonical graph k: psi(k), whose variables are k's labels;
+    - ("structure", vertex count, pairs, marked): the same search result
+      by what the search reads, h's edge structure (_by_structure), on a
+      miss of the key above. So canonical searches follow edge structure:
+      labels and edge order do not split them, vertex names still do;
+    - a canonical graph k: psi(k), whose variables are k's labels. This
+      key and the next hold k, so psi builds and sweeps follow
+      isomorphism class;
     - (k, level, q): the zero-pattern histogram of k's level-`level` sweep
       at q. A fibered sweep splits k's last label;
     - ("block", b, q): |Y| of the reduced block b at q, the fibered count
@@ -858,10 +864,25 @@ def _form(g: Multigraph, mark: int | None = None) -> tuple[Multigraph, Multiline
     Every edge of a reduced block is regular, and brute force needs no
     regular mark, so no edge is classified."""
     if mark is None:
-        g = _memoized(("canonical", g, None), canonical_relabel, g)
+        g = _memoized(("canonical", g, None), _by_structure, g, None)
         mark = g.labels[-1] if g.edges else None
-    k = _memoized(("canonical", g, mark), canonical_relabel, g, mark)
+    k = _memoized(("canonical", g, mark), _by_structure, g, mark)
     return k, _memoized(k, psi_by_deletion_contraction, k)
+
+
+def _by_structure(g: Multigraph, mark: int | None) -> Multigraph:
+    """canonical_relabel(g, mark), memoized under g's edge structure: its
+    vertex count, the sorted end pairs (lower end first, a loop (u, u)) of
+    its edges other than mark, and the marked edge's pair, or None. The
+    search reads nothing else, labels and edge order least of all, so
+    graphs that differ only in those share one search; vertex names still
+    tell structures apart. _form looks here only on a miss of g's own
+    key, so a repeat of g costs one dict hit. An unknown mark is refused
+    (UnknownLabelError)."""
+    marked = None if mark is None else tuple(sorted(g.edge_by_label(mark)[1:]))
+    pairs = sorted((u, v) if u <= v else (v, u) for label, u, v in g.edges if label != mark)
+    key = ("structure", g.vertex_count, tuple(pairs), marked)
+    return _memoized(key, canonical_relabel, g, mark)
 
 
 def _count_at(g: Multigraph, q: int, level: int) -> CountRecord:

@@ -146,12 +146,14 @@ class Multigraph:
     @classmethod
     def _trusted(cls, vertex_count: int, edges: tuple[Edge, ...]) -> "Multigraph":
         """A Multigraph with no __post_init__ check, for the graphs that
-        delete_edge, contract_edge and _edge_sized build from a graph
-        already checked. Their input is valid by construction: the edges
-        are a subset of g's, so the labels stay distinct and non-negative
-        and every edge is an Edge in a tuple; deletion keeps every vertex,
-        contraction maps 0..vertex_count-1 onto 0..vertex_count-2, and
-        _edge_sized maps the vertices the edges touch onto 0..k-1."""
+        delete_edge, contract_edge, _edge_sized and canonical_relabel build
+        from a graph already checked. Their input is valid by construction:
+        the first three keep a subset of g's edges, so the labels stay
+        distinct and non-negative and every edge is an Edge in a tuple;
+        deletion keeps every vertex, contraction maps 0..vertex_count-1
+        onto 0..vertex_count-2, and _edge_sized maps the vertices the edges
+        touch onto 0..k-1. canonical_relabel labels its edges 0..n-1 and
+        names the V vertices they touch 0..V-1."""
         g = object.__new__(cls)
         object.__setattr__(g, "vertex_count", vertex_count)
         object.__setattr__(g, "edges", edges)
@@ -171,10 +173,7 @@ class Multigraph:
         return tuple(e.label for e in self.edges)
 
     def edge_by_label(self, label: int) -> Edge:
-        for e in self.edges:
-            if e.label == label:
-                return e
-        raise UnknownLabelError(f"no edge with label {label}")
+        return self.edges[_position(self, label)]
 
     # -- serialization ------------------------------------------------
 
@@ -341,11 +340,20 @@ def classify_edge(g: Multigraph, label: int) -> EdgeKind:
     return EdgeKind.BRIDGE if u != v else EdgeKind.REGULAR
 
 
+def _position(g: Multigraph, label: int) -> int:
+    """The index in g.edges of the edge labelled `label`, found in one scan;
+    UnknownLabelError if there is none."""
+    for i, e in enumerate(g.edges):
+        if e.label == label:
+            return i
+    raise UnknownLabelError(f"no edge with label {label}")
+
+
 def delete_edge(g: Multigraph, label: int) -> Multigraph:
     """g without the edge labelled `label` (UnknownLabelError if there is
     none); every other edge, label and vertex is kept."""
     edges = g.edges
-    i = edges.index(g.edge_by_label(label))
+    i = _position(g, label)
     return Multigraph._trusted(g.vertex_count, edges[:i] + edges[i + 1 :])
 
 
@@ -357,16 +365,22 @@ def contract_edge(g: Multigraph, label: int) -> Multigraph:
     deletion alias would change graph polynomials, and an unknown label is
     refused (UnknownLabelError). The higher endpoint folds into the lower
     and the vertices above it move down by one, so the minor's vertices
-    are again 0..vertex_count-2.
+    are again 0..vertex_count-2. An edge with both ends below the higher
+    endpoint keeps its names, so the minor holds that very Edge.
     """
-    e = g.edge_by_label(label)
-    if e.is_loop:
+    _, u, v = g.edges[_position(g, label)]
+    if u == v:
         raise LoopContractionError(f"cannot contract looping edge {label}")
-    lo, hi = min(e.u, e.v), max(e.u, e.v)
+    lo, hi = (u, v) if u < v else (v, u)
     to = [*range(hi), lo, *range(hi, g.vertex_count - 1)]  # hi folds into lo
     edge = tuple.__new__  # Edge(...) without namedtuple's Python-level __new__
-    edges = tuple(edge(Edge, (f, to[u], to[v])) for f, u, v in g.edges if f != label)
-    return Multigraph._trusted(g.vertex_count - 1, edges)
+    edges = []
+    for e in g.edges:
+        f, u, v = e
+        if f == label:
+            continue
+        edges.append(e if u < hi and v < hi else edge(Edge, (f, to[u], to[v])))
+    return Multigraph._trusted(g.vertex_count - 1, tuple(edges))
 
 
 def betti_1(g: Multigraph) -> int:
@@ -397,6 +411,11 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
     0xff. Each state maps to the masks of the partial forests that leave
     those pieces, so one step of _forest_step serves them all. When every
     edge is swept one state is left, and its masks are the forests.
+
+    Every maximal forest holds every bridge, so a bridge is taken with no
+    skip child. The bridges are found before the sweep, each as an edge
+    whose removal costs the union-find pass a merge (_join_ends), so no
+    edge is classified (classify_edge).
     """
     edges = tuple(e for e in g.edges if not e.is_loop)
     h = _edge_sized(Multigraph._trusted(g.vertex_count, edges))
@@ -418,25 +437,33 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
                 r = root[r]
             final[r] = w
     closing = set(final.values())
+    bridges = {label for label in order if _join_ends(h, label)[1] < size}
     full = sum(1 << e.label for e in g.edges)
     frontier = {bytes(range(h.vertex_count)): [full]}
     for label, ws in zip(order, retiring):
         retire = tuple((w, w in closing) for w in ws)
-        frontier = _forest_step(frontier, 1 << label, *ends[label], retire)
+        frontier = _forest_step(frontier, 1 << label, *ends[label], retire, label in bridges)
     (masks,) = frontier.values()
     return dict.fromkeys(masks, 1)
 
 
 def _forest_step(
-    frontier: dict[bytes, list[int]], bit: int, u: int, v: int, retire: tuple[tuple[int, bool], ...]
+    frontier: dict[bytes, list[int]],
+    bit: int,
+    u: int,
+    v: int,
+    retire: tuple[tuple[int, bool], ...],
+    bridge: bool,
 ) -> dict[bytes, list[int]]:
     """The frontier after the edge bit = 1 << label from u to v: each
     state's partial forests skip the edge, and, when u and v lie in
     different pieces, also take it (mask ^ bit), merging the two names
-    into the lower. Then each vertex in retire, (w, last) in retirement
-    order, is blanked (_retire); a state that closes a piece which is not
-    the whole of its g-component, a tree that could never grow to span it,
-    is dropped. Equal states are merged by joining their lists (_merge): a
+    into the lower. A bridge's ends always lie in different pieces, and it
+    is only taken: a forest that skips it never grows to a maximal one.
+    Then each vertex in retire, (w, last) in retirement order, is blanked
+    (_retire); a state that closes a piece which is not the whole of its
+    g-component, a tree that could never grow to span it, is dropped.
+    Equal states are merged by joining their lists (_merge): a
     parent's list passes to its skip child, not copied, once its take
     child is built."""
     out: dict[bytes, list[int]] = {}
@@ -446,6 +473,8 @@ def _forest_step(
             key = _retire(comp.replace(_BYTE[max(a, b)], _BYTE[min(a, b)]), retire)
             if key is not None:
                 _merge(out, key, [m ^ bit for m in masks])
+            if bridge:
+                continue
         key = _retire(comp, retire)
         if key is not None:
             _merge(out, key, masks)
@@ -457,10 +486,8 @@ def _merge(frontier: dict, key, masks: list[int]) -> None:
     is kept, not copied, and later ones extend it: each list passed in
     has one owner, whose step is done. Equal masks stay separate entries,
     so a final count adds their coefficients."""
-    held = frontier.get(key)
-    if held is None:
-        frontier[key] = masks
-    else:
+    held = frontier.setdefault(key, masks)
+    if held is not masks:
         held.extend(masks)
 
 
@@ -574,7 +601,7 @@ def canonical_relabel(g: Multigraph, mark: int | None = None) -> Multigraph:
     for vc, pairs, marked in sorted(forms) + last:
         out += [(u + offset, v + offset) for u, v in (*pairs, *marked)]
         offset += vc
-    return Multigraph(offset, tuple(Edge(i, u, v) for i, (u, v) in enumerate(out)))
+    return Multigraph._trusted(offset, tuple(Edge(i, u, v) for i, (u, v) in enumerate(out)))
 
 
 def _canonical_component(

@@ -190,7 +190,9 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
     equal Multigraphs; equal children are merged by joining their lists
     and are built on once. The edgeless minors left at the end carry psi:
     each coefficient is the number of times its mask occurs over all the
-    lists, counted, never assumed to be 1.
+    lists, counted, never assumed to be 1. One dict pass over the lists
+    finds every mask; only when the lists hold more entries than that
+    dict has keys are the masks counted again.
 
     A (minor, monomial) pair fixes which swept edges were deleted, so it
     extends to exactly one maximal forest of g. The frontier therefore
@@ -222,5 +224,9 @@ def psi_by_deletion_contraction(g: Multigraph) -> MultilinearPoly:
             if kind is not EdgeKind.LOOP:
                 _merge(children, contract_edge(h, label), masks)
         frontier = children
-    return MultilinearPoly._trusted(width, dict(Counter(chain.from_iterable(frontier.values()))))
+    lists = frontier.values()
+    terms = dict.fromkeys(chain.from_iterable(lists), 1)
+    if len(terms) < sum(map(len, lists)):  # some mask was reached twice
+        terms = dict(Counter(chain.from_iterable(lists)))
+    return MultilinearPoly._trusted(width, terms)
 

@@ -55,6 +55,26 @@ def graph_refusal(vertex_count, edges):
     return None
 
 
+def deleted(g, label):
+    """(vertex_count, (label, u, v) triples) of g without the edge labelled
+    label: every other edge in order, every vertex kept."""
+    return g.vertex_count, tuple((f, u, v) for f, u, v in g.edges if f != label)
+
+
+def contracted(g, label):
+    """(vertex_count, (label, u, v) triples) of g with the non-loop edge
+    labelled label contracted: it is dropped, the higher of its ends is
+    renamed to the lower, and each vertex above the higher end moves down
+    by one. Every other edge keeps its label and place."""
+    (a, b), = [(u, v) for f, u, v in g.edges if f == label]
+    lo, hi = min(a, b), max(a, b)
+
+    def name(w):
+        return lo if w == hi else w - 1 if w > hi else w
+
+    return g.vertex_count - 1, tuple((f, name(u), name(v)) for f, u, v in g.edges if f != label)
+
+
 def blocks_by_cycles(g):
     """g's non-loop edge labels split into 2-connected blocks, as a set of
     frozensets: two edges share a block exactly when some cycle holds

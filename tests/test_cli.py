@@ -171,7 +171,7 @@ def test_counting_too_many_edges_is_input_error(capsys, tmp_path):
 
 
 def test_many_edge_file_refused_at_read(src_env, tmp_path):
-    # edge_census and the class fit's prime list grow with the edge count, so
+    # the DC matrix and the class fit's prime list grow with the edge count, so
     # the file is refused as it is read. A subprocess with a timeout, so a
     # missing check fails instead of hanging.
     path = tmp_path / "banana30000.graph"
@@ -591,16 +591,18 @@ def test_verify_counts_each_graph_prime_once(sweeps):
 
 def test_catalog_verify_work_is_pinned(monkeypatch):
     # The catalog verify at primes 3,5,7 and budget 10^7: 35 sweeps, 7 psi
-    # builds and 54 canonical searches, and 8 budget refusals, the class
-    # fits refused after the small primes were counted. Each DC verdict
-    # classifies and deletes its edge once (145 edges in all) and reads its
-    # left sides from the table of the graph's counts: 912 count requests.
+    # builds, 25 canonical searches, one per edge structure searched, and 8
+    # budget refusals, the class fits refused after the small primes were
+    # counted. Each DC verdict classifies and deletes its edge once (145
+    # edges in all) and reads its left sides from the table of the graph's
+    # counts: 912 count requests.
     # count_Z reads regularity from the reduction and classifies nothing.
     # The 35 sweeps transform 340,504 values in 35 passes: each cone sweep
     # keeps an outer axis, and as its grid would fit one block it
     # transforms y = 0 and y = 1, blocks that fit one pass together.
-    # 153 edge-sized views are taken: one per DC matrix, edge census,
-    # component count, reduced block and psi build.
+    # 116 edge-sized views are taken: one per DC matrix, component count,
+    # reduced block and psi build. The edge census reads the DC verdicts'
+    # tags, so it takes none.
     # The memo holds one record per (graph, q) and one count per (reduced
     # block, q): 83 zero counts (_count_level), one per swept block and
     # prime plus the closed forms. Each distinct graph counted, a deletion
@@ -650,9 +652,9 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
         monkeypatch.setattr(module, "_edge_sized", lambda g, f=sized: views.append(g) or f(g))
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
-    assert list(work.values()) == [35, 7, 54, 912, 145, 145, 0, 161, 83]
+    assert list(work.values()) == [35, 7, 25, 912, 145, 145, 0, 161, 83]
     assert (sum(passes), len(passes)) == (340504, 35)
-    assert len(views) == 153
+    assert len(views) == 116
 
 
 def test_catalog_verify_sweeps_in_two_shapes(capsys, monkeypatch):

@@ -637,6 +637,67 @@ def test_memo_hits_between_isomorphic_graphs_are_exact(g, q, rng):
     assert alone[0][0] == alone[0][1] and all(a == b for a, b in alone[1])
 
 
+@st.composite
+def restructured_copies(draw, max_edges=7):
+    """(g, copy): a random multigraph of at most max_edges edges, and the
+    same edges on the same vertices under other labels, in another order
+    and with their ends swapped at random: one edge structure."""
+    nv = draw(st.integers(1, 5))
+    ends = st.tuples(st.integers(0, nv - 1), st.integers(0, nv - 1))
+    g = Multigraph.from_pairs(nv, draw(st.lists(ends, max_size=max_edges)))
+    n = g.edge_count
+    labels = draw(st.lists(st.integers(0, 39), min_size=n, max_size=n, unique=True))
+    edges = [
+        Edge(label, *((v, u) if draw(st.booleans()) else (u, v)))
+        for label, (_, u, v) in zip(labels, g.edges)
+    ]
+    return g, Multigraph(nv, tuple(draw(st.permutations(edges))))
+
+
+def _count_and_Z(g, q):
+    """count_graph(g, q) and count_Z(g, e, q) at each regular edge e, in
+    edge order, as the enclosing block counts them."""
+    regular = [e for e in g.labels if classify_edge(g, e) is EdgeKind.REGULAR]
+    return count_graph(g, q), [count_Z(g, e, q) for e in regular]
+
+
+def test_canonical_searches_follow_edge_structure(monkeypatch):
+    # complete_4 is its own reduced block. A copy of it under other labels,
+    # in reverse order and with every edge's ends swapped, has its edge
+    # structure, so inside one block the copy's count form and its marked
+    # form at every edge are found with no search of their own: g's 7
+    # searches, its unmarked form and a marked form per edge (the count
+    # form's marked one among them), serve both
+    g = CAT["complete_4"]
+    copy = Multigraph(g.vertex_count, tuple(Edge(10 + f, v, u) for f, u, v in reversed(g.edges)))
+    searched = []
+    search = counting.canonical_relabel
+    monkeypatch.setattr(
+        counting, "canonical_relabel", lambda h, mark=None: searched.append(h) or search(h, mark)
+    )
+    with counting.shared_counts(CountOptions("both")):
+        alone = _count_and_Z(g, 3)
+        assert len(searched) == 7
+        assert _count_and_Z(copy, 3) == alone  # complete_4's edges are all alike
+    assert len(searched) == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(restructured_copies())
+def test_counts_shared_by_structure_are_exact(case):
+    # within one block under --method both, a graph and a copy of its edge
+    # structure share canonical searches; each one's count_graph and count_Z
+    # at q = 3 equal the values that a fresh block counts for it alone
+    both = CountOptions("both")
+    with counting.shared_counts(both):
+        shared = [_count_and_Z(h, 3) for h in case]
+    fresh = []
+    for h in case:
+        with counting.shared_counts(both):
+            fresh.append(_count_and_Z(h, 3))
+    assert shared == fresh
+
+
 def test_Z_requires_regular_edge():
     with pytest.raises(NotRegularEdgeError):
         count_Z(CAT["dumbbell_3"], 3, 3)  # loop

@@ -221,6 +221,8 @@ def test_unknown_label_raises():
         classify_edge(g, 7)
     with pytest.raises(UnknownLabelError):
         delete_edge(g, 7)
+    with pytest.raises(UnknownLabelError, match=r"^no edge with label 7$"):
+        contract_edge(g, 7)
 
 
 # -- minors -------------------------------------------------------------------
@@ -260,6 +262,26 @@ def test_minor_counts():
     for e in k4.labels:
         assert delete_edge(k4, e).edge_count == 5
         assert contract_edge(k4, e).vertex_count == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_graphs(), relabelled_graphs()))
+def test_minors_match_naive_reference(g):
+    # loops, parallel edges, isolated vertices and gapped labels: every
+    # edge's deletion and contraction keep the other edges' order and
+    # labels, fold the contracted edge's higher end into its lower and
+    # shift the vertices above it down by one
+    for e in g.edges:
+        minors = [(delete_edge(g, e.label), _oracles.deleted(g, e.label))]
+        if e.is_loop:
+            with pytest.raises(LoopContractionError):
+                contract_edge(g, e.label)
+        else:
+            minors.append((contract_edge(g, e.label), _oracles.contracted(g, e.label)))
+        for h, (vertex_count, edges) in minors:
+            assert (h.vertex_count, h.edges) == (vertex_count, edges)
+            assert type(h.edges) is tuple and all(type(f) is Edge for f in h.edges)
+            assert hash(h) == hash(Multigraph(vertex_count, edges))
 
 
 # -- forests and invariants ---------------------------------------------------

@@ -295,6 +295,36 @@ def test_forest_frontier_never_outgrows_psi(monkeypatch, spec, states, widest):
     assert sizes[-1] == (1, terms)
 
 
+@st.composite
+def spread_trees(draw, size=18):
+    """Random trees on `size` vertices: each vertex past the first joins an
+    earlier one, then the vertices are renamed and the edges reordered at
+    random."""
+    name = draw(st.permutations(range(size)))
+    pairs = [(name[i], name[draw(st.integers(0, i - 1))]) for i in range(1, size)]
+    return Multigraph.from_pairs(size, draw(st.permutations(pairs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_trees())
+def test_forest_frontier_takes_bridges_without_a_skip_child(g):
+    # every maximal forest holds every bridge, so on a tree, all bridges,
+    # each step holds one mask: the partial forest that took every edge so
+    # far
+    step = graphs._forest_step
+    held = []
+
+    def counted(*args):
+        out = step(*args)
+        held.append(sum(map(len, out.values())))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_forest_step", counted)
+        assert psi_by_trees(g).terms == {0: 1}
+    assert held == [1] * g.edge_count
+
+
 @pytest.mark.parametrize(
     "g",
     [
