@@ -31,7 +31,6 @@ from .graphs import (
     contract_edge,
     delete_edge,
     disjoint_union,
-    edge_census,
     graph_id,
     has_non_loop_edge,
     is_forest,

@@ -10,12 +10,13 @@ before it, f, and sweeps the four parts (A1, A0, B1, B0) over F_q^{n-2};
 their zero-pattern and whether D = A1*B0 - A0*B1 vanishes fix the zeros
 on each (t_e, f) plane.
 The Z-locus at an edge is read off the same sweep, fibered at that edge.
-The fibered count_graph and count_Z take a graph apart first: psi is
-the product of psi over its 2-connected loopless blocks, times t_l per
-loop, and two edges in series at a vertex of degree 2 count as one edge,
-times q. So only the blocks left once every such pair is merged are
-swept and counted, each once per prime inside a shared_counts() block,
-whatever graphs hold it, and each (graph, prime) record is built once.
+The fibered count_graph and count_Z take a graph apart first, by the
+split graphs._reduce makes: psi is the product of psi over its
+2-connected loopless blocks, times t_l per loop, and two edges in series
+at a vertex of degree 2 count as one edge, times q. So only the blocks
+left once every such pair is merged are swept and counted, each once per
+prime inside a shared_counts() block, whatever graphs hold it, and each
+(graph, prime) record is built once.
 The sweep evaluates multilinear polynomials on F_q^k one axis at a time:
 each coefficient pair (c0, c1) becomes the q values c0 + x*c1 mod q, so
 a block costs about q^k values per polynomial whatever the term count.
@@ -56,11 +57,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .graphs import Edge, GraphError, Multigraph, _edge_sized, canonical_relabel
+from .graphs import GraphError, Multigraph, _Reduction, _reduce, canonical_relabel
 # Not called in this module: perfbench/worker.py's install() patches
 # counting.classify_edge with no hasattr guard, so the name must stay.
 from .graphs import classify_edge  # noqa: F401
@@ -602,9 +603,9 @@ def count_poly(p: MultilinearPoly, q: int) -> CountRecord:
 def count_Z(g: Multigraph, label: int, q: int) -> int:
     """Common zeros of the deletion and contraction polynomials in F_q^{n-1}.
 
-    Let B be the block of g (_reduce) that holds the edge, with n_B edges,
-    and R the rest of g. The deletion's and the contraction's psi are each
-    that of B's minor times psi_R, in disjoint variables, so
+    Let B be the block of g (graphs._reduce) that holds the edge, with n_B
+    edges, and R the rest of g. The deletion's and the contraction's psi
+    are each that of B's minor times psi_R, in disjoint variables, so
     |Z| = q^(n_B-1)*(q^(n_R) - |Y_R|) + |Y_R|*|Z_B|, with |Y_R| factorised
     as in count_graph. Z_B is 0 when B is a cycle: B minus the edge is a
     path, with psi = 1. Otherwise it is q per series merge of B times Z of
@@ -662,7 +663,7 @@ def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     record's key hold their levels, and every budget is checked before
     the memo is read for a count.
     The memo's seven kinds of key:
-    - ("reduce", g): g's blocks after series reduction (_reduce);
+    - ("reduce", g): g's blocks after series reduction (graphs._reduce);
     - ("canonical", h, label): canonical_relabel(h, label), label None
       for the unmarked form; _form chains two of them into a count form;
     - ("structure", vertex count, pairs, marked): the same search result
@@ -711,125 +712,7 @@ def _memoized(key, build: Callable, *args):
     return value
 
 
-# -- blocks and series reduction ----------------------------------------------
-#
-# psi_G is the product of psi over G's 2-connected loopless blocks, times
-# t_l for each loop; a bridge's variable does not occur in it (Aluffi and
-# Marcolli, "Algebro-geometric Feynman rules", arXiv:0811.2514). Two edges
-# e, f at a vertex of degree 2 with no loop are in series: psi_G is psi of
-# G', G with e and f merged into one edge g, under t_g -> t_e + t_f, a
-# q-to-1 linear map (Stembridge 1998), so |Y_G| = q*|Y_G'|. In all, |Y_G|
-# is q per bridge and per merge, q-1 per loop, times |Y| of each block once
-# no vertex of degree 2 is left; a cycle merges down to a loop.
-
-
-class _Block(NamedTuple):
-    """A 2-connected loopless block of `edges` edges, which `merges` series
-    merges take to `reduced`, with no vertex of degree 2; reduced is None
-    for a cycle, whose merges leave a loop."""
-
-    edges: int
-    merges: int
-    reduced: Multigraph | None
-
-
-class _Reduction(NamedTuple):
-    """What count_graph and count_Z count a graph by: its bridges, its loops
-    and its blocks of two or more edges, and for each edge of such a block
-    (block index, label of the reduced edge it merged into, None in a
-    cycle)."""
-
-    bridges: int
-    loops: int
-    blocks: tuple[_Block, ...]
-    home: dict[int, tuple[int, int | None]]
-
-
-def _find(parent: dict[int, int], x: int) -> int:
-    """The root of x's class in the union-find forest `parent`, in which a
-    root maps to itself or is absent; each step skips a level (path
-    halving). parent[_find(parent, a)] = _find(parent, b) joins two classes."""
-    while (up := parent.get(x, x)) != x:
-        parent[x] = x = parent.get(up, up)
-    return x
-
-
-def _block_labels(g: Multigraph) -> dict[int, int]:
-    """Each non-loop edge's label -> a label naming its 2-connected block.
-
-    Two edges at a vertex v share a block exactly when their far ends stay
-    joined in g - v, as a path between them that misses v closes a cycle
-    through both. So for each vertex v an edge touches, one union-find
-    pass over the edges that miss v joins, at v, the edges whose far ends
-    it joins; a bridge stays alone. That is quadratic in the edges, which
-    MAX_EDGES bounds, and isolated vertices are never visited.
-    """
-    edges = [e for e in g.edges if not e.is_loop]
-    at: dict[int, list[Edge]] = {}
-    for e in edges:
-        at.setdefault(e.u, []).append(e)
-        at.setdefault(e.v, []).append(e)
-    block: dict[int, int] = {}
-    for v, incident in at.items():
-        rest: dict[int, int] = {}
-        for _, a, b in edges:
-            if v != a and v != b:
-                rest[_find(rest, a)] = _find(rest, b)
-        first: dict[int, int] = {}  # class of a far end in g - v -> a label at v
-        for label, a, b in incident:
-            joined = first.setdefault(_find(rest, a + b - v), label)
-            block[_find(block, label)] = _find(block, joined)
-    return {e.label: _find(block, e.label) for e in edges}
-
-
-def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | None, dict[int, int]]:
-    """A 2-connected loopless block with each maximal path through vertices
-    of degree 2 merged into one edge between its ends, labelled as the
-    path's first edge in `edges`, and each label -> the label it merged
-    into; (None, {}) for a cycle. A path is the union-find class that joins
-    the two edges at each vertex of degree 2, and its ends are its
-    endpoints of other degree, in the order `edges` meets them. The graph
-    is on the vertices it touches (_edge_sized), so blocks that differ only
-    in untouched vertices are equal graphs."""
-    at: dict[int, list[int]] = {}
-    for e in edges:
-        at.setdefault(e.u, []).append(e.label)
-        at.setdefault(e.v, []).append(e.label)
-    if all(len(labels) == 2 for labels in at.values()):
-        return None, {}
-    path: dict[int, int] = {}
-    for labels in at.values():
-        if len(labels) == 2:
-            path[_find(path, labels[0])] = _find(path, labels[1])
-    first: dict[int, int] = {}  # path -> its first label
-    into: dict[int, int] = {}
-    ends: dict[int, list[int]] = {}  # first label of a path -> its ends
-    for label, u, v in edges:
-        into[label] = head = first.setdefault(_find(path, label), label)
-        ends.setdefault(head, []).extend(w for w in (u, v) if len(at[w]) != 2)
-    reduced = tuple(Edge(label, *w) for label, w in ends.items())
-    return _edge_sized(Multigraph(vertex_count, reduced)), into
-
-
-def _reduce(g: Multigraph) -> _Reduction:
-    """g's loops, bridges and series-reduced blocks of two or more edges."""
-    block_of = _block_labels(g)
-    members: dict[int, list[Edge]] = {}
-    for e in g.edges:
-        if not e.is_loop:
-            members.setdefault(block_of[e.label], []).append(e)
-    bridges, blocks, home = 0, [], {}
-    for edges in members.values():
-        if len(edges) == 1:
-            bridges += 1
-            continue
-        reduced, into = _merge_series(g.vertex_count, edges)
-        for e in edges:
-            home[e.label] = (len(blocks), into.get(e.label))
-        kept = 1 if reduced is None else reduced.edge_count
-        blocks.append(_Block(len(edges), len(edges) - kept, reduced))
-    loops = g.edge_count - len(block_of)
-    return _Reduction(bridges, loops, tuple(blocks), home)
+# -- counts over the block split (graphs._reduce) -----------------------------
 
 
 def _complement(reduction: _Reduction, q: int, skip: int | None = None) -> int:

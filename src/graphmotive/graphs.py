@@ -411,11 +411,6 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
     0xff. Each state maps to the masks of the partial forests that leave
     those pieces, so one step of _forest_step serves them all. When every
     edge is swept one state is left, and its masks are the forests.
-
-    Every maximal forest holds every bridge, so a bridge is taken with no
-    skip child. The bridges are found before the sweep, each as an edge
-    whose removal costs the union-find pass a merge (_join_ends), so no
-    edge is classified (classify_edge).
     """
     edges = tuple(e for e in g.edges if not e.is_loop)
     h = _edge_sized(Multigraph._trusted(g.vertex_count, edges))
@@ -437,12 +432,11 @@ def _forest_masks(g: Multigraph) -> dict[int, int]:
                 r = root[r]
             final[r] = w
     closing = set(final.values())
-    bridges = {label for label in order if _join_ends(h, label)[1] < size}
     full = sum(1 << e.label for e in g.edges)
     frontier = {bytes(range(h.vertex_count)): [full]}
     for label, ws in zip(order, retiring):
         retire = tuple((w, w in closing) for w in ws)
-        frontier = _forest_step(frontier, 1 << label, *ends[label], retire, label in bridges)
+        frontier = _forest_step(frontier, 1 << label, *ends[label], retire)
     (masks,) = frontier.values()
     return dict.fromkeys(masks, 1)
 
@@ -453,19 +447,17 @@ def _forest_step(
     u: int,
     v: int,
     retire: tuple[tuple[int, bool], ...],
-    bridge: bool,
 ) -> dict[bytes, list[int]]:
     """The frontier after the edge bit = 1 << label from u to v: each
     state's partial forests skip the edge, and, when u and v lie in
     different pieces, also take it (mask ^ bit), merging the two names
-    into the lower. A bridge's ends always lie in different pieces, and it
-    is only taken: a forest that skips it never grows to a maximal one.
-    Then each vertex in retire, (w, last) in retirement order, is blanked
-    (_retire); a state that closes a piece which is not the whole of its
-    g-component, a tree that could never grow to span it, is dropped.
-    Equal states are merged by joining their lists (_merge): a
-    parent's list passes to its skip child, not copied, once its take
-    child is built."""
+    into the lower. Then each vertex in retire, (w, last) in retirement
+    order, is blanked (_retire); a state that closes a piece which is not
+    the whole of its g-component, a tree that could never grow to span it,
+    is dropped. So is every state that skipped a bridge, as the two sides
+    of a bridge never join again. Equal states are merged by joining their
+    lists (_merge): a parent's list passes to its skip child, not copied,
+    once its take child is built."""
     out: dict[bytes, list[int]] = {}
     for comp, masks in frontier.items():
         a, b = comp[u], comp[v]
@@ -473,8 +465,6 @@ def _forest_step(
             key = _retire(comp.replace(_BYTE[max(a, b)], _BYTE[min(a, b)]), retire)
             if key is not None:
                 _merge(out, key, [m ^ bit for m in masks])
-            if bridge:
-                continue
         key = _retire(comp, retire)
         if key is not None:
             _merge(out, key, masks)
@@ -704,9 +694,122 @@ def graph_id(g: Multigraph) -> str:
     return f"V{g.vertex_count}[{body}]"
 
 
-def edge_census(g: Multigraph) -> dict[str, int]:
-    census = {"bridge": 0, "loop": 0, "regular": 0}
-    h = _edge_sized(g)
-    for e in h.edges:
-        census[classify_edge(h, e.label).value] += 1
-    return census
+# -- blocks and series reduction ----------------------------------------------
+#
+# psi_G is the product of psi over G's 2-connected loopless blocks, times
+# t_l for each loop; a bridge's variable does not occur in it (Aluffi and
+# Marcolli, "Algebro-geometric Feynman rules", arXiv:0811.2514). Two edges
+# e, f at a vertex of degree 2 with no loop are in series: psi_G is psi of
+# G', G with e and f merged into one edge g, under t_g -> t_e + t_f, a
+# q-to-1 linear map (Stembridge 1998), so |Y_G| = q*|Y_G'|. In all, |Y_G|
+# is q per bridge and per merge, q-1 per loop, times |Y| of each block once
+# no vertex of degree 2 is left; a cycle merges down to a loop.
+
+
+class _Block(NamedTuple):
+    """A 2-connected loopless block of `edges` edges, which `merges` series
+    merges take to `reduced`, with no vertex of degree 2; reduced is None
+    for a cycle, whose merges leave a loop."""
+
+    edges: int
+    merges: int
+    reduced: Multigraph | None
+
+
+class _Reduction(NamedTuple):
+    """What count_graph and count_Z count a graph by: its bridges, its loops
+    and its blocks of two or more edges, and for each edge of such a block
+    (block index, label of the reduced edge it merged into, None in a
+    cycle)."""
+
+    bridges: int
+    loops: int
+    blocks: tuple[_Block, ...]
+    home: dict[int, tuple[int, int | None]]
+
+
+def _find(parent: dict[int, int], x: int) -> int:
+    """The root of x's class in the union-find forest `parent`, in which a
+    root maps to itself or is absent; each step skips a level (path
+    halving). parent[_find(parent, a)] = _find(parent, b) joins two classes."""
+    while (up := parent.get(x, x)) != x:
+        parent[x] = x = parent.get(up, up)
+    return x
+
+
+def _block_labels(g: Multigraph) -> dict[int, int]:
+    """Each non-loop edge's label -> a label naming its 2-connected block.
+
+    Two edges at a vertex v share a block exactly when their far ends stay
+    joined in g - v, as a path between them that misses v closes a cycle
+    through both. So for each vertex v an edge touches, one union-find
+    pass over the edges that miss v joins, at v, the edges whose far ends
+    it joins; a bridge stays alone. That is quadratic in the edges, which
+    MAX_EDGES bounds, and isolated vertices are never visited.
+    """
+    edges = [e for e in g.edges if not e.is_loop]
+    at: dict[int, list[Edge]] = {}
+    for e in edges:
+        at.setdefault(e.u, []).append(e)
+        at.setdefault(e.v, []).append(e)
+    block: dict[int, int] = {}
+    for v, incident in at.items():
+        rest: dict[int, int] = {}
+        for _, a, b in edges:
+            if v != a and v != b:
+                rest[_find(rest, a)] = _find(rest, b)
+        first: dict[int, int] = {}  # class of a far end in g - v -> a label at v
+        for label, a, b in incident:
+            joined = first.setdefault(_find(rest, a + b - v), label)
+            block[_find(block, label)] = _find(block, joined)
+    return {e.label: _find(block, e.label) for e in edges}
+
+
+def _merge_series(vertex_count: int, edges: list[Edge]) -> tuple[Multigraph | None, dict[int, int]]:
+    """A 2-connected loopless block with each maximal path through vertices
+    of degree 2 merged into one edge between its ends, labelled as the
+    path's first edge in `edges`, and each label -> the label it merged
+    into; (None, {}) for a cycle. A path is the union-find class that joins
+    the two edges at each vertex of degree 2, and its ends are its
+    endpoints of other degree, in the order `edges` meets them. The graph
+    is on the vertices it touches (_edge_sized), so blocks that differ only
+    in untouched vertices are equal graphs."""
+    at: dict[int, list[int]] = {}
+    for e in edges:
+        at.setdefault(e.u, []).append(e.label)
+        at.setdefault(e.v, []).append(e.label)
+    if all(len(labels) == 2 for labels in at.values()):
+        return None, {}
+    path: dict[int, int] = {}
+    for labels in at.values():
+        if len(labels) == 2:
+            path[_find(path, labels[0])] = _find(path, labels[1])
+    first: dict[int, int] = {}  # path -> its first label
+    into: dict[int, int] = {}
+    ends: dict[int, list[int]] = {}  # first label of a path -> its ends
+    for label, u, v in edges:
+        into[label] = head = first.setdefault(_find(path, label), label)
+        ends.setdefault(head, []).extend(w for w in (u, v) if len(at[w]) != 2)
+    reduced = tuple(Edge(label, *w) for label, w in ends.items())
+    return _edge_sized(Multigraph(vertex_count, reduced)), into
+
+
+def _reduce(g: Multigraph) -> _Reduction:
+    """g's loops, bridges and series-reduced blocks of two or more edges."""
+    block_of = _block_labels(g)
+    members: dict[int, list[Edge]] = {}
+    for e in g.edges:
+        if not e.is_loop:
+            members.setdefault(block_of[e.label], []).append(e)
+    bridges, blocks, home = 0, [], {}
+    for edges in members.values():
+        if len(edges) == 1:
+            bridges += 1
+            continue
+        reduced, into = _merge_series(g.vertex_count, edges)
+        for e in edges:
+            home[e.label] = (len(blocks), into.get(e.label))
+        kept = 1 if reduced is None else reduced.edge_count
+        blocks.append(_Block(len(edges), len(edges) - kept, reduced))
+    loops = g.edge_count - len(block_of)
+    return _Reduction(bridges, loops, tuple(blocks), home)

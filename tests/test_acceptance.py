@@ -18,15 +18,16 @@ from graphmotive import (
     ClassPoly,
     CountOptions,
     CountRecord,
+    EdgeKind,
     betti_1,
     catalog_by_name,
     check_modL_congruence,
     check_projective_congruence,
+    classify_edge,
     count_graph,
     count_poly,
     dc_identity_matrix,
     disjoint_union,
-    edge_census,
     interpolate_class,
     is_forest,
     predicted_sb_constant,
@@ -136,7 +137,7 @@ def test_06_projective_congruence(capsys):
     applicable = []
     failures = []
     for name, g in CATALOG:
-        if is_forest(g) or edge_census(g)["regular"] == 0:
+        if is_forest(g) or all(classify_edge(g, e) is not EdgeKind.REGULAR for e in g.labels):
             continue
         applicable.append(name)
         verdict = check_projective_congruence(g, (3, 5, 7, 11), graph_name=name)

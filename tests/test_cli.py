@@ -5,8 +5,10 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import importlib
 import io
 import json
+import pkgutil
 import random
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import graphmotive
 from graphmotive import (
     CongruenceVerdict,
     CountOptions,
@@ -647,9 +650,10 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
 
     monkeypatch.setattr(counting, "_grid_values", spy_grid)
     views = []
-    for module in (graphs, motive, counting, symanzik):
-        sized = module._edge_sized
-        monkeypatch.setattr(module, "_edge_sized", lambda g, f=sized: views.append(g) or f(g))
+    for info in pkgutil.iter_modules(graphmotive.__path__):  # each module that binds the name
+        module = importlib.import_module(f"graphmotive.{info.name}")
+        if sized := getattr(module, "_edge_sized", None):
+            monkeypatch.setattr(module, "_edge_sized", lambda g, f=sized: views.append(g) or f(g))
     _, ok = run_verify(list(catalog_by_name().items()), (3, 5, 7), CountOptions(budget=10**7))
     assert ok and len(refused) == 8
     assert list(work.values()) == [35, 7, 25, 912, 145, 145, 0, 161, 83]
@@ -938,7 +942,7 @@ PUBLIC_NAMES = (
     "canonical_relabel", "catalog_by_name", "check_modL_congruence",
     "check_projective_congruence", "classify_edge", "component_count", "contract_edge",
     "count_Z", "count_graph", "count_poly", "dc_identity_check",
-    "dc_identity_matrix", "delete_edge", "disjoint_union", "edge_census", "first_primes",
+    "dc_identity_matrix", "delete_edge", "disjoint_union", "first_primes",
     "generate_family", "graph_id", "has_non_loop_edge", "hodge_form", "interpolate_class",
     "is_forest", "is_prime", "predicted_sb_constant", "psi_by_deletion_contraction",
     "psi_by_trees", "require_primes", "shared_counts", "standard_catalog",

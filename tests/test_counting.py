@@ -37,7 +37,7 @@ from graphmotive import (
     require_primes,
     sweep_zero_patterns,
 )
-from graphmotive import counting
+from graphmotive import counting, graphs
 from graphmotive.cli import main
 from graphmotive.families import FamilySpec, generate_family
 from graphmotive.graphs import Edge, EdgeKind, classify_edge, contract_edge, delete_edge
@@ -1146,7 +1146,7 @@ def test_block_split_matches_cycle_oracle(g):
     # without it; the oracle joins the edges of every cycle it enumerates.
     # The bridges are exactly the classes of one edge.
     classes: dict[int, set[int]] = {}
-    for label, block in counting._block_labels(g).items():
+    for label, block in graphs._block_labels(g).items():
         classes.setdefault(block, set()).add(label)
     partition = {frozenset(labels) for labels in classes.values()}
     assert partition == _oracles.blocks_by_cycles(g)
@@ -1167,11 +1167,11 @@ def test_reduction_stays_edge_sized():
         big = Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
         tracemalloc.start()
         try:
-            spread = counting._reduce(big)
+            spread = graphs._reduce(big)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        compact = counting._reduce(small)
+        compact = graphs._reduce(small)
         assert spread[:2] == compact[:2] and spread.home == compact.home
         assert [b[:2] for b in spread.blocks] == [b[:2] for b in compact.blocks]
         assert peak < 2**17, peak

@@ -18,6 +18,7 @@ from graphmotive import (
     betti_1,
     classify_edge,
     contract_edge,
+    dc_identity_matrix,
     delete_edge,
     disjoint_union,
     generate_family,
@@ -296,10 +297,11 @@ def test_forest_frontier_never_outgrows_psi(monkeypatch, spec, states, widest):
 
 
 @st.composite
-def spread_trees(draw, size=18):
-    """Random trees on `size` vertices: each vertex past the first joins an
-    earlier one, then the vertices are renamed and the edges reordered at
-    random."""
+def spread_trees(draw):
+    """Random trees of up to MAX_EDGES edges: each vertex past the first
+    joins an earlier one, then the vertices are renamed and the edges
+    reordered at random."""
+    size = draw(st.integers(1, graphs.MAX_EDGES + 1))
     name = draw(st.permutations(range(size)))
     pairs = [(name[i], name[draw(st.integers(0, i - 1))]) for i in range(1, size)]
     return Multigraph.from_pairs(size, draw(st.permutations(pairs)))
@@ -307,22 +309,65 @@ def spread_trees(draw, size=18):
 
 @settings(max_examples=60, deadline=None)
 @given(spread_trees())
-def test_forest_frontier_takes_bridges_without_a_skip_child(g):
-    # every maximal forest holds every bridge, so on a tree, all bridges,
-    # each step holds one mask: the partial forest that took every edge so
-    # far
-    step = graphs._forest_step
-    held = []
-
-    def counted(*args):
-        out = step(*args)
-        held.append(sum(map(len, out.values())))
-        return out
-
+def test_forest_frontier_drops_skipped_bridges_at_retirement(g):
+    # a tree is all bridges, and its one maximal forest is every edge; the
+    # search finds no bridge of its own: each state that skips one closes
+    # a piece short of its component and is dropped (_retire), and the
+    # one union-find pass is the one that sizes the forest
+    join = graphs._join_ends
+    passes = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(graphs, "_forest_step", counted)
-        assert psi_by_trees(g).terms == {0: 1}
-    assert held == [1] * g.edge_count
+        patch.setattr(graphs, "_join_ends", lambda h, *a: passes.append(h) or join(h, *a))
+        assert graphs._forest_masks(g) == {0: 1}
+    assert len(passes) == 1
+    assert psi_by_trees(g).terms == {0: 1}
+
+
+@st.composite
+def bridged_blocks(draw):
+    """15 to 25 edges: up to three blocks (cycles of 2 to 4 edges, a
+    diamond, K4) and single bridges, each hung from a vertex already
+    built, and one to three loops, vertices renamed and edges reordered at
+    random. The blocks hold at most three independent cycles, which keeps
+    the matrix-tree oracle's subsets few."""
+    shapes = [
+        (1, [(0, 1), (1, 0)]),
+        (1, [(0, 1), (1, 2), (2, 0)]),
+        (1, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        (2, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+        (3, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    ]
+    cycles, blocks = 0, []
+    while not blocks or len(blocks) < 3 and draw(st.booleans()):
+        fits = [shape for shape in shapes if cycles + shape[0] <= 3]
+        if not fits:
+            break
+        rank, pairs = draw(st.sampled_from(fits))
+        cycles += rank
+        blocks.append(pairs)
+    loops = draw(st.integers(1, 3))
+    total = draw(st.integers(15, 25))
+    pieces = blocks + [[(0, 1)]] * (total - loops - sum(map(len, blocks)))
+    pairs, vc = [], 1
+    for piece in draw(st.permutations(pieces)):
+        at = draw(st.integers(0, vc - 1))  # the piece's vertex 0 is this one
+        size = 1 + max(w for pair in piece for w in pair)
+        name = [at, *range(vc, vc + size - 1)]
+        pairs += [(name[u], name[v]) for u, v in piece]
+        vc += size - 1
+    pairs += [(w, w) for w in draw(st.lists(st.integers(0, vc - 1), min_size=loops, max_size=loops))]
+    name = draw(st.permutations(range(vc)))
+    return Multigraph.from_pairs(vc, draw(st.permutations([(name[u], name[v]) for u, v in pairs])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(bridged_blocks())
+def test_routes_agree_on_bridged_blocks(g):
+    # the forest search takes bridges as any edge and drops, at retirement,
+    # every state that skipped one; deletion-contraction contracts them
+    p = psi_by_trees(g)
+    assert p == _oracles.psi_by_matrix_tree(g)
+    assert p == psi_by_deletion_contraction(g)
 
 
 @pytest.mark.parametrize(
@@ -386,9 +431,9 @@ def test_deletion_contraction_minors_are_edge_sized(monkeypatch):
 
 def test_psi_builders_are_edge_sized():
     # wheel:5 spread over 65,536 vertices builds as on its own 6, and
-    # wheel:4 so spread is classified as on its own 5: a repeat's traced
-    # peak shows no list of vertex_count entries (its 65,536 pointers
-    # alone are 0.5 MB)
+    # wheel:4 so spread gets its deletion-contraction verdicts as on its
+    # own 5: a repeat's traced peak shows no list of vertex_count entries
+    # (its 65,536 pointers alone are 0.5 MB)
     def spread(small):
         step = ((1 << 16) - 1) // (small.vertex_count - 1)
         return Multigraph(1 << 16, tuple(Edge(e.label, e.u * step, e.v * step) for e in small.edges))
@@ -400,7 +445,7 @@ def test_psi_builders_are_edge_sized():
             (lambda g: psi_by_trees(g).terms, wheel5),
             (lambda g: psi_by_deletion_contraction(g).terms, wheel5),
             (graphs.is_forest, wheel4),
-            (graphs.edge_census, wheel4),
+            (lambda g: [v.tag for v in dc_identity_matrix(g, (3,))], wheel4),
         )
     ]
     for f, big, expected in cases:
