@@ -182,13 +182,26 @@ def _read_graph(path: str) -> tuple[str, Multigraph]:
     return name, Multigraph.parse(text)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str, table: str) -> None:
+    """Write text, or table under --format table, to --out or stdout. The
+    one reader of --format: each subcommand builds both forms of every
+    outcome."""
+    if args.format == "table":
+        text = table
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
         print(text)
+
+
+def _skip(args: argparse.Namespace, name: str, key: str, exc: BudgetExceededError) -> int:
+    """Report a graph skipped on budget: {"schema": 1, "graph": name, key:
+    reason}, or the table line "graph NAME: skipped (REASON)". Not a failure."""
+    reason = str(exc)
+    _emit(args, _dumps({"schema": 1, "graph": name, key: reason}), f"graph {name}: skipped ({reason})")
+    return 0
 
 
 def _dumps(obj) -> str:
@@ -252,12 +265,10 @@ def _write(obj, out: list[str], newline: str) -> None:
 def cmd_psi(args: argparse.Namespace) -> int:
     name, g = _load_graph(args)
     p = psi_by_trees(g)
-    if args.format == "table":
-        _emit(args, p.to_text())
-    else:
-        obj = {"schema": 1, "graph": name, "id": graph_id(g), "psi": p.to_json_obj()}
-        obj["psi"]["text"] = p.to_text()
-        _emit(args, _dumps(obj))
+    text = p.to_text()
+    obj = {"schema": 1, "graph": name, "id": graph_id(g), "psi": p.to_json_obj()}
+    obj["psi"]["text"] = text
+    _emit(args, _dumps(obj), text)
     return 0
 
 
@@ -277,15 +288,9 @@ def cmd_count(args: argparse.Namespace) -> int:
                 continue
             lines.append(json.dumps({"graph": name, **rec.to_json_obj()}, sort_keys=True))
             rows.append((q, rec.affine_zero_count, rec.complement_count, rec.projective_count))
-    if args.format == "table":
-        header = f"{'q':>6}  {'affine_zeros':>14}  {'complement':>14}  {'projective':>12}"
-        body = [
-            f"{q:>6}  {z:>14}  {c:>14}  {'' if p is None else p:>12}"
-            for q, z, c, p in rows
-        ]
-        _emit(args, "\n".join([f"graph {name} (n={g.edge_count})", header, *body]))
-    else:
-        _emit(args, "\n".join(lines))
+    header = f"{'q':>6}  {'affine_zeros':>14}  {'complement':>14}  {'projective':>12}"
+    body = [f"{q:>6}  {z:>14}  {c:>14}  {'' if p is None else p:>12}" for q, z, c, p in rows]
+    _emit(args, "\n".join(lines), "\n".join([f"graph {name} (n={g.edge_count})", header, *body]))
     return 0
 
 
@@ -297,23 +302,19 @@ def cmd_class(args: argparse.Namespace) -> int:
         with shared_counts(opts):
             result = interpolate_class(g, primes, graph_name=name)
     except BudgetExceededError as exc:
-        _emit(args, _dumps({"schema": 1, "graph": name, "skipped_budget": str(exc)}))
-        return 0
+        return _skip(args, name, "skipped_budget", exc)
     if isinstance(result, NotPolynomiallyConsistent):
-        _emit(args, _dumps({"schema": 1, **result.to_json_obj()}))
+        _emit(args, _dumps({"schema": 1, **result.to_json_obj()}), f"graph {name}: {result.reason}")
         return 0
     predicted = predicted_sb_constant(g)
     match = _class_match(result, predicted)
-    if args.format == "table":
-        _emit(
-            args,
-            f"graph {name}: class {result.to_text()}  "
-            f"constant {match['hodge_constant']} predicted {predicted} "
-            f"{'ok' if match['matches_predicted'] else 'MISMATCH'}",
-        )
-    else:
-        obj = {"schema": 1, "graph": name, "class": result.to_json_obj()}
-        _emit(args, _dumps({**obj, "predicted_constant": predicted, **match}))
+    obj = {"schema": 1, "graph": name, "class": result.to_json_obj(), "predicted_constant": predicted, **match}
+    table = (
+        f"graph {name}: class {result.to_text()}  "
+        f"constant {match['hodge_constant']} predicted {predicted} "
+        f"{'ok' if match['matches_predicted'] else 'MISMATCH'}"
+    )
+    _emit(args, _dumps(obj), table)
     return 0 if match["matches_predicted"] else 1
 
 
@@ -322,41 +323,30 @@ def cmd_dc_check(args: argparse.Namespace) -> int:
     primes = _parse_primes(args.primes, DEFAULT_PRIMES)
     name, g = _load_graph(args)
     try:
-        with shared_counts(opts):  # at count_graph's fiber edge, --edge reads Z from its sweep
+        with shared_counts(opts):
             if args.edge is not None:
-                verdicts = [dc_identity_check(g, args.edge, q, graph_name=name) for q in primes]
+                verdicts = [dc_identity_check(g, args.edge, primes, graph_name=name)]
             else:
                 verdicts = dc_identity_matrix(g, primes, graph_name=name)
     except BudgetExceededError as exc:
-        _emit(args, _dumps({"schema": 1, "graph": name, "skipped": str(exc)}))
-        return 0
+        return _skip(args, name, "skipped", exc)
     ok = all(v.passed for v in verdicts)
-    if args.format == "table":
-        lines = [
-            f"edge {v.edge} {v.tag:>10}  "
-            + "  ".join(f"q={q}:{lhs}{'=' if lhs == rhs else '!='}{rhs}" for q, lhs, rhs in v.observed)
-            + ("  ok" if v.passed else "  FAIL")
-            for v in verdicts
-        ]
-        _emit(args, "\n".join([f"graph {name}", *lines]))
-    else:
-        obj = {
-            "schema": 1,
-            "graph": name,
-            "verdicts": [v.to_json_obj() for v in verdicts],
-            "pass": ok,
-        }
-        _emit(args, _dumps(obj))
+    obj = {"schema": 1, "graph": name, "verdicts": [v.to_json_obj() for v in verdicts], "pass": ok}
+    lines = [
+        f"edge {v.edge} {v.tag:>10}  "
+        + "  ".join(f"q={q}:{lhs}{'=' if lhs == rhs else '!='}{rhs}" for q, lhs, rhs in v.observed)
+        + ("  ok" if v.passed else "  FAIL")
+        for v in verdicts
+    ]
+    _emit(args, _dumps(obj), "\n".join([f"graph {name}", *lines]))
     return 0 if ok else 1
 
 
 def cmd_family(args: argparse.Namespace) -> int:
     spec = FamilySpec.parse(args.spec)
     g = generate_family(spec)
-    if args.format == "table":
-        _emit(args, g.to_text().rstrip("\n"))
-    else:
-        _emit(args, _dumps({"schema": 1, "family": args.spec, **g.to_json_obj()}))
+    obj = {"schema": 1, "family": args.spec, **g.to_json_obj()}
+    _emit(args, _dumps(obj), g.to_text().rstrip("\n"))
     return 0
 
 
@@ -369,22 +359,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not named:
         named = standard_catalog()
     report, ok = run_verify(named, primes, opts)
-    if args.format == "table":
-        lines = []
-        for entry in report["graphs"]:
-            if "skipped" in entry:
-                lines.append(f"{entry['name']:<24} skipped ({entry['skipped']})")
-                continue
-            census = entry["edge_census"]
-            lines.append(
-                f"{entry['name']:<24} "
-                f"b/l/r={census['bridge']}/{census['loop']}/{census['regular']}  "
-                f"{'pass' if entry['pass'] else 'FAIL'}"
-            )
-        lines.append(f"overall: {'pass' if ok else 'FAIL'}")
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, _dumps(report))
+    lines = []
+    for entry in report["graphs"]:
+        if "skipped" in entry:
+            lines.append(f"{entry['name']:<24} skipped ({entry['skipped']})")
+            continue
+        census = entry["edge_census"]
+        lines.append(
+            f"{entry['name']:<24} "
+            f"b/l/r={census['bridge']}/{census['loop']}/{census['regular']}  "
+            f"{'pass' if entry['pass'] else 'FAIL'}"
+        )
+    lines.append(f"overall: {'pass' if ok else 'FAIL'}")
+    _emit(args, _dumps(report), "\n".join(lines))
     return 0 if ok else 1
 
 
@@ -430,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_class)
 
     p = sub.add_parser("dc-check", parents=[counting, graph_in], help="deletion-contraction identities per edge")
-    p.add_argument("--edge", type=int, default=None, help="check only this edge label")
+    p.add_argument("--edge", type=int, default=None, help="check only this edge label (one verdict, a row per prime)")
     p.set_defaults(func=cmd_dc_check)
 
     p = sub.add_parser("family", parents=[io], help="emit a standard family graph")

@@ -465,7 +465,8 @@ def _check_budget(cost: int, what: str) -> None:
 
 
 def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> None:
-    """require_prime(q), then charge each level's sweep of an n-variable count
+    """Refuse more than MAX_VARS variables (NonMultilinearError), then
+    require_prime(q), then charge each level's sweep of an n-variable count
     under `what`, else the level's name; once per count, before any search.
 
     Level 0 is charged its exact cost, one polynomial over F_q^n. A fibered
@@ -479,6 +480,8 @@ def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> 
     its grid would fit one block), so that no budget refusal changed when
     the sweep began to visit one block per line.
     """
+    if n > MAX_VARS:
+        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
     require_prime(q)
     for level in levels:
         if (charged := min(level, 1)) <= n:
@@ -488,10 +491,8 @@ def _admit(q: int, n: int, levels: tuple[int, ...], what: str | None = None) -> 
 
 def check_count_budget(g: Multigraph, q: int) -> None:
     """Raise what count_graph(g, q) would raise before its first sweep,
-    without building psi: too many edges for one polynomial, then the
-    modulus and the budget of each level of the block's method in turn."""
-    if g.edge_count > MAX_VARS:
-        raise NonMultilinearError(f"edge labels exceed {MAX_VARS - 1}")
+    without building psi: _admit's size, modulus and budget checks at g's
+    edge count and each level of the block's method."""
     _admit(q, g.edge_count, METHODS[_options().method])
 
 
@@ -625,8 +626,9 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     Inside shared_counts(), (graph, edge) pairs with isomorphic marked
     reduced blocks share k, and so one psi build and one sweep per prime.
 
-    The count is admitted first (_admit), as in count_poly, so a refused
-    modulus or budget is the error whatever the label. Then the edge is
+    The count is admitted first (_admit), as in count_poly, so a graph too
+    large for one polynomial, a refused modulus or budget is the error
+    whatever the label, before any reduction, search or psi build. Then the edge is
     regular exactly when the reduction homes it in a block: a loop or a
     bridge raises NotRegularEdgeError and a label g lacks
     UnknownLabelError. No pass over g's vertices is made, and inside

@@ -272,24 +272,25 @@ def _dc_verdict(
     return CongruenceVerdict(name, tag, expected, observed=tuple(rows), edge=label)
 
 
+@shared_counts()
 def dc_identity_check(
     g: Multigraph,
     edge_label: int,
-    q: int,
+    primes: Sequence[int],
     *,
     graph_name: str | None = None,
 ) -> CongruenceVerdict:
-    """Exact integer deletion-contraction identity for one edge, one prime.
+    """dc_identity_matrix's verdict for one edge: its exact integer
+    deletion-contraction identity, a row per prime.
 
     Bridge: |Y_G| = q*|Y_del|. Loop: (q-1)*|Y_del|. Regular:
     q*(q^(n-1) - |Z|) - |Y_del|, with Z the common zero locus of the two
     minor polynomials. An unknown label is refused (UnknownLabelError)
-    before any count. Inside shared_counts() a count of any graph
-    isomorphic to one counted before, and Z at any edge that corresponds
-    to the one G's count is fibered at, are memo hits, not new sweeps.
+    before any count, and every prime's budget is checked (_counts)
+    before any sweep.
     """
     g.edge_by_label(edge_label)  # UnknownLabelError before any count
-    counts = {q: count_graph(g, q)}
+    counts = _counts(g, require_primes(primes))
     return _dc_verdict(g, _edge_sized(g), edge_label, counts, _name(g, graph_name))
 
 

@@ -150,16 +150,16 @@ def test_projective_congruence_applicability():
 
 
 def test_dc_identity_bridge_loop_regular():
-    v = dc_identity_check(CAT["single_edge"], 0, 5)
+    v = dc_identity_check(CAT["single_edge"], 0, (5,))
     assert v.tag == "dc-bridge" and v.passed and v.observed == ((5, 5, 5),)
     assert v.edge == 0
-    v = dc_identity_check(CAT["single_loop"], 0, 5)
+    v = dc_identity_check(CAT["single_loop"], 0, (5,))
     assert v.tag == "dc-loop" and v.passed and v.observed == ((5, 4, 4),)
-    v = dc_identity_check(CAT["cycle_3"], 2, 3)
+    v = dc_identity_check(CAT["cycle_3"], 2, (3,))
     assert v.tag == "dc-regular" and v.passed and v.observed == ((3, 18, 18),)
-    v = dc_identity_check(CAT["complete_4"], 5, 3)
+    v = dc_identity_check(CAT["complete_4"], 5, (3,))
     assert v.passed and v.observed == ((3, 468, 468),)
-    v = dc_identity_check(CAT["theta"], 4, 5)
+    v = dc_identity_check(CAT["theta"], 4, (5,))
     assert v.passed and v.observed == ((5, 12500, 12500),)
     assert v.to_json_obj()["edge"] == 4
 
@@ -168,7 +168,7 @@ def test_dc_identity_fails_on_a_wrong_count(monkeypatch):
     count_Z = motive.count_Z
     monkeypatch.setattr(motive, "count_Z", lambda *a, **kw: count_Z(*a, **kw) + 1)
     # |Z| one too many shifts q*(q^(n-1) - |Z|) - |Y_del| down by q = 3
-    v = dc_identity_check(CAT["cycle_3"], 2, 3)
+    v = dc_identity_check(CAT["cycle_3"], 2, (3,))
     assert not v.passed and v.observed == ((3, 18, 15),)
     matrix = dc_identity_matrix(CAT["cycle_3"], (3,))
     assert matrix[2].edge == 2 and matrix[2].observed == v.observed
@@ -182,14 +182,13 @@ def test_dc_matrix_merges_per_edge():
     assert {v.tag for v in verdicts} == {"dc-bridge", "dc-regular"}
     for v in verdicts:
         assert v.passed and len(v.observed) == 2
-        for q, lhs, rhs in v.observed:
-            single = dc_identity_check(g, v.edge, q)
-            assert single.observed == ((q, lhs, rhs),)
+        assert dc_identity_check(g, v.edge, (3, 5)).observed == v.observed
+        assert dc_identity_check(g, v.edge, (5, 3), graph_name="triangle_tail") == v
 
 
 def test_dc_check_refuses_an_unknown_label_before_any_sweep(sweeps):
     with pytest.raises(UnknownLabelError):
-        dc_identity_check(CAT["cycle_3"], 9, 3)
+        dc_identity_check(CAT["cycle_3"], 9, (3,))
     assert sweeps == []
 
 

@@ -26,6 +26,7 @@ from graphmotive import (
     CongruenceVerdict,
     CountOptions,
     Multigraph,
+    NotPolynomiallyConsistent,
     catalog_by_name,
     cli,
     counting,
@@ -45,6 +46,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def table_lines(out: str) -> list[str]:
+    """The lines of a --format table output, none of which, nor the whole,
+    parses as JSON."""
+    lines = out.splitlines()
+    for text in (out, *lines):
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(text)
+    return lines
 
 
 @pytest.fixture
@@ -425,6 +436,33 @@ def test_class_refuses_budget_before_any_sweep(capsys, sweeps):
     )
 
 
+@pytest.mark.parametrize("command, key", [("class", "skipped_budget"), ("dc-check", "skipped")])
+def test_budget_skip_in_either_format(capsys, command, key):
+    reason = "fibered count over F_3^7 needs 4374 point evaluations, budget is 1000"
+    argv = (command, "--family", "wheel:4", "--budget", "1000")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out) == {"schema": 1, "graph": "wheel:4", key: reason}
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0 and table_lines(out) == [f"graph wheel:4: skipped ({reason})"]
+
+
+def test_inconsistent_fit_in_either_format(capsys, monkeypatch):
+    unfit = NotPolynomiallyConsistent("cycle:3", "held-out prime 23: predicted 1, counted 2", ((3, 18),))
+    monkeypatch.setattr(cli, "interpolate_class", lambda g, primes, graph_name: unfit)
+    code, out, _ = run(capsys, "class", "--family", "cycle:3")
+    assert code == 0 and json.loads(out) == {"schema": 1, **unfit.to_json_obj()}
+    code, out, _ = run(capsys, "class", "--family", "cycle:3", "--format", "table")
+    assert code == 0 and table_lines(out) == [f"graph cycle:3: {unfit.reason}"]
+    # verify reports the same outcome as the graph's class entry, which
+    # neither fails the graph nor shows in the table's pass column.
+    argv = ("verify", "--family", "cycle:3", "--primes", "3")
+    code, out, _ = run(capsys, *argv)
+    entry = json.loads(out)["graphs"][0]
+    assert code == 0 and entry["class"] == unfit.to_json_obj() and entry["pass"] is True
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0 and table_lines(out)[-1] == "overall: pass"
+
+
 def test_class_mismatch_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr("graphmotive.cli.predicted_sb_constant", lambda g: 7)
     code, out, _ = run(capsys, "class", "--family", "cycle:3")
@@ -459,6 +497,31 @@ def test_dc_check_single_edge(capsys):
         "--edge", "1", "--format", "table",
     )
     assert code == 0 and "edge 1" in out and "ok" in out
+
+
+def test_dc_check_edge_is_the_matrix_row(capsys):
+    argv = ("dc-check", "--family", "cycle:3", "--primes", "5,3")
+    _, out, _ = run(capsys, *argv)
+    row = json.loads(out)["verdicts"][1]
+    code, out, _ = run(capsys, *argv, "--edge", "1")
+    assert code == 0 and json.loads(out)["verdicts"] == [row]
+    assert [q for q, *_ in row["observed"]] == [3, 5]
+    code, out, _ = run(capsys, *argv, "--edge", "1", "--format", "table")
+    assert code == 0
+    assert table_lines(out) == ["graph cycle:3", "edge 1 dc-regular  q=3:18=18  q=5:100=100  ok"]
+
+
+def test_dc_check_edge_refuses_before_any_sweep(capsys, sweeps):
+    # 101 is refused on budget before the counts at 3, 5 and 7 are made
+    code, out, _ = run(
+        capsys,
+        "dc-check", "--family", "wheel:4", "--primes", "3,5,7,101",
+        "--budget", "10000000", "--edge", "0",
+    )
+    assert code == 0 and sweeps == []
+    assert json.loads(out)["skipped"] == (
+        "fibered count over F_101^7 needs 214427070421402 point evaluations, budget is 10000000"
+    )
 
 
 # -- report writer -------------------------------------------------------------
@@ -576,6 +639,17 @@ def test_verify_skips_over_budget(capsys):
     assert code == 0
     report = json.loads(out)
     assert "skipped" in report["graphs"][0] and report["pass"] is True
+
+
+def test_verify_table_shows_a_skipped_graph(capsys):
+    argv = ("verify", "--family", "cycle:3", "--family", "banana:8", "--primes", "3", "--budget", "100")
+    code, out, _ = run(capsys, *argv)
+    skipped = json.loads(out)["graphs"][1]["skipped"]
+    assert code == 0 and skipped.endswith("budget is 100")
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    lines = table_lines(out)
+    assert code == 0 and lines[0].startswith(f"{'cycle:3':<24} b/l/r=0/0/3")
+    assert lines[1:] == [f"{'banana:8':<24} skipped ({skipped})", "overall: pass"]
 
 
 def test_verify_counts_each_graph_prime_once(sweeps):

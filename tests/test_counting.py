@@ -25,6 +25,7 @@ from graphmotive import (
     CountRecord,
     Multigraph,
     MultilinearPoly,
+    NonMultilinearError,
     NotPrimeError,
     NotRegularEdgeError,
     UnknownLabelError,
@@ -724,6 +725,25 @@ def test_Z_admits_before_it_reads_the_edge(monkeypatch, sweeps):
             count_Z(g, label, 9)
         assert _refusal(count_Z, g, label, 3, budget=1).startswith("Z-locus sweep over F_3^")
     assert len(reduced) == 3 and sweeps == []
+
+
+def test_oversized_graph_is_refused_before_any_work(monkeypatch):
+    # A 64-edge wheel has one variable too many for psi. Under a budget
+    # that admits its charge, count_graph and count_Z both refuse it on
+    # size before any reduction, canonical search or psi build.
+    calls = []
+    for name in ("_reduce", "canonical_relabel", "psi_by_deletion_contraction"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a))
+    spokes = [Edge(i, 0, i + 1) for i in range(32)]
+    rim = [Edge(32 + i, i + 1, (i + 1) % 32 + 1) for i in range(32)]
+    g = Multigraph(33, tuple(spokes + rim))
+    with counting.shared_counts(CountOptions(budget=10**40)):
+        with pytest.raises(NonMultilinearError, match="edge labels exceed 62"):
+            count_graph(g, 3)
+        with pytest.raises(NonMultilinearError, match="edge labels exceed 62"):
+            count_Z(g, 0, 3)
+    assert calls == []
 
 
 # -- projective access ---------------------------------------------------------
