@@ -3,13 +3,14 @@
 Counts |zeros of psi| in F_q^n, the complement, the projective count, and
 the two-polynomial Z-locus. Each count is a fibration: split off edge
 variables, sweep the polynomials that describe each fiber over the base
-that is left, and add up a fiber table over the sweep's zero-patterns.
+that is left, and sum one fiber rule over the sweep's zero-patterns.
 Brute force sweeps psi itself over F_q^n. The fibered count writes
 psi = t_e*A + B at its last variable t_e, splits A and B again at the one
 before it, f, and sweeps the four parts (A1, A0, B1, B0) over F_q^{n-2};
-their zero-pattern and whether D = A1*B0 - A0*B1 vanishes fix the zeros
-on each (t_e, f) plane.
-The Z-locus at an edge is read off the same sweep, fibered at that edge.
+their zero-pattern and whether D = A1*B0 - A0*B1 vanishes fix how many f
+put (B, A) in each zero pattern (_line_state). Summed over the base, that
+is the state (n00, n0s, ns0, nss): psi has q*n00 + n0s + nss zeros, and
+the Z-locus at the fibered edge, the common zeros of A and B, is n00.
 The fibered count_graph and count_Z take a graph apart first, by the
 split graphs._reduce makes: psi is the product of psi over its
 2-connected loopless blocks, times t_l per loop, and two edges in series
@@ -496,51 +497,37 @@ def check_count_budget(g: Multigraph, q: int) -> None:
     _admit(q, g.edge_count, METHODS[_options().method])
 
 
-# Fiber tables. Each maps the vanishing pattern of a base point (True where
-# that swept value is 0 mod q) to the zeros in the fiber over it. The swept
-# values are A1, A0, B1, B0 and D = A1*B0 - A0*B1, from p = t_e*A + B,
-# A = f*A1 + A0 and B = f*B1 + B0: where A1 != 0, A vanishes at f = -A0/A1
-# alone, and B there is D/A1.
-
-
-def _plane_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> int:
-    """Level 2: zeros of t_e*A + B on the (t_e, f) plane."""
+def _line_state(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> tuple[int, int, int, int]:
+    """Level 2's fiber rule. From the zero bits of one base point (True
+    where that swept value is 0 mod q) of A1, A0, B1, B0 and
+    D = A1*B0 - A0*B1, how many f in F_q put (Q, S) = (B, A) in each zero
+    pattern, (n00, n0s, ns0, nss), where p = t_e*A + B, A = f*A1 + A0 and
+    B = f*B1 + B0. Where A1 != 0, A vanishes at f = -A0/A1 alone, and B
+    there is D/A1; else A is the constant A0."""
+    b = (q if b0 else 0) if b1 else 1  # f with B = 0
     if not a1:
-        return 2 * q - 1 if d else q - 1
-    if not (a0 and b1):
-        return q
-    return q * q if b0 else 0
+        a, both = 1, int(d)
+    else:
+        a, both = (q, b) if a0 else (0, 0)
+    return both, b - both, a - both, q - a - b + both
 
 
-def _common_zeros(q: int, a1: bool, a0: bool, b1: bool, b0: bool, d: bool) -> int:
-    """Level 2 of the Z-locus: common zeros of A and B on the f line."""
-    if not a1:
-        return int(d)
-    if not a0:
-        return 0
-    if not b1:
-        return 1
-    return q if b0 else 0
-
-
-def _patterns(
-    polys: Callable[[], list[MultilinearPoly]], q: int, fibered: bool, key=None
-) -> list[tuple[tuple[bool, ...], int]]:
-    """The base points of the sweep of the polynomials polys() builds, by
-    zero-pattern: (whether each swept value is 0 mod q, point count) for
-    each pattern that occurs: brute force's sweep of [p], or with fibered
-    that of (A1, A0, B1, B0), which adds the cross bit D and visits one
-    block per line through the origin where the parts scale alike
-    (sweep_zero_patterns). key (canonical graph, level, q) names the sweep
-    in the memo, and a hit builds none. workers is read here, on the
-    calling thread, as lanes do not see it."""
+def _fibered_state(p: MultilinearPoly, q: int, key=None) -> tuple[int, int, int, int]:
+    """The state of p's level-2 fibration at q: _line_state summed over the
+    sweep of p's fiber parts (_fiber_parts) with the sweep's weights, so
+    how many points (f, base) of F_q^{n-1} put (Q, S) = (B, A) in each
+    zero pattern. key (canonical graph, 2, q) names it in the memo, and a
+    hit sweeps nothing. workers is read here, on the calling thread, as
+    lanes do not see it."""
 
     def build():
-        swept = polys()
-        workers = _options().workers
-        counts = sweep_zero_patterns(swept, q, workers=workers, fibered=fibered)
-        bits = len(swept) + fibered
-        return [(tuple(bool(s >> i & 1) for i in range(bits)), c) for s, c in enumerate(counts) if c]
+        counts = sweep_zero_patterns(_fiber_parts(p), q, workers=_options().workers, fibered=True)
+        lines = [
+            [c * n for n in _line_state(q, *(bool(s >> i & 1) for i in range(5)))]
+            for s, c in enumerate(counts)
+            if c
+        ]
+        return tuple(map(sum, zip(*lines)))
 
     return _memoized(key, build)
 
@@ -560,9 +547,11 @@ def _fiber_parts(p: MultilinearPoly) -> list[MultilinearPoly]:
 def _count_level(p: MultilinearPoly, q: int, level: int, key=None) -> CountRecord:
     """Count p by sweeping the base of its level-`level` fibration.
 
-    Level 0 sweeps p over all of F_q^n. Level 2 sweeps p's fiber parts
-    (_fiber_parts) over F_q^{n-2} and adds up _plane_zeros, the zeros on
-    each (t_e, f) plane. A p in which no variable other than its last,
+    Level 0 sweeps p over all of F_q^n; key (canonical graph, 0, q) names
+    its zero count in the memo. Level 2 reads the state (n00, n0s, ns0,
+    nss) of p's fibration (_fibered_state): t_e*A + B vanishes at every
+    t_e where A = B = 0 and at one t_e where A != 0, so p has
+    q*n00 + n0s + nss zeros. A p in which no variable other than its last,
     t_e, occurs, p = a*t_e + b, sweeps nothing at level 2: it has q^(n-1)
     zeros if a != 0 mod q, else q^n or none as b is 0 mod q or not. That
     covers constants (psi of a forest) and every p of one variable. Only a
@@ -571,13 +560,13 @@ def _count_level(p: MultilinearPoly, q: int, level: int, key=None) -> CountRecor
     """
     n = p.var_count
     if level == 0:
-        zeros = sum(c for (zero,), c in _patterns(lambda: [p], q, False, key) if zero)
+        zeros = _memoized(key, lambda: sweep_zero_patterns([p], q, workers=_options().workers, fibered=False)[1])
     elif all(mask == 1 << (n - 1) for mask in p.terms if mask):
         a = sum(c for mask, c in p.terms.items() if mask) % q
         zeros = q ** (n - 1) if a else 0 if p.terms.get(0, 0) % q else q**n
     else:
-        patterns = _patterns(lambda: _fiber_parts(p), q, True, key)
-        zeros = sum(c * _plane_zeros(q, *zero) for zero, c in patterns)
+        n00, n0s, _, nss = _fibered_state(p, q, key)
+        zeros = q * n00 + n0s + nss
     return CountRecord.from_zeros(p, q, zeros)
 
 
@@ -618,11 +607,12 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
 
     With k = canonical_relabel(reduced block, that edge), psi(k) = t*A + B
     at its last variable t, where A and B are psi of the deletion and the
-    contraction in the same variables. So Z of it is read off the sweep of
-    (A1, A0, B1, B0), A and B split at their highest variable f, over
-    F_q^{|k|-2}: the very sweep count_graph makes when it fibers k. That
-    sweep's histogram depends on which variable is f; its total of
-    _common_zeros does not. The budget charges g as a fibered count.
+    contraction in the same variables. So Z of it is n00 of the state of
+    k's fibration (_fibered_state), read off the sweep of (A1, A0, B1, B0),
+    A and B split at their highest variable f, over F_q^{|k|-2}: the very
+    sweep count_graph makes when it fibers k. That sweep's histogram
+    depends on which variable is f; its n00 does not. The budget charges g
+    as a fibered count.
     Inside shared_counts(), (graph, edge) pairs with isomorphic marked
     reduced blocks share k, and so one psi build and one sweep per prime.
 
@@ -646,8 +636,7 @@ def count_Z(g: Multigraph, label: int, q: int) -> int:
     if block.reduced is None:
         return z
     k, p = _form(block.reduced, mark)
-    patterns = _patterns(lambda: _fiber_parts(p), q, True, (k, 2, q))
-    z_block = sum(c * _common_zeros(q, *zero) for zero, c in patterns)
+    z_block = _fibered_state(p, q, (k, 2, q))[0]
     return z + y_rest * q**block.merges * z_block
 
 
@@ -675,8 +664,9 @@ def shared_counts(opts: CountOptions | None = None) -> Iterator[None]:
     - a canonical graph k: psi(k), whose variables are k's labels. This
       key and the next hold k, so psi builds and sweeps follow
       isomorphism class;
-    - (k, level, q): the zero-pattern histogram of k's level-`level` sweep
-      at q. A fibered sweep splits k's last label;
+    - (k, level, q): what k's level-`level` sweep at q gives: at level 0
+      the zero count of psi(k), at level 2 the (Q, S) state (n00, n0s,
+      ns0, nss) of psi(k) split at k's last label (_fibered_state);
     - ("block", b, q): |Y| of the reduced block b at q, the fibered count
       of its count form (_block_complement), which _complement reads;
     - ("record", g, q, levels): count_graph's CountRecord of g at q by the

@@ -735,6 +735,26 @@ def test_catalog_verify_work_is_pinned(monkeypatch):
     assert len(views) == 116
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_catalog_verify_sweeps_follow_isomorphism_class(monkeypatch, sweeps, seed):
+    # Permuted edge labels and vertex names leave the catalog verify's 35
+    # sweeps and 7 psi builds as they are, since both are named by canonical
+    # form. Canonical searches follow edge structure, so renamed vertices
+    # can cost a search, and their number is not pinned here.
+    rng = random.Random(seed)
+    named = []
+    for name, g in catalog_by_name().items():
+        old = sorted(g.labels)
+        label = dict(zip(old, rng.sample(old, len(old))))
+        vertex = rng.sample(range(g.vertex_count), g.vertex_count)
+        edges = tuple(Edge(label[e.label], vertex[e.u], vertex[e.v]) for e in g.edges)
+        named.append((name, Multigraph(g.vertex_count, edges)))
+    built, build = [], counting.psi_by_deletion_contraction
+    monkeypatch.setattr(counting, "psi_by_deletion_contraction", lambda k: built.append(k) or build(k))
+    _, ok = run_verify(named, (3, 5, 7), CountOptions(budget=10**7))
+    assert ok and len(sweeps) == 35 and len(built) == 7
+
+
 def test_catalog_verify_sweeps_in_two_shapes(capsys, monkeypatch):
     # Every count is one of two sweeps: brute force's of psi alone, which
     # visits all q^n points, as the oracle must, and the fibered one of

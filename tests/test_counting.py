@@ -8,6 +8,7 @@ are pinned here as literals.
 from __future__ import annotations
 
 import functools
+import itertools
 import subprocess
 import sys
 import tracemalloc
@@ -39,7 +40,7 @@ from graphmotive import (
     sweep_zero_patterns,
 )
 from graphmotive import counting, graphs
-from graphmotive.cli import main
+from graphmotive.cli import main, run_verify
 from graphmotive.families import FamilySpec, generate_family
 from graphmotive.graphs import Edge, EdgeKind, classify_edge, contract_edge, delete_edge
 from graphmotive.symanzik import psi_by_deletion_contraction
@@ -556,6 +557,42 @@ def _direct_patterns(a1, a0, b1, b0, q):
     return sum(bit.astype(np.int64) << i for i, bit in enumerate(bits))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_line_state_counts_each_f(q):
+    # The fiber rule against direct counting over f in F_q, for every
+    # (A1, A0, B1, B0): how many f put (B, A) = (f*B1 + B0, f*A1 + A0) in
+    # each zero pattern, (n00, n0s, ns0, nss).
+    for a1, a0, b1, b0 in itertools.product(range(q), repeat=4):
+        direct = [0] * 4
+        for f in range(q):
+            a, b = (f * a1 + a0) % q, (f * b1 + b0) % q
+            direct[2 * (b != 0) + (a != 0)] += 1
+        zero = [v % q == 0 for v in (a1, a0, b1, b0, a1 * b0 - a0 * b1)]
+        assert counting._line_state(q, *zero) == tuple(direct), (a1, a0, b1, b0)
+
+
+def test_catalog_states_match_enumeration():
+    # Every (k, 2, 3) entry a catalog verify at q = 3 leaves is the state of
+    # psi(k) = t*A + B split at k's last label t: the points of F_3^{n-1} in
+    # each zero pattern of (B, A), as (n00, n0s, ns0, nss). n0s and ns0
+    # enter no verdict, so only this checks them.
+    with counting.shared_counts():
+        run_verify(list(CAT.items()), (3,), CountOptions())
+        memo = counting._shared.get()[1]
+    states = {
+        key[0]: state
+        for key, state in memo.items()
+        if type(key) is tuple and isinstance(key[0], Multigraph) and key[1:] == (2, 3)
+    }
+    assert len(states) == 7  # every count form the run builds, swept at 3
+    for k, state in states.items():
+        n = k.edge_count
+        assert k.labels[-1] == n - 1
+        a, b = _oracles.split_at(_oracles.psi_term_masks(k), n - 1)
+        patterns = _oracles.zero_patterns([b, a], n - 1, 3)
+        assert state == (patterns[3], patterns[1], patterns[2], patterns[0]), k
+
+
 def test_import_builds_no_step_table(src_env):
     code = (
         "import sys, graphmotive, graphmotive.cli\n"
@@ -987,15 +1024,15 @@ def test_refused_count_stores_no_record(sweeps):
         assert count_graph(g, 3) is rec and sweeps == [3]
 
 
-def test_Z_reads_the_histogram_of_a_memoized_block_count(monkeypatch, sweeps):
+def test_Z_reads_the_state_of_a_memoized_block_count(monkeypatch, sweeps):
     # Once count_graph holds a block's count, count_Z at each edge gives what
     # it gives cold, and at the edges that the count form is fibered at it
-    # reads the histogram that count swept.
+    # reads the state that count swept.
     g, q = CAT["k4_loop"], 5
     regular = [label for label in g.labels if classify_edge(g, label) is EdgeKind.REGULAR]
     cold = [count_Z(g, label, q) for label in regular]
-    read, patterns = [], counting._patterns
-    monkeypatch.setattr(counting, "_patterns", lambda *a: read.append(a[3]) or patterns(*a))
+    read, state = [], counting._fibered_state
+    monkeypatch.setattr(counting, "_fibered_state", lambda *a: read.append(a[2]) or state(*a))
     sweeps.clear()
     with counting.shared_counts():
         count_graph(g, q)
